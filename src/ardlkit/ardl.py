@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
+from .errors import ArdlkitError, NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import RegressionResult, info_criterion, ols, wald_f_zero
+from .regression import RegressionResult, ols, subset_criteria, wald_f_zero
 
 # Critical bounds for k = 5 regressors as embedded defaults; per level,
 # (I0 lower bound, I1 upper bound).
@@ -144,36 +144,54 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
                      criterion: str = "aic") -> ArdlSpec:
     """Exhaustive (p, q_1..q_k) grid search on a common estimation sample.
 
-    Ties break toward fewer total lags, then the lexicographically
-    smaller (p, q) tuple.
+    Every candidate's design is a column subset of the widest one, so
+    ``subset_criteria`` scores the whole grid from that one design.  A
+    candidate needs at least 5 more observations than parameters.  Ties
+    break toward fewer total lags, then the lexicographically smaller
+    (p, q) tuple.
     """
     spec.validate_against(frame)
     common_start = 1 + max(spec.max_p - 1, spec.max_q)
-    best = None
-    failures = []
-    grid = itertools.product(
+    grid = list(itertools.product(
         range(1, spec.max_p + 1),
         itertools.product(range(spec.max_q + 1), repeat=spec.k),
-    )
-    for p, q in grid:
-        cand = ArdlSpec(p, q)
+    ))
+    rows = frame.n - common_start
+    columns = [_grid_columns(spec, p, q) for p, q in grid]
+    feasible = [i for i, cols in enumerate(columns) if rows >= len(cols) + 5]
+    if feasible:
+        widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
+        lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
+        scores = subset_criteria(lhs, X, [columns[i] for i in feasible], criterion)
+        ranked = [(ic, p + sum(q), (p, *q))
+                  for ic, (p, q) in zip(scores, (grid[i] for i in feasible)) if ic is not None]
+        if ranked:
+            p, *q = min(ranked)[2]
+            return ArdlSpec(p, q)
+    # every candidate failed: report the first three as fitted one by one
+    failures = []
+    for p, q in grid[:3]:
         try:
-            lhs, X, *_ = _conditional_design(frame, spec, cand, start=common_start)
+            lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=common_start)
             if lhs.shape[0] < X.shape[1] + 5:
                 raise NoFeasibleSpec(
                     f"sample {lhs.shape[0]} too small for {X.shape[1]} parameters"
                 )
-            fit = ols(lhs, X)
-        except Exception as exc:  # rank-deficient or sample-exhausted candidates
+            ols(lhs, X)
+        except (ArdlkitError, np.linalg.LinAlgError) as exc:
             failures.append(f"p={p},q={q}: {exc}")
-            continue
-        ic = info_criterion(fit, criterion)
-        key = (ic, cand.total_lags, (p, *q))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    if best is None:
-        raise NoFeasibleSpec("; ".join(failures[:3]) or "empty grid")
-    return best[1]
+    raise NoFeasibleSpec("; ".join(failures) or "empty grid")
+
+
+def _grid_columns(spec: ModelSpec, p: int, q: tuple[int, ...]) -> list[int]:
+    """Columns of the widest design (max_p, max_q each) that form the
+    design of ARDL(p, q), in ``_conditional_design``'s order."""
+    own = 2 + spec.k  # const and the k + 1 levels precede the lagged differences
+    columns = list(range(own + p - 1))
+    first = own + spec.max_p - 1
+    for j, qj in enumerate(q):
+        columns += range(first + j * spec.max_q, first + j * spec.max_q + qj)
+    return columns
 
 
 def fit_conditional_ecm(frame: TimeSeriesFrame, spec: ModelSpec,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort
 from .frame import TimeSeriesFrame, lag_matrix
-from .regression import info_criterion, ols, wald_f_zero
+from .regression import ols, subset_criteria, wald_f_zero
 
 REPORT_LEVELS = (0.01, 0.05, 0.10)
 
@@ -62,24 +62,25 @@ def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> Causali
 
 
 def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
-    """Minimize the criterion of the unrestricted model on a common sample."""
+    """Minimize the criterion of the unrestricted model on a common sample.
+
+    The design for each lag is a column subset of the max-lag design, so
+    ``subset_criteria`` scores every lag from that one design; a lag that
+    ``ols`` rejects is skipped, and a later lag must beat the best so far
+    by more than 1e-12.
+    """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     n = min(x.shape[0], y.shape[0])
     max_lag = min(max_lag, max(1, (n - 3) // 2))
     lhs_common = y[max_lag:]
+    X = np.column_stack([np.ones(lhs_common.shape[0]), lag_matrix(y, max_lag),
+                         lag_matrix(x, max_lag)])
+    subsets = [[0, *range(1, 1 + lag), *range(1 + max_lag, 1 + max_lag + lag)]
+               for lag in range(1, max_lag + 1)]
     best_lag, best_ic = 1, math.inf
-    for lag in range(1, max_lag + 1):
-        drop = max_lag - lag
-        ylags = lag_matrix(y, lag)[drop:]
-        xlags = lag_matrix(x, lag)[drop:]
-        X = np.column_stack([np.ones(lhs_common.shape[0]), ylags, xlags])
-        try:
-            fit = ols(lhs_common, X)
-        except ArdlkitError:
-            continue
-        ic = info_criterion(fit, criterion)
-        if ic < best_ic - 1e-12:
+    for lag, ic in enumerate(subset_criteria(lhs_common, X, subsets, criterion), start=1):
+        if ic is not None and ic < best_ic - 1e-12:
             best_lag, best_ic = lag, ic
     return best_lag
 

@@ -169,9 +169,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         diag = diagnostics.diagnostics_report(fit.regression, fit.design,
                                               config.bg_order, config.level)
         stab_level = config.level if config.level in (0.01, 0.05, 0.10) else 0.05
+        w = diagnostics.recursive_residuals(fit.lhs, fit.design)
+        k = fit.design.shape[1]
         paths = [
-            diagnostics.cusum(fit.lhs, fit.design, stab_level),
-            diagnostics.cusum_sq(fit.lhs, fit.design, stab_level),
+            diagnostics.cusum_path(w, k, stab_level),
+            diagnostics.cusum_sq_path(w, k, stab_level),
         ]
         return diag, paths
 

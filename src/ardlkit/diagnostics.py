@@ -177,11 +177,16 @@ def recursive_residuals(y, X) -> np.ndarray:
 
 def cusum(y, X, level: float = 0.05) -> StabilityPath:
     """Cumulative sum of scaled recursive residuals with BDE bounds."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return cusum_path(recursive_residuals(y, X), X.shape[1], level)
+
+
+def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
+    """CUSUM path of the recursive residuals w_{k+1}..w_T of a k-column
+    design, as returned by ``recursive_residuals``."""
     if level not in CUSUM_CONSTANTS:
         raise ValueError(f"level must be one of {tuple(CUSUM_CONSTANTS)}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, k = X.shape
-    w = recursive_residuals(y, X)
+    w = np.asarray(w, dtype=float)
     m = w.shape[0]
     if np.ptp(w) == 0 and w[0] == 0:
         sigma = 1.0  # exact fit: the path is identically zero
@@ -192,7 +197,7 @@ def cusum(y, X, level: float = 0.05) -> StabilityPath:
     steps = np.arange(1, m + 1, dtype=float)
     bound = a * math.sqrt(m) + 2.0 * a * steps / math.sqrt(m)
     stable = bool(np.all(np.abs(path) <= bound))
-    return StabilityPath("cusum", tuple(range(k + 1, n + 1)), path, -bound, bound, stable)
+    return StabilityPath("cusum", tuple(range(k + 1, k + m + 1)), path, -bound, bound, stable)
 
 
 def _cusum_sq_c0(m: int, level: float) -> float:
@@ -216,8 +221,13 @@ def _cusum_sq_c0(m: int, level: float) -> float:
 def cusum_sq(y, X, level: float = 0.05) -> StabilityPath:
     """Cumulative sum of squared recursive residuals with c0 bounds."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, k = X.shape
-    w = recursive_residuals(y, X)
+    return cusum_sq_path(recursive_residuals(y, X), X.shape[1], level)
+
+
+def cusum_sq_path(w, k: int, level: float = 0.05) -> StabilityPath:
+    """CUSUM-of-squares path of the recursive residuals w_{k+1}..w_T of a
+    k-column design, as returned by ``recursive_residuals``."""
+    w = np.asarray(w, dtype=float)
     m = w.shape[0]
     cumulative = np.cumsum(w**2)
     total = float(cumulative[-1])
@@ -231,4 +241,4 @@ def cusum_sq(y, X, level: float = 0.05) -> StabilityPath:
     lower = center - c0
     upper = center + c0
     stable = bool(np.all((path >= lower) & (path <= upper)))
-    return StabilityPath("cusum_sq", tuple(range(k + 1, n + 1)), path, lower, upper, stable)
+    return StabilityPath("cusum_sq", tuple(range(k + 1, k + m + 1)), path, lower, upper, stable)

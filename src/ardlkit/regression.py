@@ -16,10 +16,22 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from .errors import BandwidthTooLarge, InvalidDf, RankDeficient, TooFewObservations
+from .errors import ArdlkitError, BandwidthTooLarge, InvalidDf, RankDeficient, TooFewObservations
 
 # Singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
+
+# subset_rss factors at most this many subsets per batched QR, so its
+# working copy stays small whatever the number of subsets.
+SUBSET_CHUNK = 24
+
+# subset_criteria leaves a subset whose singular-value ratio lies within
+# this factor of RANK_TOL to ols, and re-scores by ols the subsets whose
+# criteria lie within TIE_RTOL (relative) of the smallest: batched and
+# per-subset factorizations differ in the last bits, and these are the
+# decisions such bits could flip.
+RANK_MARGIN = 10.0
+TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,17 +178,102 @@ def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-def info_criterion(fit: RegressionResult, kind: str = "aic") -> float:
-    """aic / sic / hq on the concentrated Gaussian likelihood.
+def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """RSS of y regressed on X[:, s] for every column subset s in
+    ``subsets``, and a lower bound on the singular-value ratio
+    s_min/s_max of X[:, s].
 
-    A perfect fit (rss == 0) returns -inf; callers must handle the
-    sentinel.
+    The subsets go by size, SUBSET_CHUNK at a time, through one batched
+    Householder QR: each is stacked as [X_S | y], zero-padded on the
+    right to the widest of its chunk (columns to the right leave the
+    leading ones of a QR unchanged), and R[m, m]**2 is its RSS.  The
+    ratio bound is X's own s_min/s_max when that is at least
+    RANK_TOL * RANK_MARGIN, since dropping columns cannot lower it;
+    otherwise it is the exact ratio of R[:m, :m], whose singular values
+    are those of X_S, so ``ratio < RANK_TOL`` is the rule by which
+    ``ols`` rejects X_S.  Every subset needs fewer columns than X has
+    rows.
     """
-    n = fit.nobs
-    k = fit.nparams
-    if fit.rss <= 0.0:
+    y = np.asarray(y, dtype=float).ravel()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, k = X.shape
+    s = np.linalg.svd(X, compute_uv=False)
+    bound = float(s[-1] / s[0]) if n >= k and s[0] > 0 else 0.0
+    exact = bound < RANK_TOL * RANK_MARGIN
+    columns = np.vstack([X.T, y, np.zeros(n)])  # row k is y, row k + 1 padding
+    order = sorted(range(len(subsets)), key=lambda i: len(subsets[i]))
+    rss = np.empty(len(subsets))
+    ratio = np.full(len(subsets), bound)
+    for lo in range(0, len(order), SUBSET_CHUNK):
+        chunk = order[lo:lo + SUBSET_CHUNK]
+        sizes = np.array([len(subsets[i]) for i in chunk])
+        width = int(sizes[-1])
+        if n <= width:
+            raise TooFewObservations(n, width)
+        idx = np.full((len(chunk), width + 1), k + 1)
+        for row, i in enumerate(chunk):
+            idx[row, :sizes[row] + 1] = [*subsets[i], k]
+        r = np.linalg.qr(columns[idx].transpose(0, 2, 1), mode="r")
+        rows = np.arange(len(chunk))
+        rss[chunk] = r[rows, sizes, sizes] ** 2
+        if exact:
+            block = r[:, :width, :width] * (np.arange(width) < sizes[:, None])[:, None, :]
+            sv = np.linalg.svd(block, compute_uv=False)
+            ratio[chunk] = np.divide(sv[rows, sizes - 1], sv[:, 0],
+                                     out=np.zeros(len(chunk)), where=sv[:, 0] > 0)
+    return rss, ratio
+
+
+def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
+    """``info_criterion(ols(y, X[:, s]), kind)``, to rounding, for every
+    column subset s, or None where ``ols`` rejects X[:, s]; scored by
+    ``subset_rss``.
+
+    A subset whose singular-value ratio is within RANK_MARGIN of RANK_TOL
+    takes the verdict of ``ols``.  When two or more subsets lie within
+    TIE_RTOL (relative) of the smallest criterion, ``ols`` re-scores them,
+    so a choice between near-equal criteria rests on exact values.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    scores: list[float | None] = [None] * len(subsets)
+    exact: set[int] = set()
+
+    def refit(i: int) -> None:
+        exact.add(i)
+        try:
+            scores[i] = info_criterion(ols(y, X[:, subsets[i]]), kind)
+        except (ArdlkitError, np.linalg.LinAlgError):
+            scores[i] = None
+
+    fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
+    rss, ratio = subset_rss(y, X, [subsets[i] for i in fits])
+    for i, r, q in zip(fits, rss, ratio):
+        if q >= RANK_TOL * RANK_MARGIN:
+            scores[i] = criterion_from_rss(float(r), n, len(subsets[i]), kind)
+        elif q >= RANK_TOL / RANK_MARGIN:
+            refit(i)
+    while True:
+        live = [(s, i) for i, s in enumerate(scores) if s is not None]
+        if not live:
+            return scores
+        best = min(live)[0]
+        window = TIE_RTOL * max(abs(best), 1.0) if math.isfinite(best) else 0.0
+        near = [i for s, i in live if s == best or s - best <= window]
+        todo = [i for i in near if i not in exact]
+        if len(near) < 2 or not todo:
+            return scores
+        for i in todo:
+            refit(i)
+
+
+def criterion_from_rss(rss: float, n: int, k: int, kind: str = "aic") -> float:
+    """aic / sic / hq of a k-parameter Gaussian fit with residual sum of
+    squares ``rss`` on n observations; rss <= 0 gives -inf."""
+    if rss <= 0.0:
         return -math.inf
-    base = n * math.log(fit.rss / n)
+    base = n * math.log(rss / n)
     if kind == "aic":
         return base + 2.0 * k
     if kind == "sic":
@@ -184,6 +281,15 @@ def info_criterion(fit: RegressionResult, kind: str = "aic") -> float:
     if kind == "hq":
         return base + 2.0 * k * math.log(math.log(n))
     raise ValueError(f"unknown criterion {kind!r}")
+
+
+def info_criterion(fit: RegressionResult, kind: str = "aic") -> float:
+    """aic / sic / hq on the concentrated Gaussian likelihood.
+
+    A perfect fit (rss == 0) returns -inf; callers must handle the
+    sentinel.
+    """
+    return criterion_from_rss(fit.rss, fit.nobs, fit.nparams, kind)
 
 
 def _autocovariances(u: np.ndarray, upto: int) -> np.ndarray:

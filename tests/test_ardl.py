@@ -1,12 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardlkit import errors
+from ardlkit import ardl, errors, regression
 from ardlkit.ardl import (
     PAPER_BOUNDS_K5,
     PESARAN_CASE3,
     ArdlSpec,
+    _conditional_design,
+    _grid_columns,
     bounds_test,
     decide_bounds,
     fit_conditional_ecm,
@@ -14,17 +19,40 @@ from ardlkit.ardl import (
     long_run_coefficients,
     select_ardl_lags,
 )
-from ardlkit.frame import ModelSpec, TimeSeriesFrame
-from ardlkit.regression import ols
+from ardlkit.frame import ModelSpec, TimeSeriesFrame, load_csv
+from ardlkit.regression import criterion_from_rss, info_criterion, ols, subset_criteria
 from ardlkit.synthetic import ecm_system, random_walk
 
-from conftest import make_frame
+from conftest import FIXTURE_CSV, make_frame
 
 
 def five_var_frame(T=120, seed=99):
     cols = ecm_system(T, seed, beta=(0.5, -0.3, 0.4, -0.2, 0.3),
                       alpha=-0.3, sigma=0.4, delta=0.2, intercept=1.0)
     return make_frame(cols)
+
+
+def brute_force_search(frame, spec, criterion):
+    """The per-candidate reference search: one design and one ``ols`` fit
+    per (p, q) on the common sample.  Returns the winning (p, q) and every
+    candidate's criterion (None where the fit failed)."""
+    start = 1 + max(spec.max_p - 1, spec.max_q)
+    scores, best = {}, None
+    for p in range(1, spec.max_p + 1):
+        for q in itertools.product(range(spec.max_q + 1), repeat=spec.k):
+            lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=start)
+            try:
+                if lhs.shape[0] < X.shape[1] + 5:
+                    raise errors.NoFeasibleSpec("sample too small")
+                ic = info_criterion(ols(lhs, X), criterion)
+            except errors.ArdlkitError:
+                scores[(p, q)] = None
+                continue
+            scores[(p, q)] = ic
+            key = (ic, p + sum(q), (p, *q))
+            if best is None or key < best[0]:
+                best = (key, (p, q))
+    return best[1], scores
 
 
 class TestArdlSpec:
@@ -72,22 +100,106 @@ class TestSelectArdlLags:
         assert all(0 <= q <= 2 for q in chosen.q)
 
     def test_matches_exhaustive_search(self, coint_frame):
-        from ardlkit.ardl import _conditional_design
-        from ardlkit.regression import info_criterion
+        k3_frame = make_frame(ecm_system(90, 31, beta=(1.0, -0.5, 0.7), alpha=-0.4,
+                                         sigma=0.5, delta=0.2, intercept=1.0))
+        cases = [(coint_frame, ModelSpec("Y", ("X1",), max_p=2, max_q=2)),
+                 (k3_frame, ModelSpec("Y", ("X1", "X2", "X3"), max_p=3, max_q=3))]
+        for frame, spec in cases:
+            for criterion in ("aic", "sic", "hq"):
+                chosen = select_ardl_lags(frame, spec, criterion)
+                assert (chosen.p, chosen.q) == brute_force_search(frame, spec, criterion)[0]
 
-        spec = ModelSpec("Y", ("X1",), max_p=2, max_q=2)
+    def test_rank_deficient_candidates_skipped(self):
+        # X2(t) = X1(t-1): with q1 >= 1 the columns X1(-1), X2(-1) and
+        # D.X1(-1) are collinear, so every such candidate is singular
+        walk = random_walk(101, 5)
+        frame = make_frame({"Y": 0.5 * walk[1:] + random_walk(100, 6),
+                            "X1": walk[1:], "X2": walk[:-1]})
+        spec = ModelSpec("Y", ("X1", "X2"), max_p=2, max_q=2)
+        for criterion in ("aic", "sic", "hq"):
+            best, scores = brute_force_search(frame, spec, criterion)
+            assert {cand for cand, ic in scores.items() if ic is None} == {
+                cand for cand in scores if cand[1][0] >= 1}
+            chosen = select_ardl_lags(frame, spec, criterion)
+            assert (chosen.p, chosen.q) == best
+
         start = 1 + max(spec.max_p - 1, spec.max_q)
-        best = None
-        for p in range(1, 3):
-            for q in range(3):
-                lhs, X, *_ = _conditional_design(coint_frame, spec, ArdlSpec(p, (q,)),
-                                                 start=start)
-                ic = info_criterion(ols(lhs, X), "aic")
-                key = (ic, p + q, (p, q))
-                if best is None or key < best[0]:
-                    best = (key, (p, (q,)))
-        chosen = select_ardl_lags(coint_frame, spec)
-        assert (chosen.p, chosen.q) == best[1]
+        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)), start=start)
+        cands = list(scores)
+        batched = subset_criteria(lhs, X, [_grid_columns(spec, p, q) for p, q in cands],
+                                  "hq")
+        for cand, ic in zip(cands, batched):
+            if scores[cand] is None:
+                assert ic is None
+            else:
+                assert ic == pytest.approx(scores[cand], rel=1e-12)
+
+    def test_near_tie_rescored_exactly(self, coint_frame, monkeypatch):
+        # Move a worse candidate with fewer lags just below the best batched
+        # score: trusting the batched scores would select it, the exact
+        # re-score must not.
+        spec = ModelSpec("Y", ("X1",), max_p=3, max_q=3)
+        best, scores = brute_force_search(coint_frame, spec, "aic")
+        cheap = min((c for c in scores if c != best), key=lambda c: (c[0] + sum(c[1]), c))
+        assert cheap[0] + sum(cheap[1]) < best[0] + sum(best[1])
+        assert scores[cheap] - scores[best] > 1e-6 * abs(scores[best])
+        columns = {tuple(_grid_columns(spec, p, q)): (p, q) for p, q in scores}
+        real_kernel = regression.subset_rss
+
+        def tied_kernel(y, X, subsets):
+            rss, ratio = real_kernel(y, X, subsets)
+            n = X.shape[0]
+            cands = [columns[tuple(s)] for s in subsets]
+            b, j = cands.index(best), cands.index(cheap)
+            ic_best = criterion_from_rss(rss[b], n, len(subsets[b]))
+            target = ic_best - 0.5 * regression.TIE_RTOL * abs(ic_best)
+            rss[j] = n * math.exp((target - 2.0 * len(subsets[j])) / n)
+            return rss, ratio
+
+        monkeypatch.setattr(regression, "subset_rss", tied_kernel)
+        chosen = select_ardl_lags(coint_frame, spec, "aic")
+        assert (chosen.p, chosen.q) == best
+
+    def test_fixture_grid_fits_few_candidates_exactly(self, monkeypatch):
+        frame = load_csv(FIXTURE_CSV.read_text())
+        spec = ModelSpec("Y", ("X1", "X2", "X3", "X4", "X5"), max_p=2, max_q=2)
+        calls = []
+
+        def counted(y, X):
+            calls.append(np.shape(X))
+            return ols(y, X)
+
+        monkeypatch.setattr(regression, "ols", counted)
+        monkeypatch.setattr(ardl, "ols", counted)
+        select_ardl_lags(frame, spec)
+        assert len(calls) <= 5  # the per-candidate search made 486 fits
+
+    def test_exact_fallback_lets_only_package_errors_skip(self, coint_frame, monkeypatch):
+        # every candidate's rank verdict falls to ols, which fails
+        real_kernel = regression.subset_rss
+
+        def borderline(y, X, subsets):
+            rss, ratio = real_kernel(y, X, subsets)
+            return rss, np.full_like(ratio, regression.RANK_TOL)
+
+        def rank_deficient(y, X):
+            raise errors.RankDeficient([1])
+
+        def broken(y, X):
+            raise RuntimeError("not a numerical failure")
+
+        spec = ModelSpec("Y", ("X1",))
+        monkeypatch.setattr(regression, "subset_rss", borderline)
+        monkeypatch.setattr(regression, "ols", rank_deficient)
+        with pytest.raises(errors.NoFeasibleSpec):
+            select_ardl_lags(coint_frame, spec)
+        monkeypatch.setattr(regression, "ols", broken)
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            select_ardl_lags(coint_frame, spec)
+
+    def test_unknown_criterion(self, coint_frame):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            select_ardl_lags(coint_frame, ModelSpec("Y", ("X1",)), "bic2")
 
     def test_infeasible_sample(self):
         frame = make_frame({"Y": np.arange(8.0) + 0.1 * np.sin(np.arange(8)),

@@ -11,6 +11,8 @@ from ardlkit.causality import (
     granger_pair,
     select_granger_lag,
 )
+from ardlkit.frame import lag_matrix
+from ardlkit.regression import info_criterion, ols
 from ardlkit.synthetic import ar1, normals
 
 from conftest import make_frame
@@ -103,6 +105,41 @@ class TestSelectGrangerLag:
         x = normals(1, 12)
         y = normals(2, 12)
         assert select_granger_lag(x, y, 4) <= 4
+
+    @staticmethod
+    def per_lag_search(x, y, max_lag, criterion):
+        """One ``ols`` fit per lag on the common sample; failed fits skipped."""
+        max_lag = min(max_lag, max(1, (len(y) - 3) // 2))
+        best_lag, best_ic, failed = 1, math.inf, []
+        for lag in range(1, max_lag + 1):
+            drop = max_lag - lag
+            X = np.column_stack([np.ones(len(y) - max_lag), lag_matrix(y, lag)[drop:],
+                                 lag_matrix(x, lag)[drop:]])
+            try:
+                ic = info_criterion(ols(y[max_lag:], X), criterion)
+            except errors.ArdlkitError:
+                failed.append(lag)
+                continue
+            if ic < best_ic - 1e-12:
+                best_lag, best_ic = lag, ic
+        return best_lag, failed
+
+    def test_matches_per_lag_search(self):
+        for seed in range(12):
+            x = ar1(60 + 10 * seed, 40 + seed, 0.5)
+            y = 0.4 * np.roll(x, 1 + seed % 3) + ar1(60 + 10 * seed, 80 + seed, 0.4)
+            for cx, cy in ((x, y), (y, x)):
+                for criterion in ("aic", "sic", "hq"):
+                    expected, _ = self.per_lag_search(cx, cy, 4, criterion)
+                    assert select_granger_lag(cx, cy, 4, criterion) == expected
+
+    def test_rank_deficient_lags_skipped(self):
+        # x(t) = y(t-1): from lag 2 on, x's first lag repeats y's second
+        y = ar1(61, 9, 0.5)
+        x = np.concatenate([[0.0], y[:-1]])
+        expected, failed = self.per_lag_search(x, y, 4, "aic")
+        assert failed == [2, 3, 4]
+        assert select_granger_lag(x, y, 4) == expected == 1
 
 
 class TestCausalityMatrix:

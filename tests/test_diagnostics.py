@@ -9,7 +9,9 @@ from ardlkit.diagnostics import (
     breusch_godfrey,
     breusch_pagan_godfrey,
     cusum,
+    cusum_path,
     cusum_sq,
+    cusum_sq_path,
     diagnostics_report,
     jarque_bera,
     recursive_residuals,
@@ -188,6 +190,36 @@ class TestRecursiveResiduals:
         np.testing.assert_allclose(recursive_residuals(y, X), w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cusum(y, X).values, cusum_path, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cusum_sq(y, X).values, cusum_sq_path, rtol=0, atol=1e-12)
+
+
+class TestPathsFromResiduals:
+    def test_same_paths_as_from_the_design(self):
+        y, X = fixture_ecm_design()
+        w = recursive_residuals(y, X)
+        for level in (0.01, 0.05, 0.10):
+            for built, direct in ((cusum_path(w, X.shape[1], level), cusum(y, X, level)),
+                                  (cusum_sq_path(w, X.shape[1], level), cusum_sq(y, X, level))):
+                assert built.t_index == direct.t_index
+                assert built.stable == direct.stable
+                for field in ("values", "lower", "upper"):
+                    np.testing.assert_array_equal(getattr(built, field), getattr(direct, field))
+
+    def test_pipeline_computes_recursive_residuals_once(self, monkeypatch):
+        from ardlkit import cli, diagnostics
+
+        calls = []
+        real = diagnostics.recursive_residuals
+
+        def counted(y, X):
+            calls.append(1)
+            return real(y, X)
+
+        monkeypatch.setattr(diagnostics, "recursive_residuals", counted)
+        config = cli.PipelineConfig(data_path=str(FIXTURE_CSV), dependent="Y",
+                                    regressors=("X1", "X2", "X3", "X4", "X5"))
+        report = cli.run_pipeline(config)
+        assert [path.statistic for path in report.stability] == ["cusum", "cusum_sq"]
+        assert len(calls) == 1
 
 
 class TestCusum:

@@ -8,11 +8,16 @@ from scipy import stats
 
 from ardlkit import errors
 from ardlkit.regression import (
+    RANK_TOL,
+    SUBSET_CHUNK,
     KernelSpec,
+    criterion_from_rss,
     info_criterion,
     long_run_covariance,
     long_run_variance,
     ols,
+    subset_criteria,
+    subset_rss,
     tail_probability,
     wald_f_zero,
 )
@@ -138,6 +143,65 @@ class TestInfoCriterion:
         fit = ols(QUAD_Y, QUAD_X)
         with pytest.raises(ValueError):
             info_criterion(fit, "bic2")
+
+
+class TestSubsetRss:
+    @staticmethod
+    def design(n=40, k=9, seed=3):
+        X = normals(seed, n * k).reshape(n, k)
+        X[:, 0] = 1.0
+        return X, X @ np.linspace(0.5, -0.5, k) + normals(seed + 1, n)
+
+    @staticmethod
+    def subsets(k, count, seed=4):
+        rng = np.random.default_rng(seed)
+        return [sorted(rng.choice(k, size=rng.integers(1, k + 1), replace=False))
+                for _ in range(count)]
+
+    def test_rss_matches_ols(self):
+        X, y = self.design()
+        subsets = self.subsets(X.shape[1], 3 * SUBSET_CHUNK + 5)  # several chunks
+        rss, ratio = subset_rss(y, X, subsets)
+        for s, r, q in zip(subsets, rss, ratio):
+            assert r == pytest.approx(ols(y, X[:, s]).rss, rel=1e-12)
+            sv = np.linalg.svd(X[:, s], compute_uv=False)
+            assert 0 < q <= sv[-1] / sv[0] * (1 + 1e-12)  # a lower bound
+
+    def test_exact_ratio_when_design_is_singular(self):
+        X, y = self.design()
+        X[:, 5] = X[:, 3] - 2.0 * X[:, 4]
+        subsets = self.subsets(X.shape[1], 40)
+        rss, ratio = subset_rss(y, X, subsets)
+        for s, q in zip(subsets, ratio):
+            sv = np.linalg.svd(X[:, s], compute_uv=False)
+            if {3, 4, 5} <= set(s):
+                assert q < RANK_TOL
+            else:
+                assert q == pytest.approx(sv[-1] / sv[0], rel=1e-8)
+
+    def test_criteria_match_ols(self):
+        X, y = self.design()
+        X[:, 5] = X[:, 3] - 2.0 * X[:, 4]
+        subsets = self.subsets(X.shape[1], 40)
+        for kind in ("aic", "sic", "hq"):
+            for s, ic in zip(subsets, subset_criteria(y, X, subsets, kind)):
+                try:
+                    expected = info_criterion(ols(y, X[:, s]), kind)
+                except errors.RankDeficient:
+                    assert ic is None
+                else:
+                    assert ic == pytest.approx(expected, rel=1e-12)
+
+    def test_too_wide_subset_scores_none(self):
+        X, y = self.design(n=6, k=6)
+        assert subset_criteria(y, X, [[0, 1], list(range(6))])[1] is None
+        with pytest.raises(errors.TooFewObservations):
+            subset_rss(y, X, [list(range(6))])
+
+    def test_criterion_from_rss_is_info_criterion(self):
+        fit = ols(QUAD_Y, QUAD_X)
+        for kind in ("aic", "sic", "hq"):
+            assert criterion_from_rss(fit.rss, 6, 3, kind) == info_criterion(fit, kind)
 
 
 class TestKernelSpec:
