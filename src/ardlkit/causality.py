@@ -64,14 +64,16 @@ def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> Causali
 def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     """Minimize the criterion of the unrestricted model on a common sample.
 
-    The design for each lag is a column subset of the max-lag design, so
-    ``subset_criteria`` scores every lag from that one design; a lag that
-    ``ols`` rejects is skipped, and a later lag must beat the best so far
-    by more than 1e-12.
+    Series of unequal length are trimmed to their common tail, as in
+    ``granger_pair``.  The design for each lag is a column subset of the
+    max-lag design, so ``subset_criteria`` scores every lag from that one
+    design; a lag that ``ols`` rejects is skipped, and a later lag must
+    beat the best so far by more than 1e-12.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     n = min(x.shape[0], y.shape[0])
+    x, y = x[-n:], y[-n:]
     max_lag = min(max_lag, max(1, (n - 3) // 2))
     lhs_common = y[max_lag:]
     X = np.column_stack([np.ones(lhs_common.shape[0]), lag_matrix(y, max_lag),

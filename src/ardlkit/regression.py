@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ArdlkitError, BandwidthTooLarge, InvalidDf, RankDeficient, TooFewObservations
 
@@ -346,17 +346,24 @@ def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
 
 
 def tail_probability(dist: str, stat: float, df=None) -> float:
-    """Upper-tail probability for the normal, t, chi2, and F families."""
+    """Upper-tail probability for the normal, t, chi2, and F families.
+
+    Calls the scipy.special ufuncs behind ``scipy.stats.<dist>.sf``, so
+    the values are the same to the bit without importing scipy.stats,
+    which is most of a cold start.  As in scipy.stats, a chi2 or F
+    statistic at or below zero gives 1.0 (the ufuncs give NaN below
+    zero), and NaN gives NaN.
+    """
     if dist == "normal":
-        return float(stats.norm.sf(stat))
+        return float(special.ndtr(-stat))
     if dist == "t":
         if df is None or df <= 0:
             raise InvalidDf(f"t distribution needs df > 0, got {df}")
-        return float(stats.t.sf(stat, df))
+        return float(special.stdtr(df, -stat))
     if dist == "chi2":
         if df is None or df <= 0:
             raise InvalidDf(f"chi2 distribution needs df > 0, got {df}")
-        return float(stats.chi2.sf(stat, df))
+        return 1.0 if stat <= 0 else float(special.chdtrc(df, stat))
     if dist == "f":
         try:
             d1, d2 = df
@@ -364,5 +371,5 @@ def tail_probability(dist: str, stat: float, df=None) -> float:
             raise InvalidDf(f"F distribution needs df pair, got {df}") from None
         if d1 <= 0 or d2 <= 0:
             raise InvalidDf(f"F distribution needs positive df pair, got {df}")
-        return float(stats.f.sf(stat, d1, d2))
+        return 1.0 if stat <= 0 else float(special.fdtrc(d1, d2, stat))
     raise ValueError(f"unknown distribution {dist!r}")

@@ -22,6 +22,7 @@ from .ardl import BoundsResult, EcmResult
 from .causality import CausalityReport, classify_direction
 from .cointreg import CointEstimate
 from .diagnostics import DiagnosticsReport, StabilityPath
+from .regression import tail_probability
 from .unitroot import IntegrationDecision, UnitRootReport
 
 
@@ -188,14 +189,10 @@ def bounds_rows(b: BoundsResult) -> tuple[list[str], list[list[str]]]:
 
 def _coef_cell(coef: float, se: float) -> str:
     if se > 0:
-        p = 2.0 * (1.0 - _norm_cdf(abs(coef / se)))
+        p = 2.0 * tail_probability("normal", abs(coef / se))
     else:
         p = 0.0
     return f"{_fmt(coef, 3)}{stars(p)}({_fmt(se, 4)})"
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def ardl_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:

@@ -133,6 +133,14 @@ class TestSelectGrangerLag:
                     expected, _ = self.per_lag_search(cx, cy, 4, criterion)
                     assert select_granger_lag(cx, cy, 4, criterion) == expected
 
+    def test_unequal_lengths_use_common_tail(self):
+        for seed in range(6):
+            long, short = ar1(120, 50 + seed, 0.5), ar1(100, 70 + seed, 0.4)
+            for x, y in ((long, short), (short, long)):
+                for criterion in ("aic", "sic", "hq"):
+                    trimmed = select_granger_lag(x[-100:], y[-100:], 4, criterion)
+                    assert select_granger_lag(x, y, 4, criterion) == trimmed
+
     def test_rank_deficient_lags_skipped(self):
         # x(t) = y(t-1): from lag 2 on, x's first lag repeats y's second
         y = ar1(61, 9, 0.5)

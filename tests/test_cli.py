@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ardlkit
 from ardlkit.cli import (
     EXIT_DATA,
     EXIT_PRECONDITION,
@@ -202,3 +206,16 @@ class TestPipelineCommand:
             assert report.robustness_warning
         else:  # pragma: no cover - seed-dependent guard
             assert report.robustness_warning is None
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # p-values come from scipy.special ufuncs; importing scipy.stats would
+    # be most of the cost of a cold ardlkit process
+    src = str(Path(ardlkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import ardlkit.cli, sys; print(ardlkit.cli.__file__); "
+            "print([m for m in sorted(sys.modules) if m.split('.')[:2] == ['scipy', 'stats']])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == Path(ardlkit.__file__).resolve().parent
+    assert out[1] == "[]"

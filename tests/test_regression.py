@@ -293,9 +293,54 @@ class TestTailProbability:
         with pytest.raises(errors.InvalidDf):
             tail_probability("f", 1.0, (0, 5))
 
+    @pytest.mark.parametrize("dist, df", [
+        ("t", 0), ("t", -1.5), ("chi2", None), ("chi2", -2),
+        ("f", None), ("f", (1, 2, 3)), ("f", (4, 0)), ("f", (-1, 30)),
+    ])
+    def test_invalid_df_checked_before_the_statistic(self, dist, df):
+        for stat in (1.0, -1.0, math.nan, math.inf):
+            with pytest.raises(errors.InvalidDf):
+                tail_probability(dist, stat, df)
+
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             tail_probability("cauchy", 1.0)
+
+    def test_bitwise_equal_to_scipy_stats_on_the_support(self):
+        symmetric = np.concatenate([np.linspace(-9.0, 9.0, 361), np.logspace(-6, 1.5, 40),
+                                    -np.logspace(-6, 1.5, 40)])
+        positive = np.concatenate([np.logspace(-8, 3, 441), np.linspace(0.05, 40.0, 800)])
+
+        def check(dist, grid, df, oracle):
+            got = np.array([tail_probability(dist, float(x), df) for x in grid])
+            np.testing.assert_array_equal(got, oracle(grid), err_msg=f"{dist} df={df}")
+
+        check("normal", symmetric, None, stats.norm.sf)
+        for df in (1, 2.5, 5, 30, 200):
+            check("t", symmetric, df, lambda g: stats.t.sf(g, df))
+        for df in (1, 2, 3, 7, 20, 50):
+            check("chi2", positive, df, lambda g: stats.chi2.sf(g, df))
+        for d1 in (1, 2, 4, 6):
+            for d2 in (5, 30, 67, 72, 73, 76, 200):
+                check("f", positive, (d1, d2), lambda g: stats.f.sf(g, d1, d2))
+        for d1, d2, f in FIXTURE_F_TRIPLES:
+            assert tail_probability("f", f, (d1, d2)) == stats.f.sf(f, d1, d2)
+
+    @pytest.mark.parametrize("dist, df", [("chi2", 3), ("f", (3, 40))])
+    @pytest.mark.parametrize("stat", [-math.inf, -2.5, -1e-300, -0.0, 0.0])
+    def test_nonpositive_chi2_and_f_statistics_give_one(self, dist, df, stat):
+        # the raw ufuncs give NaN below zero; scipy.stats gives 1.0
+        assert tail_probability(dist, stat, df) == 1.0
+
+    @pytest.mark.parametrize("dist, df", [("normal", None), ("t", 7), ("chi2", 3), ("f", (3, 40))])
+    def test_nan_and_infinite_statistics(self, dist, df):
+        assert math.isnan(tail_probability(dist, math.nan, df))
+        assert tail_probability(dist, math.inf, df) == 0.0
+        assert tail_probability(dist, -math.inf, df) == 1.0
+        oracle = {"normal": stats.norm, "t": stats.t, "chi2": stats.chi2, "f": stats.f}[dist]
+        args = () if df is None else np.atleast_1d(df)
+        for stat in (math.nan, math.inf, -math.inf, -1.0, 0.0):
+            np.testing.assert_equal(tail_probability(dist, stat, df), oracle.sf(stat, *args))
 
 
 # (d1, d2, F) behind the p-values of the fixture report: the bounds
