@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,18 +224,8 @@ def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
     else:
         rss_r = float(fit.lhs @ fit.lhs)
     wald = wald_f_zero(reg, fit.level_indices, rss_r)
-
-    k = len(fit.level_indices) - 1
-    bounds = _bounds_table(k, table)
-    decision = {}
-    for level, (lo, hi) in bounds.items():
-        if wald.f > hi:
-            decision[level] = "cointegrated"
-        elif wald.f < lo:
-            decision[level] = "not_cointegrated"
-        else:
-            decision[level] = "inconclusive"
-    return BoundsResult(wald.f, k, bounds, decision, wald.p, wald.negative_numerator)
+    result = decide_bounds(wald.f, len(fit.level_indices) - 1, table)
+    return replace(result, reference_p=wald.p, negative_numerator=wald.negative_numerator)
 
 
 def decide_bounds(f_stat: float, k: int, table: str = "embedded") -> BoundsResult:

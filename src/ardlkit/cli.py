@@ -53,6 +53,16 @@ class PipelineConfig:
     output_dir: str = "out"
     format: str = "markdown"
 
+    def __post_init__(self):
+        try:
+            self.model_spec()
+            KernelSpec(bandwidth=self.bandwidth)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        lag = self.granger_lag
+        if lag != "auto" and (type(lag) is not int or lag < 1):
+            raise UsageError(f"granger_lag must be 'auto' or a positive integer, got {lag!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
@@ -99,86 +109,105 @@ def _stage(name):
     return wrap
 
 
-def run_unit_roots(frame: TimeSeriesFrame, spec: ModelSpec, config: PipelineConfig):
+def run_unit_roots(frame: TimeSeriesFrame, names, deterministic: str,
+                   bandwidth: int | str, level: float):
+    """ADF, PP and DF-GLS on the level and the first difference of each
+    named variable, with the integration order the ADF pair gives at
+    ``level``.  A variable that neither ADF test rejects raises
+    ``PossibleI2``."""
+    runs = (("adf", lambda s: unitroot.adf(s, deterministic)),
+            ("pp", lambda s: unitroot.pp(s, deterministic, bandwidth)),
+            ("dfgls", lambda s: unitroot.dfgls(s, deterministic)))
     rows = []
-    for var in (spec.dependent, *spec.regressors):
+    for var in names:
         series = frame.column(var)
-        tests = {}
-        for test_name, run in (("adf", unitroot.adf), ("pp", unitroot.pp),
-                               ("dfgls", unitroot.dfgls)):
-            if test_name == "pp":
-                level_rep = run(series, config.deterministic, config.bandwidth)
-                diff_rep = run(series[1:] - series[:-1], config.deterministic,
-                               config.bandwidth)
-            else:
-                level_rep = run(series, config.deterministic)
-                diff_rep = run(series[1:] - series[:-1], config.deterministic)
-            level_rep = replace(level_rep, variable=var)
-            diff_rep = replace(diff_rep, variable=var)
-            tests[test_name] = (level_rep, diff_rep)
-        decision_level = config.level if config.level in (0.01, 0.05, 0.10) else 0.05
-        decision = unitroot.integration_order(*tests["adf"], level=decision_level)
+        tests = {name: (replace(run(series), variable=var),
+                        replace(run(series[1:] - series[:-1]), variable=var))
+                 for name, run in runs}
+        decision = unitroot.integration_order(*tests["adf"], level=level)
         rows.append((var, tests, decision.order))
     return rows
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineReport:
-    """Stages in order: unit roots, bounds, ARDL/ECM, robustness,
-    causality, diagnostics.  A possible-I(2) variable aborts before the
-    ARDL stage; "not cointegrated" only downgrades the robustness
-    section to a warning."""
+SECTIONS = ("unit_root", "bounds", "ecm", "ardl_spec", "robustness", "causality",
+            "diagnostics", "stability")
+
+
+def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
+    """Produce the report ``sections``, running only the stages they read.
+
+    Stages in order: unit roots, ARDL (lag search, conditional ECM,
+    bounds test, ECM), robustness, causality, diagnostics.  The unit
+    roots always run, so a possible-I(2) variable aborts every section.
+    "Not cointegrated" only downgrades the robustness section to a
+    warning, which is why robustness runs the bounds test.
+    """
+    wanted = set(sections)
+    if not wanted <= set(SECTIONS):
+        raise ValueError(f"unknown report sections: {sorted(wanted - set(SECTIONS))}")
+    reads_fit = bool(wanted - {"unit_root", "causality"})
+    reads_bounds = bool(wanted & {"bounds", "robustness"})
     report = PipelineReport()
     frame, spec = _stage("load")(_load_frame, config)
+    # the unit-root and CUSUM tables have critical values at 1%, 5% and 10% only
+    table_level = config.level if config.level in unitroot.LEVEL_KEYS else 0.05
 
-    report.unit_root = _stage("unit_root")(run_unit_roots, frame, spec, config)
+    rows = _stage("unit_root")(run_unit_roots, frame, (spec.dependent, *spec.regressors),
+                               config.deterministic, config.bandwidth, table_level)
+    if "unit_root" in wanted:
+        report.unit_root = rows
 
-    def fit_ardl():
-        ardl_spec = ardl_mod.select_ardl_lags(frame, spec, config.criterion)
-        fit = ardl_mod.fit_conditional_ecm(frame, spec, ardl_spec)
-        bounds = ardl_mod.bounds_test(fit, config.bounds_table)
-        long_run = ardl_mod.long_run_coefficients(fit)
-        ecm = ardl_mod.fit_ecm(frame, spec, ardl_spec, long_run)
-        return ardl_spec, fit, bounds, ecm
+    ardl = _stage("ardl")
+    if reads_fit:
+        ardl_spec = ardl(ardl_mod.select_ardl_lags, frame, spec, config.criterion)
+        fit = ardl(ardl_mod.fit_conditional_ecm, frame, spec, ardl_spec)
+    if "ardl_spec" in wanted:
+        report.ardl_spec = (ardl_spec.p, ardl_spec.q)
+    if reads_bounds:
+        bounds = ardl(ardl_mod.bounds_test, fit, config.bounds_table)
+        if "bounds" in wanted:
+            report.bounds = bounds
+    if "ecm" in wanted:
+        long_run = ardl(ardl_mod.long_run_coefficients, fit)
+        report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, ardl_spec, long_run)
 
-    ardl_spec, fit, bounds, ecm = _stage("ardl")(fit_ardl)
-    report.bounds = bounds
-    report.ecm = ecm
-    report.ardl_spec = (ardl_spec.p, ardl_spec.q)
+    if "robustness" in wanted:
+        report.robustness = _stage("robustness")(_robustness, frame, spec, config)
+        if bounds.decision.get(config.level) != "cointegrated":
+            report.robustness_warning = (
+                f"bounds test did not find cointegration at the {config.level:.0%} level; "
+                "FMOLS/DOLS/CCR estimates assume a cointegrating relation"
+            )
 
-    def run_robustness():
-        kernel = KernelSpec(bandwidth=config.bandwidth)
-        return [
-            cointreg.fmols(frame, spec, kernel),
-            cointreg.dols(frame, spec, config.dols_leads, config.dols_lags),
-            cointreg.ccr(frame, spec, kernel),
-        ]
-
-    report.robustness = _stage("robustness")(run_robustness)
-    if bounds.decision.get(config.level) != "cointegrated":
-        report.robustness_warning = (
-            f"bounds test did not find cointegration at the {config.level:.0%} level; "
-            "FMOLS/DOLS/CCR estimates assume a cointegrating relation"
+    if "causality" in wanted:
+        report.causality = _stage("causality")(
+            causality_mod.causality_matrix, frame, spec.regressors, spec.dependent,
+            config.granger_lag,
         )
 
-    report.causality = _stage("causality")(
-        causality_mod.causality_matrix, frame, spec.regressors, spec.dependent,
-        config.granger_lag,
-    )
-
-    def run_diagnostics():
-        diag = diagnostics.diagnostics_report(fit.regression, fit.design,
-                                              config.bg_order, config.level)
-        stab_level = config.level if config.level in (0.01, 0.05, 0.10) else 0.05
-        w = diagnostics.recursive_residuals(fit.lhs, fit.design)
-        k = fit.design.shape[1]
-        paths = [
-            diagnostics.cusum_path(w, k, stab_level),
-            diagnostics.cusum_sq_path(w, k, stab_level),
-        ]
-        return diag, paths
-
-    report.diagnostics, report.stability = _stage("diagnostics")(run_diagnostics)
+    if "diagnostics" in wanted:
+        report.diagnostics = _stage("diagnostics")(
+            diagnostics.diagnostics_report, fit.regression, fit.design, config.bg_order,
+            config.level,
+        )
+    if "stability" in wanted:
+        report.stability = _stage("diagnostics")(_stability, fit, table_level)
     return report
+
+
+def _robustness(frame: TimeSeriesFrame, spec: ModelSpec, config: PipelineConfig):
+    kernel = KernelSpec(bandwidth=config.bandwidth)
+    return [
+        cointreg.fmols(frame, spec, kernel),
+        cointreg.dols(frame, spec, config.dols_leads, config.dols_lags),
+        cointreg.ccr(frame, spec, kernel),
+    ]
+
+
+def _stability(fit, level: float):
+    w = diagnostics.recursive_residuals(fit.lhs, fit.design)
+    k = fit.design.shape[1]
+    return [diagnostics.cusum_path(w, k, level), diagnostics.cusum_sq_path(w, k, level)]
 
 
 # ----------------------------------------------------------------- argparse
@@ -187,6 +216,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _auto_or_count(text: str) -> int | str:
+    """argparse type: "auto" or a non-negative integer."""
+    return text if text == "auto" else _count(text)
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -210,6 +251,14 @@ def _add_output_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> PipelineConfig:
+    if args.command == "pipeline":
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"invalid JSON config: {exc}") from exc
+        config = PipelineConfig.from_dict(raw)
+        return replace(config, output_dir=args.out or config.output_dir,
+                       format=args.format or config.format)
     return PipelineConfig(
         data_path=args.data,
         dependent=args.dependent,
@@ -224,6 +273,7 @@ def _config_from_args(args) -> PipelineConfig:
         bandwidth=getattr(args, "bandwidth", "auto"),
         dols_leads=getattr(args, "dols_leads", 1),
         dols_lags=getattr(args, "dols_lags", 1),
+        bounds_table=getattr(args, "bounds_table", "embedded"),
         output_dir=args.out,
         format=args.format,
     )
@@ -238,8 +288,8 @@ def build_parser() -> _Parser:
     p.add_argument("--vars", default=None, help="comma-separated subset")
     p.add_argument("--deterministic", choices=("constant", "constant_trend"),
                    default="constant")
-    p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--bandwidth", default="auto")
+    p.add_argument("--level", type=float, choices=tuple(unitroot.LEVEL_KEYS), default=0.05)
+    p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
     _add_output_flags(p)
 
     for name in ("bounds", "ardl", "diag"):
@@ -252,14 +302,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("robust", help="FMOLS / DOLS / CCR")
     _add_model_flags(p)
-    p.add_argument("--bandwidth", default="auto")
-    p.add_argument("--dols-leads", type=int, default=1)
-    p.add_argument("--dols-lags", type=int, default=1)
+    p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
+    p.add_argument("--dols-leads", type=_count, default=1)
+    p.add_argument("--dols-lags", type=_count, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("granger", help="pairwise Granger causality")
     _add_model_flags(p)
-    p.add_argument("--granger-lag", default="auto")
+    p.add_argument("--granger-lag", type=_auto_or_count, default="auto")
     _add_output_flags(p)
 
     p = sub.add_parser("mc", help="Monte-Carlo rejection rates")
@@ -281,33 +331,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _level_key(level: float) -> str:
-    return {0.01: "1%", 0.05: "5%", 0.10: "10%"}.get(level, "5%")
+def _mc_test(args):
+    """The (frame, level, seed) -> (statistic, reject) test of ``mc``."""
+    if args.test == "granger":
+        def run_granger(frame, level, seed):
+            # independent AR(1) cause series from a disjoint seed range
+            x = synthetic.ar1(frame.n, seed + 500_000_000, 0.5)
+            rep = causality_mod.granger_pair(x, frame.column("Y"), 1)
+            return rep.f_stat, rep.p < level
+        return run_granger
 
+    key = unitroot.LEVEL_KEYS.get(args.level)
+    if key is None:
+        raise UsageError(f"{args.test} has critical values at 1%, 5% and 10% only, "
+                         f"got --level {args.level}")
 
-def _mc_test(name: str, args):
-    key = _level_key(args.level)
-
-    def run_adf(frame, level, seed):
-        rep = unitroot.adf(frame.column("Y"))
+    def run_unit_root(frame, level, seed):
+        rep = getattr(unitroot, args.test)(frame.column("Y"))
         return rep.statistic, rep.reject[key]
-
-    def run_pp(frame, level, seed):
-        rep = unitroot.pp(frame.column("Y"))
-        return rep.statistic, rep.reject[key]
-
-    def run_dfgls(frame, level, seed):
-        rep = unitroot.dfgls(frame.column("Y"))
-        return rep.statistic, rep.reject[key]
-
-    def run_granger(frame, level, seed):
-        # independent AR(1) cause series from a disjoint seed range
-        x = synthetic.ar1(frame.n, seed + 500_000_000, 0.5)
-        rep = causality_mod.granger_pair(x, frame.column("Y"), 1)
-        return rep.f_stat, rep.p < level
-
-    return {"adf": run_adf, "pp": run_pp, "dfgls": run_dfgls,
-            "granger": run_granger}[name]
+    return run_unit_root
 
 
 def _cmd_mc(args) -> int:
@@ -317,7 +359,7 @@ def _cmd_mc(args) -> int:
     elif args.dgp == "random_walk":
         params = {"drift": args.drift}
     dgp = synthetic.Dgp(args.dgp, args.T, args.seed, params)
-    result = synthetic.mc_rejection_rate(_mc_test(args.test, args), dgp,
+    result = synthetic.mc_rejection_rate(_mc_test(args), dgp,
                                          args.reps, args.level, collect=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,64 +369,9 @@ def _cmd_mc(args) -> int:
         writer.writerow(["replication", "statistic", "reject"])
         for rep, stat, reject in result.rows:
             writer.writerow([rep, repr(stat), int(reject)])
-    print(f"rejection rate at {args.level:.0%}: {result.rate:.4f} "
+    print(f"rejection rate at {args.level * 100:g}%: {result.rate:.4f} "
           f"({result.reps} reps, {result.failures} failures)")
     print(f"wrote {out_path}")
-    return 0
-
-
-def _cmd_unitroot(args) -> int:
-    frame = load_csv(Path(args.data).read_text())
-    names = ([s.strip() for s in args.vars.split(",")] if args.vars
-             else list(frame.names))
-    report = PipelineReport()
-    rows = []
-    for var in names:
-        series = frame.column(var)
-        tests = {}
-        diff = series[1:] - series[:-1]
-        tests["adf"] = (replace(unitroot.adf(series, args.deterministic), variable=var),
-                        replace(unitroot.adf(diff, args.deterministic), variable=var))
-        tests["pp"] = (replace(unitroot.pp(series, args.deterministic, args.bandwidth), variable=var),
-                       replace(unitroot.pp(diff, args.deterministic, args.bandwidth), variable=var))
-        tests["dfgls"] = (replace(unitroot.dfgls(series, args.deterministic), variable=var),
-                          replace(unitroot.dfgls(diff, args.deterministic), variable=var))
-        decision = unitroot.integration_order(*tests["adf"], level=args.level)
-        rows.append((var, tests, decision.order))
-    report.unit_root = rows
-    for p in render(report, args.format, args.out):
-        print(f"wrote {p}")
-    return 0
-
-
-def _partial_pipeline(args, sections) -> int:
-    config = _config_from_args(args)
-    if getattr(args, "bounds_table", None):
-        config = replace(config, bounds_table=args.bounds_table)
-    full = run_pipeline(config)
-    report = PipelineReport()
-    for section in sections:
-        setattr(report, section, getattr(full, section))
-    if "robustness" in sections:
-        report.robustness_warning = full.robustness_warning
-    for p in render(report, config.format, config.output_dir):
-        print(f"wrote {p}")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON config: {exc}") from exc
-    config = PipelineConfig.from_dict(raw)
-    if args.out:
-        config = replace(config, output_dir=args.out)
-    if args.format:
-        config = replace(config, format=args.format)
-    report = run_pipeline(config)
-    for p in render(report, config.format, config.output_dir):
-        print(f"wrote {p}")
     return 0
 
 
@@ -392,20 +379,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "unitroot":
-            return _cmd_unitroot(args)
         if args.command == "mc":
             return _cmd_mc(args)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args)
-        sections = {
-            "bounds": ("bounds",),
-            "ardl": ("bounds", "ecm", "ardl_spec"),
-            "robust": ("bounds", "robustness"),
-            "granger": ("causality",),
-            "diag": ("diagnostics", "stability"),
-        }[args.command]
-        return _partial_pipeline(args, sections)
+        if args.command == "unitroot":
+            frame = _stage("load")(load_csv, Path(args.data).read_text())
+            names = ([s.strip() for s in args.vars.split(",")] if args.vars
+                     else frame.names)
+            report = PipelineReport(unit_root=_stage("unit_root")(
+                run_unit_roots, frame, names, args.deterministic, args.bandwidth, args.level))
+            fmt, out = args.format, args.out
+        else:
+            config = _config_from_args(args)
+            report = run_pipeline(config, {
+                "bounds": ("bounds",),
+                "ardl": ("bounds", "ecm", "ardl_spec"),
+                "robust": ("bounds", "robustness"),
+                "granger": ("causality",),
+                "diag": ("diagnostics", "stability"),
+                "pipeline": SECTIONS,
+            }[args.command])
+            fmt, out = config.format, config.output_dir
+        for p in render(report, fmt, out):
+            print(f"wrote {p}")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

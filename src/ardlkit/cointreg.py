@@ -59,22 +59,34 @@ def _r2(y: np.ndarray, resid: np.ndarray) -> float:
     return 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
 
 
-def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
-          kernel: KernelSpec = KernelSpec()) -> CointEstimate:
-    """Phillips-Hansen fully modified OLS."""
-    y, xmat, static, beta, u, v = _static_pieces(frame, spec)
-    n = frame.n
+def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
+    """The block FMOLS and CCR share: the Bartlett long-run covariance of
+    eta_t = (u_t, dx_t') and the partition of Omega around the regressors.
+
+    Returns eta, the resolved bandwidth, Lambda, Sigma, Omega_12,
+    Omega_22^-1 and omega_11.2 = omega_11 - Omega_12 Omega_22^-1 Omega_21.
+    """
+    n = u.shape[0]
     if n < 20:
         raise TooFewObservations(n, 20)
     eta = np.column_stack([u[1:], v])
     bw = kernel.resolve(eta.shape[0])
-    omega, lam, _sigma = long_run_covariance(eta, KernelSpec(bandwidth=bw))
-
+    omega, lam, sigma = long_run_covariance(eta, KernelSpec(bandwidth=bw))
     omega_12 = omega[:1, 1:]
     omega_22 = omega[1:, 1:]
     if np.linalg.cond(omega_22) > 1.0 / RANK_TOL:
         raise SingularOmega22()
     omega_22_inv = np.linalg.inv(omega_22)
+    omega_112 = float(omega[0, 0] - (omega_12 @ omega_22_inv @ omega_12.T)[0, 0])
+    return eta, bw, lam, sigma, omega_12, omega_22_inv, omega_112
+
+
+def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
+          kernel: KernelSpec = KernelSpec()) -> CointEstimate:
+    """Phillips-Hansen fully modified OLS."""
+    y, xmat, static, beta, u, v = _static_pieces(frame, spec)
+    n = frame.n
+    _eta, bw, lam, _sigma, omega_12, omega_22_inv, omega_112 = _long_run_partition(u, v, kernel)
 
     y_plus = y[1:] - v @ (omega_22_inv @ omega_12.T).ravel()
     lam_12 = lam[:1, 1:]
@@ -87,8 +99,6 @@ def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
     bias[: spec.k] = lam_12_plus.ravel()
     zpz = z.T @ z
     theta = np.linalg.solve(zpz, z.T @ y_plus - nobs * bias)
-
-    omega_112 = float(omega[0, 0] - (omega_12 @ omega_22_inv @ omega_12.T)[0, 0])
     param_cov = max(omega_112, 0.0) * np.linalg.inv(zpz)
     stderr = np.sqrt(np.maximum(np.diag(param_cov), 0.0))
 
@@ -138,17 +148,7 @@ def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
     """Park's canonical cointegrating regression."""
     y, xmat, static, beta, u, v = _static_pieces(frame, spec)
     n = frame.n
-    if n < 20:
-        raise TooFewObservations(n, 20)
-    eta = np.column_stack([u[1:], v])
-    bw = kernel.resolve(eta.shape[0])
-    omega, lam, sigma = long_run_covariance(eta, KernelSpec(bandwidth=bw))
-
-    omega_12 = omega[:1, 1:]
-    omega_22 = omega[1:, 1:]
-    if np.linalg.cond(omega_22) > 1.0 / RANK_TOL:
-        raise SingularOmega22()
-    omega_22_inv = np.linalg.inv(omega_22)
+    eta, bw, lam, sigma, omega_12, omega_22_inv, omega_112 = _long_run_partition(u, v, kernel)
     if np.linalg.cond(sigma) > 1.0 / RANK_TOL:
         raise SingularOmega22()
     sigma_inv = np.linalg.inv(sigma)
@@ -162,8 +162,6 @@ def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
     z_star = np.column_stack([x_star, np.ones(n - 1)])
     zpz = z_star.T @ z_star
     theta = np.linalg.solve(zpz, z_star.T @ y_star)
-
-    omega_112 = float(omega[0, 0] - (omega_12 @ omega_22_inv @ omega_12.T)[0, 0])
     param_cov = max(omega_112, 0.0) * np.linalg.inv(zpz)
     stderr = np.sqrt(np.maximum(np.diag(param_cov), 0.0))
 

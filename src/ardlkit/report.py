@@ -331,15 +331,6 @@ def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> s
     return "\n".join(parts) + "\n"
 
 
-_SECTIONS = {
-    "unit_root": unit_root_rows,
-    "ardl": ardl_rows,
-    "robustness": robustness_rows,
-    "causality": causality_rows,
-    "diagnostics": diagnostics_rows,
-}
-
-
 def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
     """Write one file per table plus one CSV + SVG per stability path."""
     if fmt not in ("markdown", "csv", "json"):

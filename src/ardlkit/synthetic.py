@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidParams
+from .errors import ArdlkitError, InvalidParams
 from .frame import TimeSeriesFrame
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
@@ -150,8 +150,10 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
 
     ``test`` maps (frame, level, seed) to (statistic, reject: bool);
     replication r uses seed = dgp.seed + r, also handed to the test so
-    procedures needing auxiliary randomness stay reproducible.  More
-    than 1% replication failures aborts.
+    procedures needing auxiliary randomness stay reproducible.  A
+    replication fails when the test raises an ``ArdlkitError`` or
+    ``LinAlgError``; more than 1% failures aborts, and any other
+    exception propagates.
     """
     if reps < 100:
         raise InvalidParams(f"reps must be >= 100, got {reps}")
@@ -163,7 +165,7 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
         frame = generate(dgp.with_seed(seed))
         try:
             stat, reject = test(frame, level, seed)
-        except Exception:
+        except (ArdlkitError, np.linalg.LinAlgError):
             failures += 1
             if failures > max(1, reps // 100):
                 raise InvalidParams(

@@ -48,7 +48,8 @@ _ERS_TREND = {
     10**9: (-3.48, -2.89, -2.57),
 }
 
-LEVEL_KEYS = ("1%", "5%", "10%")
+# Critical-value keys by test level; the tables cover no other level.
+LEVEL_KEYS = {0.01: "1%", 0.05: "5%", 0.10: "10%"}
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def mackinnon_critical_values(deterministic: str, nobs: int) -> dict[str, float]
     coeffs = _MACKINNON_2010[deterministic]
     return {
         key: b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
-        for key, (b0, b1, b2, b3) in zip(LEVEL_KEYS, coeffs)
+        for key, (b0, b1, b2, b3) in zip(LEVEL_KEYS.values(), coeffs)
     }
 
 
@@ -95,13 +96,13 @@ def ers_critical_values(nobs: int) -> dict[str, float]:
             w = (1.0 / t - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
             return {
                 key: (1 - w) * a + w * b
-                for key, a, b in zip(LEVEL_KEYS, _ERS_TREND[lo], _ERS_TREND[hi])
+                for key, a, b in zip(LEVEL_KEYS.values(), _ERS_TREND[lo], _ERS_TREND[hi])
             }
     raise AssertionError("unreachable")
 
 
 def _report(variable, test, deterministic, lag_or_bw, stat, cvs) -> UnitRootReport:
-    reject = {key: bool(stat < cvs[key]) for key in LEVEL_KEYS}
+    reject = {key: bool(stat < cvs[key]) for key in LEVEL_KEYS.values()}
     return UnitRootReport(variable, test, deterministic, lag_or_bw, float(stat), cvs, reject)
 
 
@@ -266,7 +267,7 @@ def integration_order(level_report: UnitRootReport, diff_report: UnitRootReport,
         raise ValueError("level and difference reports come from different tests")
     if level_report.variable != diff_report.variable:
         raise ValueError("level and difference reports cover different variables")
-    key = {0.01: "1%", 0.05: "5%", 0.10: "10%"}.get(level)
+    key = LEVEL_KEYS.get(level)
     if key is None:
         raise ValueError(f"integration decision level must be 1%, 5% or 10%, got {level}")
     if level_report.reject[key]:

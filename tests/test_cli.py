@@ -9,6 +9,7 @@ import pytest
 import ardlkit
 from ardlkit.cli import (
     EXIT_DATA,
+    EXIT_NUMERICAL,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     PipelineConfig,
@@ -36,6 +37,23 @@ def fixture_args(out: Path) -> list:
             "--regressors", "X1,X2,X3,X4,X5", "--out", str(out)]
 
 
+MODEL_COMMANDS = ("bounds", "ardl", "robust", "granger", "diag", "pipeline")
+
+
+def command_argv(command: str, data: Path, out: Path, regressors=("X1",)) -> list:
+    """argv running ``command`` on ``data`` with dependent Y; ``pipeline``
+    gets a JSON config written next to ``out``."""
+    if command == "unitroot":
+        return ["unitroot", "--data", str(data), "--out", str(out)]
+    if command == "pipeline":
+        config = out.with_name(out.name + ".json")
+        config.write_text(json.dumps({"data_path": str(data), "dependent": "Y",
+                                      "regressors": list(regressors)}))
+        return ["pipeline", "--config", str(config), "--out", str(out)]
+    return [command, "--data", str(data), "--dependent", "Y",
+            "--regressors", ",".join(regressors), "--out", str(out)]
+
+
 class TestPipelineConfig:
     def test_from_dict_defaults(self):
         config = PipelineConfig.from_dict(
@@ -55,6 +73,21 @@ class TestPipelineConfig:
     def test_missing_keys_named(self):
         with pytest.raises(UsageError, match="dependent"):
             PipelineConfig.from_dict({"data_path": "d", "regressors": ["X"]})
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"level": 0.2}, "level"),
+        ({"regressors": ["X", "Y"]}, "also listed"),
+        ({"max_p": 0}, "max_p"),
+        ({"bandwidth": -1}, "bandwidth"),
+        ({"bandwidth": 2.5}, "bandwidth"),
+        ({"granger_lag": 0}, "granger_lag"),
+        ({"granger_lag": "abc"}, "granger_lag"),
+    ], ids=["level", "dependent-as-regressor", "max_p", "bandwidth", "bandwidth-float",
+            "granger_lag-0", "granger_lag-text"])
+    def test_invalid_values_are_usage_errors(self, bad, message):
+        raw = {"data_path": "d", "dependent": "Y", "regressors": ["X"], **bad}
+        with pytest.raises(UsageError, match=message):
+            PipelineConfig.from_dict(raw)
 
 
 class TestExitCodes:
@@ -81,8 +114,10 @@ class TestExitCodes:
         config.write_text("{not json")
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
 
-    def test_possible_i2_data(self, tmp_path):
-        # a twice-integrated dependent fails the I(0)/I(1) gate
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_possible_i2_data(self, tmp_path, command):
+        # a twice-integrated dependent fails the I(0)/I(1) gate, which every
+        # subcommand keeps, granger included
         import numpy as np
 
         from ardlkit.synthetic import random_walk
@@ -94,9 +129,47 @@ class TestExitCodes:
         for i in range(80):
             lines.append(f"{1941 + i},{float(y[i])!r},{float(x[i])!r}")
         frame_path.write_text("\n".join(lines) + "\n")
-        rc = main(["bounds", "--data", str(frame_path), "--dependent", "Y",
-                   "--regressors", "X1", "--out", str(tmp_path / "o")])
+        rc = main(command_argv(command, frame_path, tmp_path / "o"))
         assert rc == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("command, code", [
+        ("bounds", 0), ("ardl", 0), ("granger", 0), ("diag", 0),
+        ("robust", EXIT_NUMERICAL), ("pipeline", EXIT_NUMERICAL),
+    ])
+    def test_short_sample_fails_only_where_read(self, tmp_path, capsys, command, code):
+        # T = 16 fits the bounds test, Granger and the diagnostics, but not
+        # FMOLS/CCR, which need 20 observations
+        data = write_csv(tmp_path / "t16.csv",
+                         Dgp("ecm_system", 16, 0, {"alpha": -0.8, "beta": (1.5,)}))
+        assert main(command_argv(command, data, tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert ("error in robustness" in err) == (code != 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
+         "--level", "0.2"],
+        ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1,Y"],
+        ["robust", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
+         "--bandwidth", "abc"],
+        ["robust", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
+         "--dols-leads", "-1"],
+        ["granger", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
+         "--granger-lag", "abc"],
+        ["granger", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
+         "--granger-lag", "0"],
+        ["unitroot", "--data", str(FIXTURE_CSV), "--level", "0.025"],
+        ["unitroot", "--data", str(FIXTURE_CSV), "--bandwidth", "-1"],
+        # the unit-root tables have no 20% or 2.5% critical values
+        ["mc", "--test", "adf", "--level", "0.2"],
+        ["mc", "--test", "dfgls", "--level", "0.025"],
+    ], ids=["level", "dependent-as-regressor", "bandwidth", "dols-leads", "granger-lag",
+            "granger-lag-0", "unitroot-level", "unitroot-bandwidth", "mc-adf-level",
+            "mc-dfgls-level"])
+    def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -148,6 +221,30 @@ class TestSubcommands:
         text = (out / "bounds.csv").read_text()
         assert "F statistics" in text
 
+    @pytest.mark.parametrize("fmt", ["markdown", "json"])
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_written_files(self, tmp_path, command, fmt):
+        tables = {
+            "unitroot": ["unit_root"],
+            "bounds": ["bounds"],
+            "ardl": ["ardl", "bounds"],
+            "robust": ["bounds", "robustness"],
+            "granger": ["causality"],
+            "diag": ["diagnostics"],
+            "pipeline": ["ardl", "bounds", "causality", "diagnostics", "robustness",
+                         "unit_root"],
+        }[command]
+        expected = {f"{t}.md" for t in tables} if fmt == "markdown" else {"report.json"}
+        if command in ("diag", "pipeline"):
+            expected |= {"cusum.csv", "cusum.svg", "cusum_sq.csv", "cusum_sq.svg"}
+        out = tmp_path / "o"
+        argv = command_argv(command, FIXTURE_CSV, out, ("X1", "X2", "X3", "X4", "X5"))
+        assert main([*argv, "--format", fmt]) == 0
+        assert {p.name for p in out.iterdir()} == expected
+        if fmt == "json":
+            stability = {"stability"} if command in ("diag", "pipeline") else set()
+            assert set(json.loads((out / "report.json").read_text())) == {*tables, *stability}
+
     def test_mc(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["mc", "--test", "adf", "--dgp", "random_walk", "--T", "50",
@@ -156,7 +253,14 @@ class TestSubcommands:
         lines = (out / "mc.csv").read_text().splitlines()
         assert lines[0] == "replication,statistic,reject"
         assert len(lines) == 101
-        assert "rejection rate" in capsys.readouterr().out
+        assert "rejection rate at 5%" in capsys.readouterr().out
+
+    def test_mc_granger_takes_any_level(self, tmp_path, capsys):
+        # the Granger test compares p-values, so it needs no critical-value table
+        rc = main(["mc", "--test", "granger", "--dgp", "ar1", "--T", "50",
+                   "--reps", "100", "--level", "0.025", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "rejection rate at 2.5%" in capsys.readouterr().out
 
 
 class TestPipelineCommand:

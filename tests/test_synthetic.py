@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardlkit.errors import InvalidParams
+from ardlkit.errors import DegenerateSeries, InvalidParams
 from ardlkit.synthetic import (
     Dgp,
     ar1,
@@ -169,7 +169,7 @@ class TestMcRejectionRate:
     def test_failure_budget_exceeded(self):
         def test_fn(frame, level, seed):
             if seed % 10 == 0:  # 10% failures, over the 1% budget
-                raise ValueError("boom")
+                raise DegenerateSeries()
             return 0.0, False
 
         with pytest.raises(InvalidParams):
@@ -178,10 +178,29 @@ class TestMcRejectionRate:
     def test_single_failure_tolerated(self):
         def test_fn(frame, level, seed):
             if seed == 7:
-                raise ValueError("boom")
+                raise DegenerateSeries()
             return 0.0, seed % 2 == 0
 
         result = mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 200)
         assert result.failures == 1
         assert result.reps == 200
         assert math.isclose(result.rate, 100 / 199)
+
+    @pytest.mark.parametrize("error", [RuntimeError("bug"), ValueError("bug")])
+    def test_programming_errors_propagate(self, error):
+        # only ArdlkitError and LinAlgError count as a failed replication
+        def test_fn(frame, level, seed):
+            if seed == 7:
+                raise error
+            return 0.0, False
+
+        with pytest.raises(type(error), match="bug"):
+            mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 200)
+
+    def test_lin_alg_error_counts_as_failure(self):
+        def test_fn(frame, level, seed):
+            if seed == 7:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return 0.0, False
+
+        assert mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 200).failures == 1
