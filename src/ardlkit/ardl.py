@@ -20,6 +20,9 @@ from .errors import ArdlkitError, NearSingularAdjustment, NoFeasibleSpec, RankDe
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import RegressionResult, ols, subset_criteria, wald_f_zero
 
+# The critical-bounds tables bounds_test takes.
+BOUNDS_TABLES = ("embedded", "pesaran")
+
 # Critical bounds for k = 5 regressors as embedded defaults; per level,
 # (I0 lower bound, I1 upper bound).
 PAPER_BOUNDS_K5 = {

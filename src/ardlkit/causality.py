@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort
 from .frame import TimeSeriesFrame, lag_matrix
-from .regression import ols, subset_criteria, wald_f_zero
+from .regression import first_minimum, ols, subset_criteria, wald_f_zero
 
 REPORT_LEVELS = (0.01, 0.05, 0.10)
 
@@ -67,8 +67,8 @@ def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     Series of unequal length are trimmed to their common tail, as in
     ``granger_pair``.  The design for each lag is a column subset of the
     max-lag design, so ``subset_criteria`` scores every lag from that one
-    design; a lag that ``ols`` rejects is skipped, and a later lag must
-    beat the best so far by more than 1e-12.
+    design; a lag that ``ols`` rejects is skipped, and ``first_minimum``
+    picks the lag.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -80,11 +80,7 @@ def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
                          lag_matrix(x, max_lag)])
     subsets = [[0, *range(1, 1 + lag), *range(1 + max_lag, 1 + max_lag + lag)]
                for lag in range(1, max_lag + 1)]
-    best_lag, best_ic = 1, math.inf
-    for lag, ic in enumerate(subset_criteria(lhs_common, X, subsets, criterion), start=1):
-        if ic is not None and ic < best_ic - 1e-12:
-            best_lag, best_ic = lag, ic
-    return best_lag
+    return 1 + first_minimum(subset_criteria(lhs_common, X, subsets, criterion))
 
 
 def causality_matrix(frame: TimeSeriesFrame, variables, dependent: str,

@@ -19,9 +19,9 @@ from . import ardl as ardl_mod
 from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
 from .errors import ArdlkitError, DataError, NumericalError, PreconditionError
-from .frame import ModelSpec, TimeSeriesFrame, load_csv, natural_log
-from .regression import KernelSpec
-from .report import PipelineReport, render
+from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
+from .regression import CRITERIA, KernelSpec
+from .report import FORMATS, PipelineReport, render
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -62,6 +62,14 @@ class PipelineConfig:
         lag = self.granger_lag
         if lag != "auto" and (type(lag) is not int or lag < 1):
             raise UsageError(f"granger_lag must be 'auto' or a positive integer, got {lag!r}")
+        for name in ("dols_leads", "dols_lags"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
+        for name, allowed in (("criterion", CRITERIA), ("bounds_table", ardl_mod.BOUNDS_TABLES),
+                              ("format", FORMATS)):
+            if getattr(self, name) not in allowed:
+                raise UsageError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -175,7 +183,7 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
         report.robustness = _stage("robustness")(_robustness, frame, spec, config)
         if bounds.decision.get(config.level) != "cointegrated":
             report.robustness_warning = (
-                f"bounds test did not find cointegration at the {config.level:.0%} level; "
+                f"bounds test did not find cointegration at the {config.level * 100:g}% level; "
                 "FMOLS/DOLS/CCR estimates assume a cointegrating relation"
             )
 
@@ -238,16 +246,14 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--log-transform", action="store_true")
     p.add_argument("--max-p", type=int, default=2)
     p.add_argument("--max-q", type=int, default=2)
-    p.add_argument("--criterion", choices=("aic", "sic", "hq"), default="aic")
-    p.add_argument("--deterministic", choices=("constant", "constant_trend"),
-                   default="constant")
+    p.add_argument("--criterion", choices=CRITERIA, default="aic")
+    p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
     p.add_argument("--level", type=float, default=0.05)
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=("markdown", "csv", "json"),
-                   default="markdown")
+    p.add_argument("--format", choices=FORMATS, default="markdown")
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -286,8 +292,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("unitroot", help="ADF / PP / DF-GLS on every variable")
     p.add_argument("--data", required=True)
     p.add_argument("--vars", default=None, help="comma-separated subset")
-    p.add_argument("--deterministic", choices=("constant", "constant_trend"),
-                   default="constant")
+    p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
     p.add_argument("--level", type=float, choices=tuple(unitroot.LEVEL_KEYS), default=0.05)
     p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
     _add_output_flags(p)
@@ -296,7 +301,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         _add_model_flags(p)
         if name == "bounds":
-            p.add_argument("--bounds-table", choices=("embedded", "pesaran"),
+            p.add_argument("--bounds-table", choices=ardl_mod.BOUNDS_TABLES,
                            default="embedded")
         _add_output_flags(p)
 
@@ -327,7 +332,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="full analysis from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override output_dir")
-    p.add_argument("--format", choices=("markdown", "csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     return parser
 
 

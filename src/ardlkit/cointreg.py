@@ -63,8 +63,8 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
     """The block FMOLS and CCR share: the Bartlett long-run covariance of
     eta_t = (u_t, dx_t') and the partition of Omega around the regressors.
 
-    Returns eta, the resolved bandwidth, Lambda, Sigma, Omega_12,
-    Omega_22^-1 and omega_11.2 = omega_11 - Omega_12 Omega_22^-1 Omega_21.
+    Returns eta, the resolved bandwidth, Lambda, Sigma, the gain
+    Omega_22^-1 Omega_21 and omega_11.2 = omega_11 - Omega_12 gain.
     """
     n = u.shape[0]
     if n < 20:
@@ -76,9 +76,9 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
     omega_22 = omega[1:, 1:]
     if np.linalg.cond(omega_22) > 1.0 / RANK_TOL:
         raise SingularOmega22()
-    omega_22_inv = np.linalg.inv(omega_22)
-    omega_112 = float(omega[0, 0] - (omega_12 @ omega_22_inv @ omega_12.T)[0, 0])
-    return eta, bw, lam, sigma, omega_12, omega_22_inv, omega_112
+    gain = np.linalg.solve(omega_22, omega_12.T)
+    omega_112 = float(omega[0, 0] - (omega_12 @ gain)[0, 0])
+    return eta, bw, lam, sigma, gain, omega_112
 
 
 def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
@@ -86,21 +86,17 @@ def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
     """Phillips-Hansen fully modified OLS."""
     y, xmat, static, beta, u, v = _static_pieces(frame, spec)
     n = frame.n
-    _eta, bw, lam, _sigma, omega_12, omega_22_inv, omega_112 = _long_run_partition(u, v, kernel)
+    _eta, bw, lam, _sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
 
-    y_plus = y[1:] - v @ (omega_22_inv @ omega_12.T).ravel()
-    lam_12 = lam[:1, 1:]
-    lam_22 = lam[1:, 1:]
-    lam_12_plus = lam_12 - omega_12 @ omega_22_inv @ lam_22
+    y_plus = y[1:] - v @ gain.ravel()
+    lam_12_plus = lam[:1, 1:] - gain.T @ lam[1:, 1:]
 
     z = np.column_stack([xmat[1:], np.ones(n - 1)])
-    nobs, nvar = z.shape
-    bias = np.zeros(nvar)
+    fit = ols(y_plus, z)
+    bias = np.zeros(fit.nparams)
     bias[: spec.k] = lam_12_plus.ravel()
-    zpz = z.T @ z
-    theta = np.linalg.solve(zpz, z.T @ y_plus - nobs * bias)
-    param_cov = max(omega_112, 0.0) * np.linalg.inv(zpz)
-    stderr = np.sqrt(np.maximum(np.diag(param_cov), 0.0))
+    theta = fit.coef - fit.nobs * (fit.xtx_inverse @ bias)
+    stderr = np.sqrt(max(omega_112, 0.0) * fit.xtx_inverse.diagonal())
 
     resid = y[1:] - z @ theta
     names = (*spec.regressors, "const")
@@ -148,24 +144,18 @@ def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
     """Park's canonical cointegrating regression."""
     y, xmat, static, beta, u, v = _static_pieces(frame, spec)
     n = frame.n
-    eta, bw, lam, sigma, omega_12, omega_22_inv, omega_112 = _long_run_partition(u, v, kernel)
+    eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
     if np.linalg.cond(sigma) > 1.0 / RANK_TOL:
         raise SingularOmega22()
-    sigma_inv = np.linalg.inv(sigma)
+    shift = np.linalg.solve(sigma, lam[:, 1:])  # Sigma^-1 Lambda_2
 
-    lam2 = lam[:, 1:]
-    x_star = xmat[1:] - eta @ (sigma_inv @ lam2)
-    kappa = np.zeros((eta.shape[1], 1))
-    kappa[1:] = omega_22_inv @ omega_12.T
-    y_star = y[1:] - (eta @ (sigma_inv @ lam2 @ beta[:, None] + kappa)).ravel()
+    x_star = xmat[1:] - eta @ shift
+    y_star = y[1:] - v @ gain.ravel() - eta @ (shift @ beta)
 
-    z_star = np.column_stack([x_star, np.ones(n - 1)])
-    zpz = z_star.T @ z_star
-    theta = np.linalg.solve(zpz, z_star.T @ y_star)
-    param_cov = max(omega_112, 0.0) * np.linalg.inv(zpz)
-    stderr = np.sqrt(np.maximum(np.diag(param_cov), 0.0))
+    fit = ols(y_star, np.column_stack([x_star, np.ones(n - 1)]))
+    stderr = np.sqrt(max(omega_112, 0.0) * fit.xtx_inverse.diagonal())
 
     z_orig = np.column_stack([xmat[1:], np.ones(n - 1)])
-    resid = y[1:] - z_orig @ theta
+    resid = y[1:] - z_orig @ fit.coef
     names = (*spec.regressors, "const")
-    return _finish("ccr", names, theta, stderr, _r2(y[1:], resid), bw)
+    return _finish("ccr", names, fit.coef, stderr, _r2(y[1:], resid), bw)

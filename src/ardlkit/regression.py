@@ -18,6 +18,9 @@ from scipy import special
 
 from .errors import ArdlkitError, BandwidthTooLarge, InvalidDf, RankDeficient, TooFewObservations
 
+# The information criteria criterion_from_rss knows.
+CRITERIA = ("aic", "sic", "hq")
+
 # Singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
 
@@ -112,7 +115,7 @@ def ols(y, X) -> RegressionResult:
 
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     tol = RANK_TOL * s[0] if s[0] > 0 else RANK_TOL
-    if np.any(s < tol):
+    if s[-1] < tol:  # singular values come sorted, largest first
         raise RankDeficient(_dependent_columns(vt, s, tol))
 
     coef = vt.T @ ((u.T @ y) / s)
@@ -130,9 +133,9 @@ def ols(y, X) -> RegressionResult:
 
     df_resid = n - k
     s2 = rss / df_resid
-    stderr = np.sqrt(np.maximum(s2 * np.diag(xtx_inv), 0.0))
+    stderr = np.sqrt(np.maximum(s2 * xtx_inv.diagonal(), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = np.where(stderr > 0, coef / np.where(stderr > 0, stderr, 1.0), np.inf * np.sign(coef))
+        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
     sigma2 = rss / n
     if sigma2 > 0:
         loglik = -n / 2.0 * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
@@ -266,6 +269,16 @@ def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
             return scores
         for i in todo:
             refit(i)
+
+
+def first_minimum(scores) -> int:
+    """Index of the lowest of ``scores`` (None: skipped), where a later one
+    must beat the best so far by more than 1e-12; 0 if none is scored."""
+    best_i, best = 0, math.inf
+    for i, score in enumerate(scores):
+        if score is not None and score < best - 1e-12:
+            best_i, best = i, score
+    return best_i
 
 
 def criterion_from_rss(rss: float, n: int, k: int, kind: str = "aic") -> float:

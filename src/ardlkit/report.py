@@ -25,6 +25,8 @@ from .diagnostics import DiagnosticsReport, StabilityPath
 from .regression import tail_probability
 from .unitroot import IntegrationDecision, UnitRootReport
 
+FORMATS = ("markdown", "csv", "json")
+
 
 def stars(p: float) -> str:
     if math.isnan(p):
@@ -333,7 +335,7 @@ def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> s
 
 def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
     """Write one file per table plus one CSV + SVG per stability path."""
-    if fmt not in ("markdown", "csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSeries, PossibleI2, SeriesTooShort
 from .frame import lag_matrix
-from .regression import KernelSpec, long_run_variance, ols
+from .regression import KernelSpec, first_minimum, long_run_variance, ols, subset_criteria
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -134,29 +134,13 @@ def _df_design(y: np.ndarray, deterministic: str, p: int):
 
 
 def _select_adf_lag(y: np.ndarray, deterministic: str, max_lag: int, criterion: str) -> int:
-    """Pick the augmentation lag by information criterion on a common sample."""
-    dy = np.diff(y)
-    nobs = dy.shape[0] - max_lag
-    lhs = dy[max_lag:]
-    level = y[max_lag:-1]
-    det = _deterministic_block(deterministic, nobs)
-    full_lags = lag_matrix(dy, max_lag) if max_lag > 0 else np.empty((nobs, 0))
-    best_p, best_ic = 0, math.inf
-    for p in range(max_lag + 1):
-        X = np.column_stack([level[:, None], det, full_lags[:, :p]])
-        coef, rss, rank, _ = np.linalg.lstsq(X, lhs, rcond=None)
-        if rank < X.shape[1] or rss.size == 0:
-            continue
-        rss = float(rss[0])
-        if rss <= 0:
-            best_p, best_ic = p, -math.inf
-            continue
-        k = X.shape[1]
-        base = nobs * math.log(rss / nobs)
-        ic = base + (2.0 * k if criterion == "aic" else k * math.log(nobs))
-        if ic < best_ic - 1e-12:
-            best_p, best_ic = p, ic
-    return best_p
+    """Pick the augmentation lag by information criterion on a common sample:
+    lags 0..max_lag are the nested column prefixes of the max-lag design,
+    scored by ``subset_criteria`` and chosen by ``first_minimum``."""
+    lhs, X = _df_design(y, deterministic, max_lag)
+    base = X.shape[1] - max_lag
+    prefixes = [list(range(base + p)) for p in range(max_lag + 1)]
+    return first_minimum(subset_criteria(lhs, X, prefixes, criterion))
 
 
 def default_max_lag(n: int) -> int:
@@ -228,12 +212,13 @@ def gls_detrend(series, deterministic: str = "constant") -> np.ndarray:
     cbar = -7.0 if deterministic == "constant" else -13.5
     a = 1.0 + cbar / n
     z = _deterministic_block(deterministic, n)
+    if z.shape[1] == 0:  # nothing to detrend
+        return y.copy()
     zq = z.copy()
     zq[1:] = z[1:] - a * z[:-1]
     yq = y.copy()
     yq[1:] = y[1:] - a * y[:-1]
-    coef, *_ = np.linalg.lstsq(zq, yq, rcond=None)
-    return y - z @ coef
+    return y - z @ ols(yq, zq).coef
 
 
 def dfgls(series, deterministic: str = "constant", max_lag: int | None = None,

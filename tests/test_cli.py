@@ -82,12 +82,30 @@ class TestPipelineConfig:
         ({"bandwidth": 2.5}, "bandwidth"),
         ({"granger_lag": 0}, "granger_lag"),
         ({"granger_lag": "abc"}, "granger_lag"),
+        ({"dols_leads": -1}, "dols_leads"),
+        ({"dols_lags": "1"}, "dols_lags"),
+        ({"bounds_table": "x"}, "bounds_table"),
+        ({"criterion": "x"}, "criterion"),
+        ({"format": "x"}, "format"),
     ], ids=["level", "dependent-as-regressor", "max_p", "bandwidth", "bandwidth-float",
-            "granger_lag-0", "granger_lag-text"])
+            "granger_lag-0", "granger_lag-text", "dols_leads", "dols_lags-text",
+            "bounds_table", "criterion", "format"])
     def test_invalid_values_are_usage_errors(self, bad, message):
         raw = {"data_path": "d", "dependent": "Y", "regressors": ["X"], **bad}
         with pytest.raises(UsageError, match=message):
             PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [{"dols_leads": -1}, {"bounds_table": "x"},
+                                     {"criterion": "x"}, {"format": "x"}],
+                             ids=["dols_leads", "bounds_table", "criterion", "format"])
+    def test_invalid_config_file_exits_usage(self, tmp_path, capsys, bad):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"data_path": str(FIXTURE_CSV), "dependent": "Y",
+                                      "regressors": ["X1"], **bad}))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -310,6 +328,18 @@ class TestPipelineCommand:
             assert report.robustness_warning
         else:  # pragma: no cover - seed-dependent guard
             assert report.robustness_warning is None
+
+    @pytest.mark.parametrize("level, text", [(0.01, "1%"), (0.025, "2.5%"), (0.05, "5%"),
+                                             (0.10, "10%")])
+    def test_robustness_warning_names_the_level(self, level, text):
+        # the fixture's regressors X1 and X2 are not cointegrated at any level
+        config = PipelineConfig(data_path=str(FIXTURE_CSV), dependent="X1",
+                                regressors=("X2",), level=level)
+        report = run_pipeline(config, ("bounds", "robustness"))
+        assert report.bounds.decision[level] != "cointegrated"
+        assert report.robustness_warning == (
+            f"bounds test did not find cointegration at the {text} level; "
+            "FMOLS/DOLS/CCR estimates assume a cointegrating relation")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

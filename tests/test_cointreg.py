@@ -3,11 +3,11 @@ import pytest
 
 from ardlkit import errors
 from ardlkit.cointreg import ccr, dols, fmols
-from ardlkit.frame import ModelSpec
+from ardlkit.frame import ModelSpec, load_csv
 from ardlkit.regression import KernelSpec, ols
 from ardlkit.synthetic import ecm_system, normals, random_walk
 
-from conftest import make_frame
+from conftest import FIXTURE_CSV, make_frame
 
 
 def orthogonalized_frame(T=60, seed=17, beta=(0.7, -0.4), const=2.0):
@@ -47,6 +47,87 @@ def static_ols_theta(frame, spec):
     y = frame.column(spec.dependent)
     X = np.column_stack([frame.column(n) for n in spec.regressors] + [np.ones(frame.n)])
     return ols(y, X).coef
+
+
+
+def oracle_fmols_ccr(mpmath, frame, spec, bw):
+    """FMOLS and CCR coefficients and standard errors in mpmath at the
+    caller's precision, each least-squares step by its normal equations."""
+    mpf = mpmath.mpf
+    n, k = frame.n, spec.k
+    w = k + 1
+    y = [mpf(float(v)) for v in frame.column(spec.dependent)]
+    x = [[mpf(float(v)) for v in row]
+         for row in np.column_stack([frame.column(r) for r in spec.regressors])]
+
+    def lsq(lhs, rows):
+        Z = mpmath.matrix(rows)
+        inverse = (Z.T * Z) ** -1
+        return inverse * (Z.T * mpmath.matrix(lhs)), inverse
+
+    def dot(a, b):
+        return mpmath.fsum(p * q for p, q in zip(a, b))
+
+    static, _ = lsq(y, [[*x[t], 1] for t in range(n)])
+    beta = [static[j] for j in range(k)]
+    u = [y[t] - dot(x[t], beta) - static[k] for t in range(n)]
+    eta = [[u[t], *(x[t][j] - x[t - 1][j] for j in range(k))] for t in range(1, n)]
+    m = n - 1
+    means = [mpmath.fsum(row[a] for row in eta) / m for a in range(w)]
+    dev = [[row[a] - means[a] for a in range(w)] for row in eta]
+
+    def gamma(j):
+        return mpmath.matrix([[mpmath.fsum(dev[t][a] * dev[t - j][b] for t in range(j, m)) / m
+                               for b in range(w)] for a in range(w)])
+
+    sigma = gamma(0)
+    omega, lam = sigma.copy(), sigma.copy()
+    for j in range(1, bw + 1):
+        g, weight = gamma(j), 1 - mpf(j) / (bw + 1)
+        omega += weight * (g + g.T)
+        lam += weight * g
+    omega_22 = mpmath.matrix([[omega[1 + a, 1 + b] for b in range(k)] for a in range(k)])
+    gain = omega_22 ** -1 * mpmath.matrix([omega[1 + a, 0] for a in range(k)])
+    omega_112 = omega[0, 0] - mpmath.fsum(omega[0, 1 + a] * gain[a] for a in range(k))
+    gain = [gain[a] for a in range(k)]
+    z = [[*x[t], 1] for t in range(1, n)]
+
+    y_plus = [y[t] - dot(eta[t - 1][1:], gain) for t in range(1, n)]
+    bias = [lam[0, 1 + j] - mpmath.fsum(gain[a] * lam[1 + a, 1 + j] for a in range(k))
+            for j in range(k)] + [0]
+    Z = mpmath.matrix(z)
+    inverse = (Z.T * Z) ** -1
+    fm = inverse * (Z.T * mpmath.matrix(y_plus) - m * mpmath.matrix(bias))
+    fm_se = [mpmath.sqrt(omega_112 * inverse[j, j]) for j in range(w)]
+
+    shift = sigma ** -1 * mpmath.matrix([[lam[a, 1 + j] for j in range(k)] for a in range(w)])
+    kappa = [0, *gain]
+    tilt = [dot([shift[a, j] for j in range(k)], beta) + kappa[a] for a in range(w)]
+    z_star = [[x[t][j] - mpmath.fsum(eta[t - 1][a] * shift[a, j] for a in range(w))
+               for j in range(k)] + [1] for t in range(1, n)]
+    y_star = [y[t] - dot(eta[t - 1], tilt) for t in range(1, n)]
+    cc, cc_inverse = lsq(y_star, z_star)
+    cc_se = [mpmath.sqrt(omega_112 * cc_inverse[j, j]) for j in range(w)]
+    as_float = lambda v: np.array([float(e) for e in v])
+    return {"fmols": (as_float(fm), as_float(fm_se)), "ccr": (as_float(cc), as_float(cc_se))}
+
+
+class TestFixtureOracle:
+    @pytest.mark.parametrize("bandwidth", ["auto", 6])
+    def test_fmols_and_ccr_match_mpmath(self, bandwidth):
+        mpmath = pytest.importorskip("mpmath")
+        frame = load_csv(FIXTURE_CSV.read_text())
+        spec = ModelSpec("Y", ("X1", "X2", "X3", "X4", "X5"))
+        kernel = KernelSpec(bandwidth=bandwidth)
+        with mpmath.workdps(50):
+            expected = oracle_fmols_ccr(mpmath, frame, spec, kernel.resolve(frame.n - 1))
+        for est in (fmols(frame, spec, kernel), ccr(frame, spec, kernel)):
+            coef, stderr = expected[est.method]
+            names = (*spec.regressors, "const")
+            np.testing.assert_allclose([est.coef[n][0] for n in names], coef, rtol=2e-14,
+                                       atol=0, err_msg=est.method)
+            np.testing.assert_allclose([est.coef[n][1] for n in names], stderr, rtol=1e-14,
+                                       atol=0, err_msg=est.method)
 
 
 class TestCollapseToOls:

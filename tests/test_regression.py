@@ -96,6 +96,20 @@ class TestOls:
         np.testing.assert_allclose(fit.coef, beta, atol=1e-8)
         assert fit.rss == pytest.approx(0.0, abs=1e-16)
 
+    @pytest.mark.parametrize("y, tstats", [
+        ([3.0, 0.0, 0.0, 0.0], [math.inf, math.nan]),
+        ([-3.0, 0.0, 0.0, 0.0], [-math.inf, math.nan]),
+        ([0.0, 2.5, 0.0, 0.0], [math.nan, math.inf]),
+    ])
+    def test_zero_stderr_tstats(self, y, tstats):
+        # an exact fit: a nonzero coefficient over a zero stderr is +-inf,
+        # a zero one is nan
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        fit = ols(np.array(y), X)
+        assert fit.rss == 0.0
+        np.testing.assert_array_equal(fit.stderr, [0.0, 0.0])
+        np.testing.assert_array_equal(fit.tstats, tstats)
+
 
 class TestWaldF:
     def test_matches_direct_formula(self):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ardlkit import errors
+from ardlkit.frame import load_csv
+from ardlkit.regression import CRITERIA, info_criterion, ols
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
@@ -15,6 +19,8 @@ from ardlkit.unitroot import (
     pp,
 )
 
+from conftest import FIXTURE_CSV
+
 # Statistics frozen from an independent augmented-Dickey-Fuller
 # implementation on the same seeded series.
 RW = random_walk(120, 11)  # driftless random walk, T = 120
@@ -26,6 +32,23 @@ PP_RW_BW3_STAT = -1.2129815123373304
 PP_RW_AUTO_STAT = -1.2145413541901349
 DFGLS_RW_STAT = 0.9277865889800758
 DFGLS_RW_CT_STAT = -1.7608284441843216
+
+
+def brute_force_lag(y, deterministic, max_lag, criterion):
+    """The reference lag search: one design and one ``ols`` fit per lag on
+    the common sample of the max-lag design; a later lag must beat the
+    best so far by more than 1e-12."""
+    dy = np.diff(y)
+    rows = np.arange(max_lag, dy.shape[0])
+    det = {"none": [], "constant": [np.ones(rows.shape[0])],
+           "constant_trend": [np.ones(rows.shape[0]), rows + 1.0]}[deterministic]
+    best_p, best = 0, math.inf
+    for p in range(max_lag + 1):
+        X = np.column_stack([y[rows], *det, *(dy[rows - j] for j in range(1, p + 1))])
+        ic = info_criterion(ols(dy[rows], X), criterion)
+        if ic < best - 1e-12:
+            best_p, best = p, ic
+    return best_p
 
 
 def ma_series():
@@ -76,6 +99,38 @@ class TestAdf:
     def test_explicit_max_lag_zero(self):
         rep = adf(RW, max_lag=0)
         assert rep.lag_or_bandwidth == 0
+
+
+class TestLagSelection:
+    @pytest.mark.parametrize("T", [33, 50, 100])
+    @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("test", [adf, dfgls], ids=["adf", "dfgls"])
+    def test_matches_brute_force_search(self, test, criterion, deterministic, T):
+        max_lag = default_max_lag(T)
+        for seed in range(8):
+            y = random_walk(T, seed)
+            rep = test(y, deterministic, criterion=criterion)
+            if test is dfgls:
+                y, deterministic_terms = gls_detrend(y, deterministic), "none"
+            else:
+                deterministic_terms = deterministic
+            assert rep.lag_or_bandwidth == brute_force_lag(y, deterministic_terms, max_lag,
+                                                           criterion)
+
+    @pytest.mark.parametrize("test, T, seed, sic_lag, hq_lag", [
+        (adf, 50, 8, 2, 3),
+        (dfgls, 50, 10, 0, 2),
+    ], ids=["adf", "dfgls"])
+    def test_hq_is_honoured(self, test, T, seed, sic_lag, hq_lag):
+        y = random_walk(T, seed)
+        assert test(y, criterion="sic").lag_or_bandwidth == sic_lag
+        assert test(y, criterion="hq").lag_or_bandwidth == hq_lag
+
+    @pytest.mark.parametrize("test", [adf, dfgls], ids=["adf", "dfgls"])
+    def test_unknown_criterion(self, test):
+        with pytest.raises(ValueError, match="criterion"):
+            test(RW, criterion="x")
 
 
 class TestMackinnonCriticalValues:
@@ -145,6 +200,27 @@ class TestDfgls:
         # GLS demeaning is anchored at the first observation, so the
         # residual mean is small relative to the level shift
         assert abs(yd.mean()) < 5.0
+
+    @pytest.mark.parametrize("deterministic", ["constant", "constant_trend"])
+    def test_fixture_matches_mpmath_oracle(self, deterministic):
+        mpmath = pytest.importorskip("mpmath")
+        frame = load_csv(FIXTURE_CSV.read_text())
+        for name in frame.names:
+            y = frame.column(name)
+            n = y.shape[0]
+            with mpmath.workdps(50):
+                cbar = -7 if deterministic == "constant" else mpmath.mpf("-13.5")
+                a = 1 + cbar / n
+                z = [[mpmath.mpf(1)] if deterministic == "constant"
+                     else [mpmath.mpf(1), mpmath.mpf(t)] for t in range(1, n + 1)]
+                ys = [mpmath.mpf(float(v)) for v in y]
+                zq = mpmath.matrix([z[0]] + [[c - a * d for c, d in zip(z[t], z[t - 1])]
+                                             for t in range(1, n)])
+                yq = mpmath.matrix([ys[0]] + [ys[t] - a * ys[t - 1] for t in range(1, n)])
+                coef = mpmath.lu_solve(zq.T * zq, zq.T * yq)
+                expected = [float(ys[t] - (mpmath.matrix([z[t]]) * coef)[0]) for t in range(n)]
+            np.testing.assert_allclose(gls_detrend(y, deterministic), expected,
+                                       rtol=0, atol=4e-15 * np.abs(expected).max())
 
 
 class TestErsCriticalValues:
