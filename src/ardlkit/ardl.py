@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArdlkitError, NearSingularAdjustment, NoFeasibleSpec, RankDeficient
+from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import RegressionResult, ols, subset_criteria, wald_f_zero
 
@@ -162,28 +162,19 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     rows = frame.n - common_start
     columns = [_grid_columns(spec, p, q) for p, q in grid]
     feasible = [i for i, cols in enumerate(columns) if rows >= len(cols) + 5]
-    if feasible:
-        widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
-        lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
-        scores = subset_criteria(lhs, X, [columns[i] for i in feasible], criterion)
-        ranked = [(ic, p + sum(q), (p, *q))
-                  for ic, (p, q) in zip(scores, (grid[i] for i in feasible)) if ic is not None]
-        if ranked:
-            p, *q = min(ranked)[2]
-            return ArdlSpec(p, q)
-    # every candidate failed: report the first three as fitted one by one
-    failures = []
-    for p, q in grid[:3]:
-        try:
-            lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=common_start)
-            if lhs.shape[0] < X.shape[1] + 5:
-                raise NoFeasibleSpec(
-                    f"sample {lhs.shape[0]} too small for {X.shape[1]} parameters"
-                )
-            ols(lhs, X)
-        except (ArdlkitError, np.linalg.LinAlgError) as exc:
-            failures.append(f"p={p},q={q}: {exc}")
-    raise NoFeasibleSpec("; ".join(failures) or "empty grid")
+    if not feasible:
+        raise NoFeasibleSpec(f"no candidate has 5 observations to spare on the "
+                             f"common sample of {rows} rows")
+    widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
+    lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
+    scores = subset_criteria(lhs, X, [columns[i] for i in feasible], criterion)
+    ranked = [(ic, p + sum(q), (p, *q))
+              for ic, (p, q) in zip(scores, (grid[i] for i in feasible)) if ic is not None]
+    if not ranked:
+        raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "
+                             f"common sample of {rows} rows")
+    p, *q = min(ranked)[2]
+    return ArdlSpec(p, q)
 
 
 def _grid_columns(spec: ModelSpec, p: int, q: tuple[int, ...]) -> list[int]:
@@ -296,25 +287,11 @@ def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
     intercept = float(ect_level.mean())
     ect = ect_level - intercept
 
-    n = frame.n
-    p, q = ardl_spec.p, ardl_spec.q
-    t0 = 1 + max([p - 1, *q, 0])
-    idx = np.arange(t0, n)
-    dy = np.diff(y)
-    labels = ["const"]
-    cols = [np.ones(idx.shape[0])]
-    for lag in range(1, p):
-        labels.append(f"D.{spec.dependent}(-{lag})")
-        cols.append(dy[idx - 1 - lag])
-    for j, name in enumerate(spec.regressors):
-        dx = np.diff(frame.column(name))
-        for lag in range(1, q[j] + 1):
-            labels.append(f"D.{name}(-{lag})")
-            cols.append(dx[idx - 1 - lag])
-    labels.append("ECT(-1)")
-    cols.append(ect[idx - 1])
-
-    reg = ols(dy[idx - 1], np.column_stack(cols))
+    lhs, X, labels, _level_idx, diff_idx = _conditional_design(frame, spec, ardl_spec)
+    keep = [0, *diff_idx]  # the constant and the lagged differences
+    t0 = frame.n - lhs.shape[0]
+    labels = [*(labels[i] for i in keep), "ECT(-1)"]
+    reg = ols(lhs, np.column_stack([X[:, keep], ect[t0 - 1:-1]]))
     theta = float(reg.coef[-1])
     theta_se = float(reg.stderr[-1])
     short_run = {

@@ -33,13 +33,13 @@ class CausalityReport:
 
 
 def _granger_design(x: np.ndarray, y: np.ndarray, lag: int):
-    ylags = lag_matrix(y, lag)
-    xlags = lag_matrix(x, lag)
+    """(lhs, design) of the unrestricted model: a constant, then ``lag`` lags
+    of y, then ``lag`` lags of x; its first 1 + lag columns are the
+    restricted model's design."""
     lhs = y[lag:]
-    const = np.ones(lhs.shape[0])
-    unrestricted = np.column_stack([const, ylags, xlags])
-    restricted = np.column_stack([const, ylags])
-    return lhs, unrestricted, restricted
+    unrestricted = np.column_stack([np.ones(lhs.shape[0]), lag_matrix(y, lag),
+                                    lag_matrix(x, lag)])
+    return lhs, unrestricted
 
 
 def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> CausalityReport:
@@ -52,9 +52,9 @@ def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> Causali
     if n <= 2 * lag + 2:
         raise SeriesTooShort(f"Granger test with lag {lag} needs n > {2 * lag + 2}, got {n}")
     x, y = x[-n:], y[-n:]
-    lhs, xu, xr = _granger_design(x, y, lag)
-    fit_u = ols(lhs, xu)
-    fit_r = ols(lhs, xr)
+    lhs, X = _granger_design(x, y, lag)
+    fit_u = ols(lhs, X)
+    fit_r = ols(lhs, X[:, :1 + lag])
     subset = tuple(range(1 + lag, 1 + 2 * lag))
     wald = wald_f_zero(fit_u, subset, fit_r.rss)
     reject = {lv: wald.p < lv for lv in REPORT_LEVELS}
@@ -75,12 +75,10 @@ def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     n = min(x.shape[0], y.shape[0])
     x, y = x[-n:], y[-n:]
     max_lag = min(max_lag, max(1, (n - 3) // 2))
-    lhs_common = y[max_lag:]
-    X = np.column_stack([np.ones(lhs_common.shape[0]), lag_matrix(y, max_lag),
-                         lag_matrix(x, max_lag)])
+    lhs, X = _granger_design(x, y, max_lag)
     subsets = [[0, *range(1, 1 + lag), *range(1 + max_lag, 1 + max_lag + lag)]
                for lag in range(1, max_lag + 1)]
-    return 1 + first_minimum(subset_criteria(lhs_common, X, subsets, criterion))
+    return 1 + first_minimum(subset_criteria(lhs, X, subsets, criterion))
 
 
 def causality_matrix(frame: TimeSeriesFrame, variables, dependent: str,

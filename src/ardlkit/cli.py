@@ -18,7 +18,7 @@ from pathlib import Path
 from . import ardl as ardl_mod
 from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
-from .errors import ArdlkitError, DataError, NumericalError, PreconditionError
+from .errors import ArdlkitError, DataError, PreconditionError
 from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, KernelSpec
 from .report import FORMATS, PipelineReport, render
@@ -427,8 +427,6 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_PRECONDITION
     if isinstance(exc, DataError):
         return EXIT_DATA
-    if isinstance(exc, NumericalError):
-        return EXIT_NUMERICAL
     return EXIT_NUMERICAL
 
 

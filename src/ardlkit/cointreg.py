@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SeriesTooShort, SingularOmega22, TooFewObservations
+from .errors import SeriesTooShort, SingularOmega22, TooFewObservations
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import KernelSpec, RANK_TOL, long_run_covariance, long_run_variance, ols, tail_probability
 
@@ -30,7 +30,8 @@ class CointEstimate:
 
 
 def _static_pieces(frame: TimeSeriesFrame, spec: ModelSpec):
-    """Static OLS residuals u_t and regressor innovations v_t = dx_t."""
+    """y, the static design [x_t, 1], the static OLS slopes beta and
+    residuals u_t, and the regressor innovations v_t = dx_t."""
     spec.validate_against(frame)
     y = frame.column(spec.dependent)
     xmat = np.column_stack([frame.column(name) for name in spec.regressors])
@@ -40,7 +41,7 @@ def _static_pieces(frame: TimeSeriesFrame, spec: ModelSpec):
     beta = static.coef[: spec.k]
     u = static.residuals
     v = np.diff(xmat, axis=0)
-    return y, xmat, static, beta, u, v
+    return y, design, beta, u, v
 
 
 def _finish(method, names, coef, stderr, r2, width) -> CointEstimate:
@@ -84,14 +85,13 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
 def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
           kernel: KernelSpec = KernelSpec()) -> CointEstimate:
     """Phillips-Hansen fully modified OLS."""
-    y, xmat, static, beta, u, v = _static_pieces(frame, spec)
-    n = frame.n
+    y, design, _beta, u, v = _static_pieces(frame, spec)
     _eta, bw, lam, _sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
 
     y_plus = y[1:] - v @ gain.ravel()
     lam_12_plus = lam[:1, 1:] - gain.T @ lam[1:, 1:]
 
-    z = np.column_stack([xmat[1:], np.ones(n - 1)])
+    z = design[1:]
     fit = ols(y_plus, z)
     bias = np.zeros(fit.nparams)
     bias[: spec.k] = lam_12_plus.ravel()
@@ -109,7 +109,7 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
     regressors; reported coefficients cover the levels and intercept."""
     if leads < 0 or lags < 0:
         raise ValueError("leads and lags must be >= 0")
-    y, xmat, _static, _beta, _u, v = _static_pieces(frame, spec)
+    y, design, _beta, _u, v = _static_pieces(frame, spec)
     n = frame.n
     k = spec.k
     if n < leads + lags + k + 10:
@@ -120,15 +120,12 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
     # v has rows for t = 1..n-1; observation t is usable when
     # t-lags >= 1 and t+leads <= n-1
     t = np.arange(1 + lags, n - leads)
-    cols = [xmat[t], np.ones(t.shape[0])[:, None]]
+    cols = [design[t]]
     names = [*spec.regressors, "const"]
     for j in range(-lags, leads + 1):
         cols.append(v[t + j - 1])
     X = np.column_stack(cols)
-    try:
-        fit = ols(y[t], X)
-    except RankDeficient as exc:
-        raise RankDeficient(exc.columns) from None
+    fit = ols(y[t], X)
 
     # rescale conventional standard errors by the residual long-run variance
     lrv = long_run_variance(fit.residuals, KernelSpec(bandwidth="auto"))
@@ -142,20 +139,18 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
 def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
         kernel: KernelSpec = KernelSpec()) -> CointEstimate:
     """Park's canonical cointegrating regression."""
-    y, xmat, static, beta, u, v = _static_pieces(frame, spec)
-    n = frame.n
+    y, design, beta, u, v = _static_pieces(frame, spec)
     eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
     if np.linalg.cond(sigma) > 1.0 / RANK_TOL:
         raise SingularOmega22()
     shift = np.linalg.solve(sigma, lam[:, 1:])  # Sigma^-1 Lambda_2
 
-    x_star = xmat[1:] - eta @ shift
+    x_star = design[1:, :spec.k] - eta @ shift
     y_star = y[1:] - v @ gain.ravel() - eta @ (shift @ beta)
 
-    fit = ols(y_star, np.column_stack([x_star, np.ones(n - 1)]))
+    fit = ols(y_star, np.column_stack([x_star, np.ones(frame.n - 1)]))
     stderr = np.sqrt(max(omega_112, 0.0) * fit.xtx_inverse.diagonal())
 
-    z_orig = np.column_stack([xmat[1:], np.ones(n - 1)])
-    resid = y[1:] - z_orig @ fit.coef
+    resid = y[1:] - design[1:] @ fit.coef
     names = (*spec.regressors, "const")
     return _finish("ccr", names, fit.coef, stderr, _r2(y[1:], resid), bw)

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .ardl import BoundsResult, EcmResult
-from .causality import CausalityReport, classify_direction
+from .causality import CausalityReport
 from .cointreg import CointEstimate
 from .diagnostics import DiagnosticsReport, StabilityPath
 from .regression import tail_probability
-from .unitroot import IntegrationDecision, UnitRootReport
+from .unitroot import UnitRootReport
 
 FORMATS = ("markdown", "csv", "json")
 
@@ -242,13 +242,6 @@ def causality_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:
         else:
             rows.append([label, str(r.nobs), _fmt(r.f_stat, 5), _fmt(r.p, 4)])
     return header, rows
-
-
-def causality_directions(report: PipelineReport, level: float = 0.05) -> list[tuple[str, str, str]]:
-    pairs = []
-    for fwd, bwd in zip(report.causality[::2], report.causality[1::2]):
-        pairs.append((fwd.cause, fwd.effect, classify_direction(fwd, bwd, level)))
-    return pairs
 
 
 def diagnostics_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:

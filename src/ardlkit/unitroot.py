@@ -2,8 +2,8 @@
 
 All three are left-tail tests of the unit-root null.  Critical values
 come from the MacKinnon (2010) response surface (ADF, PP, and the
-demeaned DF-GLS case) and the Elliott-Rothenberg-Stock (1996) table for
-the detrended DF-GLS case.
+demeaned and no-deterministic DF-GLS cases) and the
+Elliott-Rothenberg-Stock (1996) table for the detrended DF-GLS case.
 """
 
 from __future__ import annotations
@@ -153,22 +153,33 @@ def default_max_lag(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** 0.25))
 
 
-def adf(series, deterministic: str = "constant", max_lag: int | None = None,
-        criterion: str = "aic") -> UnitRootReport:
-    """Augmented Dickey-Fuller test with IC-based lag selection."""
+def _checked_series(series, name: str, max_lag: int | None):
+    """The series as a float vector and the resolved max_lag, once the
+    input is long enough for the max-lag design and not degenerate."""
     y = np.asarray(series, dtype=float).ravel()
     n = y.shape[0]
     if max_lag is None:
         max_lag = default_max_lag(n)
     if n < max_lag + 10:
-        raise SeriesTooShort(f"ADF needs n >= max_lag + 10 (n={n}, max_lag={max_lag})")
+        raise SeriesTooShort(f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})")
     if np.ptp(np.diff(y)) == 0:
         raise DegenerateSeries()
-    p = _select_adf_lag(y, deterministic, max_lag, criterion) if max_lag > 0 else 0
+    return y, max_lag
+
+
+def _df_statistic(y: np.ndarray, deterministic: str, max_lag: int, criterion: str):
+    """The chosen lag p, the Dickey-Fuller t-ratio of the ADF(p) regression
+    and its number of observations."""
+    p = _select_adf_lag(y, deterministic, max_lag, criterion)
     lhs, X = _df_design(y, deterministic, p)
-    fit = ols(lhs, X)
-    stat = fit.tstats[0]
-    nobs = lhs.shape[0]
+    return p, ols(lhs, X).tstats[0], lhs.shape[0]
+
+
+def adf(series, deterministic: str = "constant", max_lag: int | None = None,
+        criterion: str = "aic") -> UnitRootReport:
+    """Augmented Dickey-Fuller test with IC-based lag selection."""
+    y, max_lag = _checked_series(series, "ADF", max_lag)
+    p, stat, nobs = _df_statistic(y, deterministic, max_lag, criterion)
     cvs = mackinnon_critical_values(deterministic, nobs)
     return _report("", "adf", deterministic, p, stat, cvs)
 
@@ -187,19 +198,15 @@ def pp(series, deterministic: str = "constant", bandwidth: int | str = "auto") -
     if np.ptp(np.diff(y)) == 0:
         raise DegenerateSeries()
     spec = KernelSpec(bandwidth=bandwidth)
-    rhs = np.column_stack([y[:-1, None], _deterministic_block(deterministic, n - 1)])
-    fit = ols(y[1:], rhs)
+    fit = ols(*_df_design(y, deterministic, 0))
     u = fit.residuals
     nobs = u.shape[0]
     bw = spec.resolve(nobs)
     lam2 = long_run_variance(u, KernelSpec(bandwidth=bw))
     gamma0 = long_run_variance(u, KernelSpec(bandwidth=0))
-    s2 = fit.s2
-    sigma = fit.stderr[0]
-    # t-ratio for rho = 1 rather than rho = 0
-    tau = (fit.coef[0] - 1.0) / sigma
+    tau = fit.tstats[0]
     z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
-        nobs * sigma / math.sqrt(s2)
+        nobs * fit.stderr[0] / math.sqrt(fit.s2)
     )
     cvs = mackinnon_critical_values(deterministic, nobs)
     return _report("", "pp", deterministic, bw, z_tau, cvs)
@@ -223,25 +230,18 @@ def gls_detrend(series, deterministic: str = "constant") -> np.ndarray:
 
 def dfgls(series, deterministic: str = "constant", max_lag: int | None = None,
           criterion: str = "aic") -> UnitRootReport:
-    """Elliott-Rothenberg-Stock GLS-detrended Dickey-Fuller test."""
-    y = np.asarray(series, dtype=float).ravel()
-    n = y.shape[0]
-    if max_lag is None:
-        max_lag = default_max_lag(n)
-    if n < max_lag + 10:
-        raise SeriesTooShort(f"DF-GLS needs n >= max_lag + 10 (n={n}, max_lag={max_lag})")
-    if np.ptp(np.diff(y)) == 0:
-        raise DegenerateSeries()
-    yd = gls_detrend(y, deterministic)
-    p = _select_adf_lag(yd, "none", max_lag, criterion) if max_lag > 0 else 0
-    lhs, X = _df_design(yd, "none", p)
-    fit = ols(lhs, X)
-    stat = fit.tstats[0]
-    nobs = lhs.shape[0]
-    if deterministic == "constant":
-        cvs = mackinnon_critical_values("none", nobs)
-    else:
+    """Elliott-Rothenberg-Stock GLS-detrended Dickey-Fuller test.
+
+    Without deterministic terms the detrending is a no-op and the test is
+    the no-constant Dickey-Fuller regression, so only the trend case takes
+    the ERS table.
+    """
+    y, max_lag = _checked_series(series, "DF-GLS", max_lag)
+    p, stat, nobs = _df_statistic(gls_detrend(y, deterministic), "none", max_lag, criterion)
+    if deterministic == "constant_trend":
         cvs = ers_critical_values(nobs)
+    else:
+        cvs = mackinnon_critical_values("none", nobs)
     return _report("", "dfgls", deterministic, p, stat, cvs)
 
 

@@ -191,7 +191,7 @@ class TestSelectArdlLags:
         spec = ModelSpec("Y", ("X1",))
         monkeypatch.setattr(regression, "subset_rss", borderline)
         monkeypatch.setattr(regression, "ols", rank_deficient)
-        with pytest.raises(errors.NoFeasibleSpec):
+        with pytest.raises(errors.NoFeasibleSpec, match="every feasible candidate is rank deficient"):
             select_ardl_lags(coint_frame, spec)
         monkeypatch.setattr(regression, "ols", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
@@ -204,7 +204,7 @@ class TestSelectArdlLags:
     def test_infeasible_sample(self):
         frame = make_frame({"Y": np.arange(8.0) + 0.1 * np.sin(np.arange(8)),
                             "X1": np.cos(np.arange(8.0))})
-        with pytest.raises(errors.NoFeasibleSpec):
+        with pytest.raises(errors.NoFeasibleSpec, match="common sample of 5 rows"):
             select_ardl_lags(frame, ModelSpec("Y", ("X1",), max_p=2, max_q=2))
 
 

@@ -129,8 +129,9 @@ class TestLagSelection:
 
     @pytest.mark.parametrize("test", [adf, dfgls], ids=["adf", "dfgls"])
     def test_unknown_criterion(self, test):
-        with pytest.raises(ValueError, match="criterion"):
-            test(RW, criterion="x")
+        for max_lag in (None, 0):
+            with pytest.raises(ValueError, match="criterion"):
+                test(RW, max_lag=max_lag, criterion="x")
 
 
 class TestMackinnonCriticalValues:
@@ -164,11 +165,30 @@ class TestPp:
         assert rep.statistic == pytest.approx(PP_RW_AUTO_STAT, abs=1e-10)
 
     def test_bandwidth_zero_equals_df_t_stat(self):
-        for seed in (11, 23, 57):
-            y = random_walk(100, seed)
-            assert pp(y, bandwidth=0).statistic == pytest.approx(
-                adf(y, max_lag=0).statistic, abs=1e-10
-            )
+        # PP runs the ADF regression without augmentation lags, so with no
+        # kernel correction the two statistics are the same number
+        for deterministic in ("constant", "constant_trend"):
+            for seed in (11, 23, 57):
+                y = random_walk(100, seed)
+                assert (pp(y, deterministic, bandwidth=0).statistic
+                        == adf(y, deterministic, max_lag=0).statistic)
+
+    @pytest.mark.parametrize("seed", [7_200_000, 7_200_325, 7_200_963])
+    def test_bandwidth_zero_matches_mpmath_df_t_ratio(self, seed):
+        # the walks on which a levels-form refit (y_t on y_{t-1}, then
+        # coef - 1) loses most digits of the Dickey-Fuller t-ratio
+        mpmath = pytest.importorskip("mpmath")
+        y = random_walk(100, seed)
+        with mpmath.workdps(50):
+            ys = [mpmath.mpf(float(v)) for v in y]
+            X = mpmath.matrix([[level, 1] for level in ys[:-1]])
+            dy = mpmath.matrix([b - a for a, b in zip(ys, ys[1:])])
+            xtx_inv = (X.T * X) ** -1
+            coef = xtx_inv * (X.T * dy)
+            resid = dy - X * coef
+            s2 = sum(r**2 for r in resid) / (len(ys) - 3)
+            expected = float(coef[0] / mpmath.sqrt(s2 * xtx_inv[0, 0]))
+        assert pp(y, bandwidth=0).statistic == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_too_short(self):
         with pytest.raises(errors.SeriesTooShort):
@@ -189,6 +209,15 @@ class TestDfgls:
         assert rep.critical_values == ers_critical_values(
             119 - rep.lag_or_bandwidth
         )
+
+    def test_no_deterministic_case_is_the_no_constant_df_test(self):
+        # nothing to detrend, so the statistic and the MacKinnon "none"
+        # surface are those of the no-constant ADF regression
+        rep = dfgls(RW, "none")
+        assert rep.critical_values == mackinnon_critical_values("none", 119 - rep.lag_or_bandwidth)
+        assert rep.critical_values["5%"] == pytest.approx(-1.94, abs=0.01)
+        ref = adf(RW, "none")
+        assert (rep.statistic, rep.lag_or_bandwidth) == (ref.statistic, ref.lag_or_bandwidth)
 
     def test_stationary_series_rejects(self):
         rep = dfgls(ar1(200, 5, 0.3))
