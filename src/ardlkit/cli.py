@@ -251,6 +251,10 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--level", type=float, default=0.05)
 
 
+def _add_bounds_table_flag(p: argparse.ArgumentParser):
+    p.add_argument("--bounds-table", choices=ardl_mod.BOUNDS_TABLES, default="embedded")
+
+
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", choices=FORMATS, default="markdown")
@@ -300,13 +304,13 @@ def build_parser() -> _Parser:
     for name in ("bounds", "ardl", "diag"):
         p = sub.add_parser(name)
         _add_model_flags(p)
-        if name == "bounds":
-            p.add_argument("--bounds-table", choices=ardl_mod.BOUNDS_TABLES,
-                           default="embedded")
+        if name != "diag":
+            _add_bounds_table_flag(p)
         _add_output_flags(p)
 
     p = sub.add_parser("robust", help="FMOLS / DOLS / CCR")
     _add_model_flags(p)
+    _add_bounds_table_flag(p)
     p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
     p.add_argument("--dols-leads", type=_count, default=1)
     p.add_argument("--dols-lags", type=_count, default=1)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ArdlkitError, InvalidParams
 from .frame import TimeSeriesFrame
@@ -38,7 +37,11 @@ def uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def normals(seed: int, n: int) -> np.ndarray:
-    """Standard normals via inverse-CDF of the uniform stream."""
+    """Standard normals via inverse-CDF of the uniform stream.
+
+    scipy is imported here, not at module level, so that only the
+    simulations pay for its import."""
+    from scipy.special import ndtri
     return ndtri(uniforms(seed, n))
 
 

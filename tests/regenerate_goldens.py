@@ -5,10 +5,12 @@ Run from the repository root:
     python3 tests/regenerate_goldens.py
 
 The fixture is a seeded cointegrated five-regressor system, so every
-byte of it is reproducible from the seed alone.  The golden reports are
-reproducible for a given numpy/scipy build: the last bits of p-values
-come from scipy's special functions.  tests/golden/versions.json records
-the build that wrote them.
+byte of it is reproducible from the seed alone (its normal variates
+come from scipy.special.ndtri).  The golden reports are reproducible
+for a given numpy build and C library: the last bits of p-values come
+from the libm functions (erfc, exp, log1p) behind Python's math module.
+tests/golden/versions.json records the numpy, scipy and BLAS builds
+that wrote them.
 """
 
 import json

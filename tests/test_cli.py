@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ardlkit
+from ardlkit.ardl import PESARAN_CASE3
 from ardlkit.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -239,6 +240,14 @@ class TestSubcommands:
         text = (out / "bounds.csv").read_text()
         assert "F statistics" in text
 
+    @pytest.mark.parametrize("command", ["ardl", "robust"])
+    def test_bounds_table_option(self, tmp_path, command):
+        out = tmp_path / "o"
+        argv = [command, *fixture_args(out), "--bounds-table", "pesaran", "--format", "json"]
+        assert main(argv) == 0
+        bounds = json.loads((out / "report.json").read_text())["bounds"]["critical_bounds"]
+        assert bounds == {str(level): list(pair) for level, pair in PESARAN_CASE3[5].items()}
+
     @pytest.mark.parametrize("fmt", ["markdown", "json"])
     @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
     def test_written_files(self, tmp_path, command, fmt):
@@ -342,14 +351,25 @@ class TestPipelineCommand:
             "FMOLS/DOLS/CCR estimates assume a cointegrating relation")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # p-values come from scipy.special ufuncs; importing scipy.stats would
-    # be most of the cost of a cold ardlkit process
+def modules_after_import(prefix: str) -> list:
+    """Modules under ``prefix`` loaded by ``import ardlkit, ardlkit.cli`` in a
+    fresh interpreter that imports this ardlkit."""
     src = str(Path(ardlkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import ardlkit.cli, sys; print(ardlkit.cli.__file__); "
-            "print([m for m in sorted(sys.modules) if m.split('.')[:2] == ['scipy', 'stats']])")
+    code = ("import ardlkit, ardlkit.cli, json, sys; print(ardlkit.cli.__file__); "
+            f"print(json.dumps([m for m in sorted(sys.modules) if (m + '.').startswith('{prefix}.')]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout.splitlines()
     assert Path(out[0]).resolve().parent == Path(ardlkit.__file__).resolve().parent
-    assert out[1] == "[]"
+    return json.loads(out[1])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats would be most of the cost of a cold ardlkit process
+    assert modules_after_import("scipy.stats") == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the normal, chi2 and F tails come from math; only the t tail and the
+    # simulations import scipy, when first used
+    assert modules_after_import("scipy") == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ardlkit import errors
+from ardlkit import errors, regression
 from ardlkit.regression import (
     RANK_TOL,
     SUBSET_CHUNK,
@@ -158,6 +158,10 @@ class TestInfoCriterion:
         with pytest.raises(ValueError):
             info_criterion(fit, "bic2")
 
+    def test_unknown_kind_on_a_perfect_fit(self):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            criterion_from_rss(0.0, 10, 2, "x")
+
 
 class TestSubsetRss:
     @staticmethod
@@ -211,6 +215,12 @@ class TestSubsetRss:
         assert subset_criteria(y, X, [[0, 1], list(range(6))])[1] is None
         with pytest.raises(errors.TooFewObservations):
             subset_rss(y, X, [list(range(6))])
+
+    def test_unknown_kind_when_every_subset_is_rank_deficient(self):
+        X, y = self.design()
+        X[:, 1] = X[:, 0]
+        with pytest.raises(ValueError, match="unknown criterion"):
+            subset_criteria(y, X, [[0, 1], [0, 1, 2]], "x")
 
     def test_criterion_from_rss_is_info_criterion(self):
         fit = ols(QUAD_Y, QUAD_X)
@@ -320,25 +330,66 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability("cauchy", 1.0)
 
-    def test_bitwise_equal_to_scipy_stats_on_the_support(self):
-        symmetric = np.concatenate([np.linspace(-9.0, 9.0, 361), np.logspace(-6, 1.5, 40),
-                                    -np.logspace(-6, 1.5, 40)])
-        positive = np.concatenate([np.logspace(-8, 3, 441), np.linspace(0.05, 40.0, 800)])
+    SYMMETRIC = np.concatenate([np.linspace(-9.0, 9.0, 361), np.logspace(-6, 1.5, 40),
+                                -np.logspace(-6, 1.5, 40)])
+    POSITIVE = np.concatenate([np.logspace(-8, 3, 441), np.linspace(0.05, 40.0, 800)])
 
-        def check(dist, grid, df, oracle):
-            got = np.array([tail_probability(dist, float(x), df) for x in grid])
-            np.testing.assert_array_equal(got, oracle(grid), err_msg=f"{dist} df={df}")
-
-        check("normal", symmetric, None, stats.norm.sf)
+    def test_t_bitwise_equal_to_scipy_stats(self):
         for df in (1, 2.5, 5, 30, 200):
-            check("t", symmetric, df, lambda g: stats.t.sf(g, df))
-        for df in (1, 2, 3, 7, 20, 50):
-            check("chi2", positive, df, lambda g: stats.chi2.sf(g, df))
+            got = [tail_probability("t", float(x), df) for x in self.SYMMETRIC]
+            np.testing.assert_array_equal(got, stats.t.sf(self.SYMMETRIC, df), err_msg=f"df={df}")
+
+    def test_no_less_accurate_than_scipy(self):
+        # the largest relative errors of scipy 1.17.1's norm.sf, chi2.sf and
+        # f.sf against the 50-digit oracle, on these same points
+        scipy_worst = {"normal": 8.1e-14, "chi2": 6.1e-14, "f": 2.4e-13}
+        mpmath = pytest.importorskip("mpmath")
+        mpf = mpmath.mpf
+        worst = dict.fromkeys(scipy_worst, 0.0)
+
+        def track(dist, stat, df, exact):
+            got = tail_probability(dist, float(stat), df)
+            worst[dist] = max(worst[dist], float(abs(got - exact) / exact))
+
+        with mpmath.workdps(50):
+            for x in self.SYMMETRIC:
+                track("normal", x, None, mpmath.ncdf(-mpf(x)))
+            for df in (1, 2, 3, 7, 20, 50):
+                for x in self.POSITIVE:
+                    track("chi2", x, df,
+                          mpmath.gammainc(mpf(df) / 2, mpf(x) / 2, mpmath.inf, regularized=True))
         for d1 in (1, 2, 4, 6):
             for d2 in (5, 30, 67, 72, 73, 76, 200):
-                check("f", positive, (d1, d2), lambda g: stats.f.sf(g, d1, d2))
+                for x in self.POSITIVE:
+                    track("f", x, (d1, d2), f_tail_oracle(d1, d2, x))
         for d1, d2, f in FIXTURE_F_TRIPLES:
-            assert tail_probability("f", f, (d1, d2)) == stats.f.sf(f, d1, d2)
+            track("f", f, (d1, d2), f_tail_oracle(d1, d2, f))
+        for dist, bound in scipy_worst.items():
+            assert worst[dist] <= bound, (dist, worst[dist])
+
+    def test_chi2_with_two_df_is_exponential(self):
+        for x in self.POSITIVE:
+            assert tail_probability("chi2", float(x), 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+
+    # not nu = 1: scipy's t(1) tail near 0 is off by up to 2.8e-11 (relative)
+    @pytest.mark.parametrize("nu", [2.5, 5, 30, 76, 200])
+    def test_f_with_one_numerator_df_is_squared_t(self, nu):
+        for t in self.SYMMETRIC:
+            two_sided = 2.0 * tail_probability("t", abs(float(t)), nu)
+            assert tail_probability("f", float(t * t), (1, nu)) == pytest.approx(two_sided, rel=1e-13)
+
+    def test_normal_tails_sum_to_one(self):
+        for x in self.SYMMETRIC:
+            assert tail_probability("normal", float(x)) + tail_probability("normal", float(-x)) == 1.0
+
+    @pytest.mark.parametrize("dist, df", [("chi2", 1), ("chi2", 3), ("chi2", 400),
+                                          ("f", (3, 40)), ("f", (1, 500))])
+    def test_nan_statistic_returns_before_any_iteration(self, monkeypatch, dist, df):
+        # with no iterations allowed, any series or fraction would raise
+        monkeypatch.setattr(regression, "_MAX_TERMS", 1)
+        assert math.isnan(tail_probability(dist, math.nan, df))
+        with pytest.raises(errors.NumericalError, match="did not converge"):
+            tail_probability(dist, 2.0, df)
 
     @pytest.mark.parametrize("dist, df", [("chi2", 3), ("f", (3, 40))])
     @pytest.mark.parametrize("stat", [-math.inf, -2.5, -1e-300, -0.0, 0.0])
