@@ -46,17 +46,25 @@ class TimeSeriesFrame:
         n = len(self.years)
         if n < 1:
             raise EmptyBody()
-        for i in range(1, n):
+        years = np.asarray(self.years)
+        # one vector test in the usual case; the loop names the first bad pair.
+        # The span test catches a step that wraps around int64 to 1.
+        if (years.dtype.kind != "i" or int(self.years[-1]) - int(self.years[0]) != n - 1
+                or (np.diff(years) != 1).any()):
+            self._check_years()
+        for name, col in self.columns.items():
+            if len(col) != n:
+                raise RaggedRow(0, n, len(col))
+            if not np.isfinite(col).all():
+                bad = int(np.flatnonzero(~np.isfinite(col))[0])
+                raise MissingValue(bad + 1, name)
+
+    def _check_years(self) -> None:
+        for i in range(1, len(self.years)):
             if self.years[i] <= self.years[i - 1]:
                 raise NonMonotoneYears(f"{self.years[i - 1]} followed by {self.years[i]}")
             if self.years[i] - self.years[i - 1] != 1:
                 raise NonAnnualIndex(f"gap between {self.years[i - 1]} and {self.years[i]}")
-        for name, col in self.columns.items():
-            if len(col) != n:
-                raise RaggedRow(0, n, len(col))
-            if not np.all(np.isfinite(col)):
-                bad = int(np.flatnonzero(~np.isfinite(col))[0])
-                raise MissingValue(bad + 1, name)
 
     @property
     def n(self) -> int:

@@ -186,11 +186,14 @@ def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
     ``subsets``, and a lower bound on the singular-value ratio
     s_min/s_max of X[:, s].
 
-    The subsets go by size, SUBSET_CHUNK at a time, through one batched
-    Householder QR: each is stacked as [X_S | y], zero-padded on the
-    right to the widest of its chunk (columns to the right leave the
-    leading ones of a QR unchanged), and R[m, m]**2 is its RSS.  The
-    ratio bound is X's own s_min/s_max when that is at least
+    When every subset is a column prefix range(m), one Householder QR of
+    [X[:, :w] | y], w the widest m, scores them all: the RSS of prefix m
+    is the sum of R[i, w]**2 over i >= m.  Otherwise the subsets go by
+    size, SUBSET_CHUNK at a time, through one batched Householder QR: each
+    is stacked as [X_S | y], zero-padded on the right to the widest of its
+    chunk (columns to the right leave the leading ones of a QR unchanged),
+    and R[m, m]**2 is its RSS.  The ratio bound is the s_min/s_max of the
+    widest prefix, or of X itself, when that is at least
     RANK_TOL * RANK_MARGIN, since dropping columns cannot lower it;
     otherwise it is the exact ratio of R[:m, :m], whose singular values
     are those of X_S, so ``ratio < RANK_TOL`` is the rule by which
@@ -199,32 +202,60 @@ def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    sizes = np.array([len(s) for s in subsets], dtype=int)
+    if len(subsets) and all(list(s) == list(range(m)) for s, m in zip(subsets, sizes)):
+        return _prefix_rss(y, X, sizes)
     n, k = X.shape
     s = np.linalg.svd(X, compute_uv=False)
     bound = float(s[-1] / s[0]) if n >= k and s[0] > 0 else 0.0
     exact = bound < RANK_TOL * RANK_MARGIN
     columns = np.vstack([X.T, y, np.zeros(n)])  # row k is y, row k + 1 padding
-    order = sorted(range(len(subsets)), key=lambda i: len(subsets[i]))
+    order = sorted(range(len(subsets)), key=lambda i: sizes[i])
     rss = np.empty(len(subsets))
     ratio = np.full(len(subsets), bound)
     for lo in range(0, len(order), SUBSET_CHUNK):
         chunk = order[lo:lo + SUBSET_CHUNK]
-        sizes = np.array([len(subsets[i]) for i in chunk])
-        width = int(sizes[-1])
+        widths = sizes[chunk]
+        width = int(widths[-1])
         if n <= width:
             raise TooFewObservations(n, width)
         idx = np.full((len(chunk), width + 1), k + 1)
         for row, i in enumerate(chunk):
-            idx[row, :sizes[row] + 1] = [*subsets[i], k]
+            idx[row, :widths[row] + 1] = [*subsets[i], k]
         r = np.linalg.qr(columns[idx].transpose(0, 2, 1), mode="r")
-        rows = np.arange(len(chunk))
-        rss[chunk] = r[rows, sizes, sizes] ** 2
+        rss[chunk] = r[np.arange(len(chunk)), widths, widths] ** 2
         if exact:
-            block = r[:, :width, :width] * (np.arange(width) < sizes[:, None])[:, None, :]
-            sv = np.linalg.svd(block, compute_uv=False)
-            ratio[chunk] = np.divide(sv[rows, sizes - 1], sv[:, 0],
-                                     out=np.zeros(len(chunk)), where=sv[:, 0] > 0)
+            ratio[chunk] = _leading_ratio(r[:, :width, :width], widths)
     return rss, ratio
+
+
+def _prefix_rss(y: np.ndarray, X: np.ndarray, sizes: np.ndarray):
+    """``subset_rss`` for the column prefixes range(m), m in ``sizes``."""
+    n = X.shape[0]
+    width = int(sizes.max())
+    if n <= width:
+        raise TooFewObservations(n, width)
+    r = np.linalg.qr(np.column_stack([X[:, :width], y]), mode="r")
+    # tail[m] = sum of R[i, width]**2 for i >= m: y's residual off X[:, :m]
+    tail = np.cumsum(r[::-1, width] ** 2)[::-1]
+    s = np.linalg.svd(r[:width, :width], compute_uv=False)
+    bound = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    if bound >= RANK_TOL * RANK_MARGIN:
+        ratio = np.full(len(sizes), bound)
+    else:
+        ratio = _leading_ratio(r[None, :width, :width], sizes)
+    return tail[sizes], ratio
+
+
+def _leading_ratio(r: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """s_min/s_max of the leading block R[:m, :m] of each upper-triangular
+    factor in the stack ``r``, m = ``sizes`` (0 where R is zero)."""
+    width = r.shape[-1]
+    # zeroing the columns from m on leaves R[:m, :m] and zeros
+    block = r * (np.arange(width) < sizes[:, None])[:, None, :]
+    sv = np.linalg.svd(block, compute_uv=False)
+    return np.divide(sv[np.arange(len(sizes)), sizes - 1], sv[:, 0],
+                     out=np.zeros(len(sizes)), where=sv[:, 0] > 0)
 
 
 def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
@@ -317,23 +348,31 @@ def _autocovariances(u: np.ndarray, upto: int) -> np.ndarray:
     return np.asarray([v[j:] @ v[: n - j] / n for j in range(upto + 1)])
 
 
-def long_run_variance(u, spec: KernelSpec = KernelSpec()) -> float:
-    """Bartlett-kernel long-run variance of a scalar series.
+def _bartlett_weights(bw: int) -> np.ndarray:
+    """The Bartlett kernel's lag weights 1 - j/(bw+1), j = 1..bw."""
+    return 1.0 - np.arange(1, bw + 1) / (bw + 1.0)
 
-    lambda^2 = gamma_0 + 2 * sum_{j<=l} (1 - j/(l+1)) gamma_j, computed
-    on the demeaned series with divisor-n autocovariances (keeps the
-    estimate positive semidefinite).
-    """
+
+def bartlett_variances(u, bw: int) -> tuple[float, float]:
+    """gamma_0 and the Bartlett long-run variance
+    lambda^2 = gamma_0 + 2 * sum_{j<=bw} (1 - j/(bw+1)) gamma_j of a scalar
+    series at bandwidth bw, from one pass of divisor-n autocovariances of
+    the demeaned series (which keeps lambda^2 positive semidefinite)."""
     u = np.asarray(u, dtype=float).ravel()
     n = u.shape[0]
     if n < 2:
         raise TooFewObservations(n, 2)
-    bw = spec.resolve(n)
     if bw >= n:
         raise BandwidthTooLarge(bw, n)
     gamma = _autocovariances(u, bw)
-    weights = 1.0 - np.arange(1, bw + 1) / (bw + 1.0)
-    return float(gamma[0] + 2.0 * np.sum(weights * gamma[1:]))
+    return float(gamma[0]), float(gamma[0] + 2.0 * np.sum(_bartlett_weights(bw) * gamma[1:]))
+
+
+def long_run_variance(u, spec: KernelSpec = KernelSpec()) -> float:
+    """Bartlett-kernel long-run variance of a scalar series: lambda^2 of
+    ``bartlett_variances`` at the bandwidth ``spec`` resolves."""
+    u = np.asarray(u, dtype=float).ravel()
+    return bartlett_variances(u, spec.resolve(u.shape[0]))[1]
 
 
 def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
@@ -355,8 +394,7 @@ def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
     g0 = v.T @ v / n
     omega = g0.copy()
     one_sided = g0.copy()
-    for j in range(1, bw + 1):
-        w = 1.0 - j / (bw + 1.0)
+    for j, w in enumerate(_bartlett_weights(bw), start=1):
         gj = v[j:].T @ v[: n - j] / n
         omega += w * (gj + gj.T)
         one_sided += w * gj

@@ -21,13 +21,25 @@ from .frame import TimeSeriesFrame
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+# mc_rejection_rate draws this many replications at a time, so a run holds
+# one (MC_CHUNK, T) block of each series however many replications it makes.
+MC_CHUNK = 256
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n uniforms in (0, 1) from the splitmix64 counter stream."""
+def uniforms(seed, n: int) -> np.ndarray:
+    """n uniforms in (0, 1) from the splitmix64 counter stream.
+
+    ``seed`` is an int, giving a vector, or a sequence of ints, giving one
+    row per seed; row i equals ``uniforms(seed[i], n)`` bit for bit.
+    """
+    if isinstance(seed, (int, np.integer)):
+        start = np.uint64(int(seed) & _MASK)
+    else:
+        start = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)[:, None]
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-             + (np.arange(1, n + 1, dtype=np.uint64)) * _PHI)
+        z = start + np.arange(1, n + 1, dtype=np.uint64) * _PHI
         z = (z ^ (z >> np.uint64(30))) * _M1
         z = (z ^ (z >> np.uint64(27))) * _M2
         z = z ^ (z >> np.uint64(31))
@@ -36,8 +48,9 @@ def uniforms(seed: int, n: int) -> np.ndarray:
     return np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
 
 
-def normals(seed: int, n: int) -> np.ndarray:
-    """Standard normals via inverse-CDF of the uniform stream.
+def normals(seed, n: int) -> np.ndarray:
+    """Standard normals via inverse-CDF of the uniform stream; ``seed`` as
+    in ``uniforms``.
 
     scipy is imported here, not at module level, so that only the
     simulations pay for its import."""
@@ -81,62 +94,87 @@ class Dgp:
         return Dgp(self.kind, self.T, seed, self.params)
 
 
-def random_walk(T: int, seed: int, drift: float = 0.0) -> np.ndarray:
-    e = normals(seed, T)
-    return np.cumsum(e + drift)
+def random_walk(T: int, seed, drift: float = 0.0) -> np.ndarray:
+    """Cumulated normals plus drift; ``seed`` as in ``uniforms``."""
+    return _walk(normals(seed, T), drift)
 
 
-def ar1(T: int, seed: int, rho: float, sigma: float = 1.0) -> np.ndarray:
+def _walk(e: np.ndarray, drift: float) -> np.ndarray:
+    return np.cumsum(e + drift, axis=-1)
+
+
+def ar1(T: int, seed, rho: float, sigma: float = 1.0) -> np.ndarray:
+    """y_t = rho y_{t-1} + sigma e_t from y_0 = sigma e_0; ``seed`` as in
+    ``uniforms``."""
     e = sigma * normals(seed, T)
-    y = np.empty(T)
-    y[0] = e[0]
+    y = np.empty_like(e)
+    y[..., 0] = e[..., 0]
     for t in range(1, T):
-        y[t] = rho * y[t - 1] + e[t]
+        y[..., t] = rho * y[..., t - 1] + e[..., t]
     return y
 
 
-def ecm_system(T: int, seed: int, beta, alpha: float = -0.3, sigma: float = 1.0,
+def ecm_system(T: int, seed, beta, alpha: float = -0.3, sigma: float = 1.0,
                delta: float = 0.5, intercept: float = 0.0) -> dict[str, np.ndarray]:
     """Cointegrated system: x are random walks, y error-corrects.
 
     y_t = y_{t-1} + alpha * (y_{t-1} - beta' x_{t-1} - c) + delta * sum
     of dx_t + eps_t, so the true long-run vector is beta and the true
-    adjustment speed is alpha.
+    adjustment speed is alpha.  x_j is the random walk of seed
+    seed + 10_000 j.  ``seed`` is as in ``uniforms``: a sequence gives
+    each series one row per seed, all from one normals call.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     k = beta.shape[0]
-    eps = sigma * normals(seed, T)
-    xs = np.column_stack([random_walk(T, seed + 10_000 * (j + 1)) for j in range(k)])
-    y = np.empty(T)
-    y[0] = intercept + xs[0] @ beta + eps[0]
-    for t in range(1, T):
-        ect = y[t - 1] - xs[t - 1] @ beta - intercept
-        dx = xs[t] - xs[t - 1]
-        y[t] = y[t - 1] + alpha * ect + delta * float(dx.sum()) + eps[t]
-    out = {"Y": y}
-    for j in range(k):
-        out[f"X{j + 1}"] = xs[:, j]
-    return out
+    one = isinstance(seed, (int, np.integer))
+    seeds = [seed] if one else list(seed)
+    rows = len(seeds)
+    z = normals([*seeds, *(s + 10_000 * (j + 1) for j in range(k) for s in seeds)], T)
+    eps = sigma * z[:rows]
+    walks = _walk(z[rows:], 0.0).reshape(k, rows, T)
+    # each replication's (T, k) block contiguous, as the dot products below
+    # must see the same memory layout whatever the number of rows
+    xs = np.ascontiguousarray(walks.transpose(1, 2, 0))
+    y = np.empty((rows, T))
+    for r in range(rows):
+        y[r, 0] = intercept + xs[r, 0] @ beta + eps[r, 0]
+        for t in range(1, T):
+            ect = y[r, t - 1] - xs[r, t - 1] @ beta - intercept
+            dx = xs[r, t] - xs[r, t - 1]
+            y[r, t] = y[r, t - 1] + alpha * ect + delta * float(dx.sum()) + eps[r, t]
+    out = {"Y": y, **{f"X{j + 1}": walks[j] for j in range(k)}}
+    return {name: col[0] for name, col in out.items()} if one else out
+
+
+def _draw(dgp: Dgp, seeds) -> dict[str, np.ndarray]:
+    """Every series of ``dgp`` at each of ``seeds``, one row per seed."""
+    p = dgp.params
+    if dgp.kind == "random_walk":
+        return {"Y": random_walk(dgp.T, seeds, p.get("drift", 0.0))}
+    if dgp.kind == "ar1":
+        return {"Y": ar1(dgp.T, seeds, p.get("rho", 0.5), p.get("sigma", 1.0))}
+    return ecm_system(
+        dgp.T, seeds,
+        p.get("beta", (2.0,)),
+        p.get("alpha", -0.3),
+        p.get("sigma", 1.0),
+        p.get("delta", 0.5),
+        p.get("intercept", 0.0),
+    )
+
+
+def _frames(dgp: Dgp, seeds, start_year: int = 1951) -> list[TimeSeriesFrame]:
+    """One frame per seed, each a row of one draw."""
+    block = _draw(dgp, seeds)
+    years = tuple(range(start_year, start_year + dgp.T))
+    return [TimeSeriesFrame(years, {name: col[i] for name, col in block.items()})
+            for i in range(len(seeds))]
 
 
 def generate(dgp: Dgp, start_year: int = 1951) -> TimeSeriesFrame:
-    """Materialize a DGP as a TimeSeriesFrame with an annual index."""
-    p = dgp.params
-    if dgp.kind == "random_walk":
-        cols = {"Y": random_walk(dgp.T, dgp.seed, p.get("drift", 0.0))}
-    elif dgp.kind == "ar1":
-        cols = {"Y": ar1(dgp.T, dgp.seed, p.get("rho", 0.5), p.get("sigma", 1.0))}
-    else:
-        cols = ecm_system(
-            dgp.T, dgp.seed,
-            p.get("beta", (2.0,)),
-            p.get("alpha", -0.3),
-            p.get("sigma", 1.0),
-            p.get("delta", 0.5),
-            p.get("intercept", 0.0),
-        )
-    years = tuple(range(start_year, start_year + dgp.T))
-    return TimeSeriesFrame(years, {k: np.asarray(v, dtype=float) for k, v in cols.items()})
+    """Materialize a DGP as a TimeSeriesFrame with an annual index: the
+    one-row case of the draws ``mc_rejection_rate`` makes."""
+    return _frames(dgp, [dgp.seed], start_year)[0]
 
 
 @dataclass(frozen=True)
@@ -153,30 +191,31 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
 
     ``test`` maps (frame, level, seed) to (statistic, reject: bool);
     replication r uses seed = dgp.seed + r, also handed to the test so
-    procedures needing auxiliary randomness stay reproducible.  A
-    replication fails when the test raises an ``ArdlkitError`` or
-    ``LinAlgError``; more than 1% failures aborts, and any other
-    exception propagates.
+    procedures needing auxiliary randomness stay reproducible.  Its frame
+    equals ``generate(dgp.with_seed(seed))``; the frames are drawn
+    MC_CHUNK replications at a time.  A replication fails when the test
+    raises an ``ArdlkitError`` or ``LinAlgError``; more than 1% failures
+    aborts, and any other exception propagates.
     """
     if reps < 100:
         raise InvalidParams(f"reps must be >= 100, got {reps}")
     rejections = 0
     failures = 0
     rows = []
-    for r in range(reps):
-        seed = dgp.seed + r
-        frame = generate(dgp.with_seed(seed))
-        try:
-            stat, reject = test(frame, level, seed)
-        except (ArdlkitError, np.linalg.LinAlgError):
-            failures += 1
-            if failures > max(1, reps // 100):
-                raise InvalidParams(
-                    f"more than 1% of replications failed ({failures}/{r + 1})"
-                ) from None
-            continue
-        rejections += bool(reject)
-        if collect:
-            rows.append((r, float(stat), bool(reject)))
+    for lo in range(0, reps, MC_CHUNK):
+        seeds = [dgp.seed + r for r in range(lo, min(lo + MC_CHUNK, reps))]
+        for r, seed, frame in zip(range(lo, reps), seeds, _frames(dgp, seeds)):
+            try:
+                stat, reject = test(frame, level, seed)
+            except (ArdlkitError, np.linalg.LinAlgError):
+                failures += 1
+                if failures > max(1, reps // 100):
+                    raise InvalidParams(
+                        f"more than 1% of replications failed ({failures}/{r + 1})"
+                    ) from None
+                continue
+            rejections += bool(reject)
+            if collect:
+                rows.append((r, float(stat), bool(reject)))
     done = reps - failures
     return McResult(rejections / done if done else math.nan, reps, failures, tuple(rows))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSeries, PossibleI2, SeriesTooShort
 from .frame import lag_matrix
-from .regression import KernelSpec, first_minimum, long_run_variance, ols, subset_criteria
+from .regression import KernelSpec, bartlett_variances, first_minimum, ols, subset_criteria
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -202,8 +202,7 @@ def pp(series, deterministic: str = "constant", bandwidth: int | str = "auto") -
     u = fit.residuals
     nobs = u.shape[0]
     bw = spec.resolve(nobs)
-    lam2 = long_run_variance(u, KernelSpec(bandwidth=bw))
-    gamma0 = long_run_variance(u, KernelSpec(bandwidth=0))
+    gamma0, lam2 = bartlett_variances(u, bw)
     tau = fit.tstats[0]
     z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
         nobs * fit.stderr[0] / math.sqrt(fit.s2)

@@ -92,6 +92,21 @@ class TestTimeSeriesFrame:
         with pytest.raises(errors.MissingValue):
             TimeSeriesFrame((1990, 1991), {"A": np.array([1.0, np.inf])})
 
+    @pytest.mark.parametrize("years, error, message", [
+        ((1990, 1991, 1991, 1992), errors.NonMonotoneYears,
+         "year index must be strictly increasing: 1991 followed by 1991"),
+        ((1990, 1991, 1993, 1992), errors.NonAnnualIndex,
+         "year index must have unit step (annual data): gap between 1991 and 1993"),
+        # the int64 difference of this pair wraps around to 1
+        ((2**63 - 1, -2**63), errors.NonMonotoneYears,
+         f"year index must be strictly increasing: {2**63 - 1} followed by {-2**63}"),
+    ])
+    def test_first_bad_year_pair_is_named(self, years, error, message):
+        columns = {"A": np.zeros(len(years))}
+        with pytest.raises(error) as info:
+            TimeSeriesFrame(years, columns)
+        assert str(info.value) == message
+
 
 class TestNaturalLog:
     def test_log_columns_prefixed(self):

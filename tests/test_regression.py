@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ardlkit import errors, regression
+from ardlkit import errors, regression, unitroot
 from ardlkit.regression import (
     RANK_TOL,
     SUBSET_CHUNK,
     KernelSpec,
     criterion_from_rss,
+    first_minimum,
     info_criterion,
     long_run_covariance,
     long_run_variance,
@@ -21,7 +22,7 @@ from ardlkit.regression import (
     tail_probability,
     wald_f_zero,
 )
-from ardlkit.synthetic import ar1, normals
+from ardlkit.synthetic import ar1, normals, random_walk
 
 from conftest import GOLDEN_DIR
 
@@ -226,6 +227,69 @@ class TestSubsetRss:
         fit = ols(QUAD_Y, QUAD_X)
         for kind in ("aic", "sic", "hq"):
             assert criterion_from_rss(fit.rss, 6, 3, kind) == info_criterion(fit, kind)
+
+
+def adf_design(seed, T, deterministic, max_lag):
+    """The max-lag ADF design of a seeded random walk and its lag prefixes."""
+    lhs, X = unitroot._df_design(random_walk(T, seed), deterministic, max_lag)
+    base = X.shape[1] - max_lag
+    return lhs, X, [list(range(base + p)) for p in range(max_lag + 1)]
+
+
+def reversed_columns(subsets):
+    """The same column sets in an order that is no prefix, so ``subset_rss``
+    takes its batched path."""
+    return [s[::-1] for s in subsets]
+
+
+class TestPrefixRss:
+    @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
+    def test_matches_the_batched_path(self, deterministic):
+        for seed in range(40):
+            lhs, X, prefixes = adf_design(seed, (33, 50, 100)[seed % 3], deterministic, 4)
+            rss, ratio = subset_rss(lhs, X, prefixes)
+            batched_rss, batched_ratio = subset_rss(lhs, X, reversed_columns(prefixes))
+            np.testing.assert_allclose(rss, batched_rss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ratio, batched_ratio, rtol=1e-8, atol=0)
+
+    def test_lag_choice_matches_the_batched_path(self):
+        searches = 0
+        for kind in ("aic", "sic", "hq"):
+            for deterministic in ("none", "constant", "constant_trend"):
+                for seed in range(112):
+                    T = (33, 50, 100)[seed % 3]
+                    lhs, X, prefixes = adf_design(seed, T, deterministic,
+                                                  unitroot.default_max_lag(T))
+                    prefix = first_minimum(subset_criteria(lhs, X, prefixes, kind))
+                    batched = first_minimum(
+                        subset_criteria(lhs, X, reversed_columns(prefixes), kind))
+                    assert prefix == batched, (kind, deterministic, seed)
+                    searches += 1
+        assert searches >= 1000
+
+    def test_near_collinear_design_takes_exact_ratios(self):
+        lhs, X, _ = adf_design(5, 60, "constant_trend", 3)
+        X = np.column_stack([X, X[:, 2] + 1e-10 * normals(77, X.shape[0])])
+        prefixes = [list(range(m)) for m in range(3, X.shape[1] + 1)]
+        rss, ratio = subset_rss(lhs, X, prefixes)
+        batched_rss, _ = subset_rss(lhs, X, reversed_columns(prefixes))
+        # the widest prefix is singular to working precision, so the others
+        # are scored by their own exact ratios, not by its bound
+        assert ratio[-1] < RANK_TOL
+        for m, r, b, q in zip(range(3, X.shape[1]), rss, batched_rss, ratio):
+            sv = np.linalg.svd(X[:, :m], compute_uv=False)
+            assert q == pytest.approx(sv[-1] / sv[0], rel=1e-8)
+            assert r == pytest.approx(b, rel=1e-12)
+        for kind in ("aic", "sic", "hq"):
+            scores = subset_criteria(lhs, X, prefixes, kind)
+            assert scores[-1] is None
+            for m, ic in zip(range(3, X.shape[1]), scores):
+                assert ic == pytest.approx(info_criterion(ols(lhs, X[:, :m]), kind), rel=1e-12)
+
+    def test_prefix_as_wide_as_the_sample(self):
+        lhs, X, prefixes = adf_design(3, 33, "constant", 3)
+        with pytest.raises(errors.TooFewObservations):
+            subset_rss(lhs[:4], X[:4], prefixes)
 
 
 class TestKernelSpec:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardlkit.errors import DegenerateSeries, InvalidParams
+from ardlkit import synthetic, unitroot
+from ardlkit.errors import ArdlkitError, DegenerateSeries, InvalidParams
 from ardlkit.synthetic import (
+    MC_CHUNK,
     Dgp,
     ar1,
     ecm_system,
@@ -50,6 +52,16 @@ class TestGenerator:
     def test_open_unit_interval(self, seed):
         u = uniforms(seed, 256)
         assert np.all((u > 0.0) & (u < 1.0))
+
+    def test_seed_vector_gives_one_row_per_seed(self):
+        seeds = [0, -1, 2**64 - 1, 2**64, 12345]  # 2**64 wraps to 0
+        u = uniforms(seeds, 64)
+        z = normals(seeds, 64)
+        assert u.shape == z.shape == (5, 64)
+        for row, seed in enumerate(seeds):
+            assert u[row].tobytes() == uniforms(seed, 64).tobytes()
+            assert z[row].tobytes() == normals(seed, 64).tobytes()
+        assert u[3].tobytes() == u[0].tobytes()
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(uniforms(1, 16), uniforms(2, 16))
@@ -204,3 +216,85 @@ class TestMcRejectionRate:
             return 0.0, False
 
         assert mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 200).failures == 1
+
+
+ECM_PARAMS = {"beta": (0.5, -0.3, 0.4), "alpha": -0.3, "sigma": 0.4, "delta": 0.2,
+              "intercept": 1.0}
+
+
+def per_replication(test, dgp, reps, level=0.05):
+    """The reference Monte-Carlo loop: one generate call per replication."""
+    rows, failures, rejections = [], 0, 0
+    for r in range(reps):
+        seed = dgp.seed + r
+        try:
+            stat, reject = test(generate(dgp.with_seed(seed)), level, seed)
+        except (ArdlkitError, np.linalg.LinAlgError):
+            failures += 1
+            continue
+        rejections += bool(reject)
+        rows.append((r, float(stat), bool(reject)))
+    return rows, rejections, failures
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("dgp", [
+        Dgp("random_walk", 30, 0, {"drift": 0.3}),
+        Dgp("ar1", 30, 0, {"rho": 0.7, "sigma": 2.0}),
+        Dgp("ecm_system", 30, 0, ECM_PARAMS),
+    ], ids=["random_walk", "ar1", "ecm_system"])
+    @pytest.mark.parametrize("base", [-40, 2**64 - 60, 7_200_000])
+    def test_rows_are_bitwise_the_single_draws(self, dgp, base):
+        reps = MC_CHUNK + 37  # a partial last chunk
+        frames = {}
+
+        def record(frame, level, seed):
+            frames[seed] = frame
+            return 0.0, False
+
+        mc_rejection_rate(record, dgp.with_seed(base), reps)
+        assert sorted(frames) == [base + r for r in range(reps)]
+        for seed, frame in frames.items():
+            single = generate(dgp.with_seed(seed))
+            assert frame.years == single.years
+            assert frame.names == single.names
+            for name in frame.names:
+                assert frame.column(name).tobytes() == single.column(name).tobytes()
+
+    def test_collect_matches_the_per_replication_loop(self):
+        dgp = Dgp("random_walk", 60, 500, {"drift": 0.0})
+        degenerate = dgp.seed + MC_CHUNK + 3  # in the second chunk
+
+        def test(frame, level, seed):
+            y = frame.column("Y")
+            if seed == degenerate:
+                y = np.arange(y.shape[0], dtype=float)  # constant differences
+            rep = getattr(unitroot, ("adf", "pp", "dfgls")[seed % 3])(y)
+            return rep.statistic, rep.reject["5%"]
+
+        reps = MC_CHUNK + 44
+        result = mc_rejection_rate(test, dgp, reps, collect=True)
+        rows, rejections, failures = per_replication(test, dgp, reps)
+        assert failures == result.failures == 1
+        assert result.rows == tuple(rows)
+        assert degenerate - dgp.seed not in [r for r, _, _ in result.rows]
+        assert result.rate == rejections / (reps - failures)
+
+    @pytest.mark.parametrize("dgp", [Dgp("random_walk", 12, 0), Dgp("ecm_system", 12, 0)],
+                             ids=["random_walk", "ecm_system"])
+    def test_draws_hold_at_most_one_chunk(self, dgp, monkeypatch):
+        draws = []
+        real_normals = synthetic.normals
+
+        def counting_normals(seed, n):
+            z = real_normals(seed, n)
+            draws.append(z.shape[0] if z.ndim == 2 else 1)
+            return z
+
+        monkeypatch.setattr(synthetic, "normals", counting_normals)
+        reps = 2 * MC_CHUNK + 5
+        mc_rejection_rate(lambda frame, level, seed: (0.0, False), dgp, reps)
+        series = 1 + len(dgp.params.get("beta", (2.0,))) if dgp.kind == "ecm_system" else 1
+        assert len(draws) == 3  # one call per chunk
+        assert max(draws) == MC_CHUNK * series
+        assert sum(draws) == reps * series

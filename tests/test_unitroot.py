@@ -5,10 +5,11 @@ import pytest
 
 from ardlkit import errors
 from ardlkit.frame import load_csv
-from ardlkit.regression import CRITERIA, info_criterion, ols
+from ardlkit.regression import CRITERIA, KernelSpec, info_criterion, long_run_variance, ols
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
+    _df_design,
     adf,
     default_max_lag,
     dfgls,
@@ -193,6 +194,29 @@ class TestPp:
     def test_too_short(self):
         with pytest.raises(errors.SeriesTooShort):
             pp(np.arange(10.0) ** 1.5)
+
+    @pytest.mark.parametrize("deterministic", ["constant", "constant_trend"])
+    @pytest.mark.parametrize("bandwidth", ["auto", 0, 3])
+    def test_one_autocovariance_pass_is_bitwise_the_two_pass_statistic(self, deterministic,
+                                                                       bandwidth):
+        # gamma_0 and lambda^2 as two separate long_run_variance calls, the
+        # way pp computed them before they shared one autocovariance pass
+        frame = load_csv(FIXTURE_CSV.read_text())
+        for name in frame.names:
+            for y in (frame.column(name), np.diff(frame.column(name))):
+                fit = ols(*_df_design(y, deterministic, 0))
+                nobs = fit.residuals.shape[0]
+                bw = KernelSpec(bandwidth=bandwidth).resolve(nobs)
+                lam2 = long_run_variance(fit.residuals, KernelSpec(bandwidth=bw))
+                gamma0 = long_run_variance(fit.residuals, KernelSpec(bandwidth=0))
+                z_tau = (math.sqrt(gamma0 / lam2) * fit.tstats[0]
+                         - 0.5 * (lam2 - gamma0) / math.sqrt(lam2)
+                         * (nobs * fit.stderr[0] / math.sqrt(fit.s2)))
+                assert pp(y, deterministic, bandwidth).statistic == z_tau
+
+    def test_bandwidth_too_large(self):
+        with pytest.raises(errors.BandwidthTooLarge):
+            pp(RW, bandwidth=RW.shape[0] - 1)
 
 
 class TestDfgls:
