@@ -238,26 +238,31 @@ def _auto_or_count(text: str) -> int | str:
     return text if text == "auto" else _count(text)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """argparse type: a comma-separated list of names."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--data", required=True, help="input CSV (year,<name>,...)")
+    """Flags that set the ``PipelineConfig`` fields they are named after.
+    The parser is made with ``argument_default=argparse.SUPPRESS``, so a
+    flag left out leaves its field's default to ``PipelineConfig``."""
+    p.add_argument("--data", dest="data_path", required=True, help="input CSV (year,<name>,...)")
     p.add_argument("--dependent", required=True)
-    p.add_argument("--regressors", required=True,
+    p.add_argument("--regressors", type=_names, required=True,
                    help="comma-separated regressor names")
     p.add_argument("--log-transform", action="store_true")
-    p.add_argument("--max-p", type=int, default=2)
-    p.add_argument("--max-q", type=int, default=2)
-    p.add_argument("--criterion", choices=CRITERIA, default="aic")
-    p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--max-p", type=int)
+    p.add_argument("--max-q", type=int)
+    p.add_argument("--criterion", choices=CRITERIA)
+    p.add_argument("--deterministic", choices=DETERMINISTICS)
+    p.add_argument("--level", type=float)
+    p.add_argument("--out", dest="output_dir", help="output directory")
+    p.add_argument("--format", choices=FORMATS)
 
 
 def _add_bounds_table_flag(p: argparse.ArgumentParser):
-    p.add_argument("--bounds-table", choices=ardl_mod.BOUNDS_TABLES, default="embedded")
-
-
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=FORMATS, default="markdown")
+    p.add_argument("--bounds-table", choices=ardl_mod.BOUNDS_TABLES)
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -269,24 +274,8 @@ def _config_from_args(args) -> PipelineConfig:
         config = PipelineConfig.from_dict(raw)
         return replace(config, output_dir=args.out or config.output_dir,
                        format=args.format or config.format)
-    return PipelineConfig(
-        data_path=args.data,
-        dependent=args.dependent,
-        regressors=tuple(s.strip() for s in args.regressors.split(",") if s.strip()),
-        log_transform=args.log_transform,
-        max_p=args.max_p,
-        max_q=args.max_q,
-        criterion=args.criterion,
-        deterministic=args.deterministic,
-        level=args.level,
-        granger_lag=getattr(args, "granger_lag", "auto"),
-        bandwidth=getattr(args, "bandwidth", "auto"),
-        dols_leads=getattr(args, "dols_leads", 1),
-        dols_lags=getattr(args, "dols_lags", 1),
-        bounds_table=getattr(args, "bounds_table", "embedded"),
-        output_dir=args.out,
-        format=args.format,
-    )
+    return PipelineConfig(**{name: value for name, value in vars(args).items()
+                             if name != "command"})
 
 
 def build_parser() -> _Parser:
@@ -299,27 +288,26 @@ def build_parser() -> _Parser:
     p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
     p.add_argument("--level", type=float, choices=tuple(unitroot.LEVEL_KEYS), default=0.05)
     p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
-    _add_output_flags(p)
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--format", choices=FORMATS, default="markdown")
 
     for name in ("bounds", "ardl", "diag"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         _add_model_flags(p)
         if name != "diag":
             _add_bounds_table_flag(p)
-        _add_output_flags(p)
 
-    p = sub.add_parser("robust", help="FMOLS / DOLS / CCR")
+    p = sub.add_parser("robust", help="FMOLS / DOLS / CCR", argument_default=argparse.SUPPRESS)
     _add_model_flags(p)
     _add_bounds_table_flag(p)
-    p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
-    p.add_argument("--dols-leads", type=_count, default=1)
-    p.add_argument("--dols-lags", type=_count, default=1)
-    _add_output_flags(p)
+    p.add_argument("--bandwidth", type=_auto_or_count)
+    p.add_argument("--dols-leads", type=_count)
+    p.add_argument("--dols-lags", type=_count)
 
-    p = sub.add_parser("granger", help="pairwise Granger causality")
+    p = sub.add_parser("granger", help="pairwise Granger causality",
+                       argument_default=argparse.SUPPRESS)
     _add_model_flags(p)
-    p.add_argument("--granger-lag", type=_auto_or_count, default="auto")
-    _add_output_flags(p)
+    p.add_argument("--granger-lag", type=_auto_or_count)
 
     p = sub.add_parser("mc", help="Monte-Carlo rejection rates")
     p.add_argument("--test", choices=("adf", "pp", "dfgls", "granger"), required=True)

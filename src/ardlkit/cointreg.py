@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import SeriesTooShort, SingularOmega22, TooFewObservations
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import KernelSpec, RANK_TOL, long_run_covariance, long_run_variance, ols, tail_probability
+from .regression import (KernelSpec, RANK_TOL, long_run_covariance, long_run_variance, ols,
+                         singular_value_ratio, tail_probability)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
     omega, lam, sigma = long_run_covariance(eta, KernelSpec(bandwidth=bw))
     omega_12 = omega[:1, 1:]
     omega_22 = omega[1:, 1:]
-    if np.linalg.cond(omega_22) > 1.0 / RANK_TOL:
+    if singular_value_ratio(np.linalg.svd(omega_22, compute_uv=False)) < RANK_TOL:
         raise SingularOmega22()
     gain = np.linalg.solve(omega_22, omega_12.T)
     omega_112 = float(omega[0, 0] - (omega_12 @ gain)[0, 0])
@@ -141,7 +142,7 @@ def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
     """Park's canonical cointegrating regression."""
     y, design, beta, u, v = _static_pieces(frame, spec)
     eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
-    if np.linalg.cond(sigma) > 1.0 / RANK_TOL:
+    if singular_value_ratio(np.linalg.svd(sigma, compute_uv=False)) < RANK_TOL:
         raise SingularOmega22()
     shift = np.linalg.solve(sigma, lam[:, 1:])  # Sigma^-1 Lambda_2
 

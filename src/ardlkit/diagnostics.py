@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroResiduals, DegenerateResiduals, RankDeficient
-from .regression import RegressionResult, ols, tail_probability
+from .regression import (RANK_TOL, RegressionResult, interpolate_in_inverse, ols,
+                         singular_value_ratio, tail_probability)
 
 # Brown-Durbin-Evans CUSUM boundary constants by significance level.
 CUSUM_CONSTANTS = {0.01: 1.143, 0.05: 0.948, 0.10: 0.850}
@@ -148,7 +149,8 @@ def recursive_residuals(y, X) -> np.ndarray:
     S <- S - (S a) a' / (f + sqrt(f)) with a = S'x_t and f = 1 + a'a.
     Working with S rather than P keeps the condition number of the first
     block from being squared, so w is accurate to a few ulp instead of
-    losing digits to the normal equations.
+    losing digits to the normal equations.  A first block that is singular
+    by ``singular_value_ratio`` raises ``RankDeficient``.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -156,7 +158,7 @@ def recursive_residuals(y, X) -> np.ndarray:
     if n <= k:
         raise DegenerateResiduals("recursive residuals need n > k")
     head = X[:k]
-    if np.linalg.matrix_rank(head, tol=1e-10 * max(1.0, np.abs(head).max())) < k:
+    if singular_value_ratio(np.linalg.svd(head, compute_uv=False)) < RANK_TOL:
         raise RankDeficient(range(k))
     q, r = np.linalg.qr(head)
     s = np.linalg.inv(r)
@@ -205,17 +207,11 @@ def _cusum_sq_c0(m: int, level: float) -> float:
         col = _C0_LEVELS.index(level)
     except ValueError:
         raise ValueError(f"level must be one of {_C0_LEVELS}") from None
-    sizes = sorted(_CUSUM_SQ_C0)
-    if m <= sizes[0]:
-        return _CUSUM_SQ_C0[sizes[0]][col]
-    if m >= sizes[-1]:
+    last = max(_CUSUM_SQ_C0)
+    if m >= last:
         # beyond the grid: scale the last entry by sqrt(m_last / m)
-        return _CUSUM_SQ_C0[sizes[-1]][col] * math.sqrt(sizes[-1] / m)
-    for lo, hi in zip(sizes, sizes[1:]):
-        if lo <= m <= hi:
-            w = (1.0 / m - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
-            return (1 - w) * _CUSUM_SQ_C0[lo][col] + w * _CUSUM_SQ_C0[hi][col]
-    raise AssertionError("unreachable")
+        return _CUSUM_SQ_C0[last][col] * math.sqrt(last / m)
+    return interpolate_in_inverse(_CUSUM_SQ_C0, m)[col]
 
 
 def cusum_sq(y, X, level: float = 0.05) -> StabilityPath:

@@ -28,11 +28,12 @@ RANK_TOL = 1e-10
 # working copy stays small whatever the number of subsets.
 SUBSET_CHUNK = 24
 
-# subset_criteria leaves a subset whose singular-value ratio lies within
-# this factor of RANK_TOL to ols, and re-scores by ols the subsets whose
-# criteria lie within TIE_RTOL (relative) of the smallest: batched and
-# per-subset factorizations differ in the last bits, and these are the
-# decisions such bits could flip.
+# subset_criteria scores a search from its batched RSS only when the
+# search's singular-value ratio bound is at least RANK_MARGIN * RANK_TOL,
+# and fits every subset by ols otherwise; it also re-scores by ols the
+# subsets whose criteria lie within TIE_RTOL (relative) of the smallest.
+# Batched and per-subset factorizations differ in the last bits, and these
+# are the decisions such bits could flip.
 RANK_MARGIN = 10.0
 TIE_RTOL = 1e-8
 
@@ -91,9 +92,16 @@ class KernelSpec:
         return int(self.bandwidth)
 
 
-def _dependent_columns(vt: np.ndarray, s: np.ndarray, tol: float) -> list[int]:
+def singular_value_ratio(s: np.ndarray) -> float:
+    """s_min/s_max of a matrix's singular values ``s`` (largest first, as
+    numpy returns them), 0 for a zero matrix.  This is the one rank rule:
+    a matrix whose ratio is below RANK_TOL is singular."""
+    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+
+
+def _dependent_columns(vt: np.ndarray, s: np.ndarray) -> list[int]:
     """Columns implicated in the null space of a rank-deficient design."""
-    null_rows = vt[s < tol] if s.size else vt
+    null_rows = vt[s < RANK_TOL * s[0]] if s[0] > 0 else vt
     if null_rows.size == 0:
         null_rows = vt[-1:]
     weights = np.abs(null_rows).max(axis=0)
@@ -114,9 +122,8 @@ def ols(y, X) -> RegressionResult:
         raise TooFewObservations(n, k)
 
     u, s, vt = np.linalg.svd(X, full_matrices=False)
-    tol = RANK_TOL * s[0] if s[0] > 0 else RANK_TOL
-    if s[-1] < tol:  # singular values come sorted, largest first
-        raise RankDeficient(_dependent_columns(vt, s, tol))
+    if singular_value_ratio(s) < RANK_TOL:
+        raise RankDeficient(_dependent_columns(vt, s))
 
     coef = vt.T @ ((u.T @ y) / s)
     residuals = y - X @ coef
@@ -181,24 +188,22 @@ def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
+def subset_rss(y, X, subsets) -> tuple[np.ndarray, float]:
     """RSS of y regressed on X[:, s] for every column subset s in
-    ``subsets``, and a lower bound on the singular-value ratio
-    s_min/s_max of X[:, s].
+    ``subsets``, and one lower bound on the ``singular_value_ratio`` of
+    every X[:, s].
 
     When every subset is a column prefix range(m), one Householder QR of
     [X[:, :w] | y], w the widest m, scores them all: the RSS of prefix m
-    is the sum of R[i, w]**2 over i >= m.  Otherwise the subsets go by
-    size, SUBSET_CHUNK at a time, through one batched Householder QR: each
-    is stacked as [X_S | y], zero-padded on the right to the widest of its
-    chunk (columns to the right leave the leading ones of a QR unchanged),
-    and R[m, m]**2 is its RSS.  The ratio bound is the s_min/s_max of the
-    widest prefix, or of X itself, when that is at least
-    RANK_TOL * RANK_MARGIN, since dropping columns cannot lower it;
-    otherwise it is the exact ratio of R[:m, :m], whose singular values
-    are those of X_S, so ``ratio < RANK_TOL`` is the rule by which
-    ``ols`` rejects X_S.  Every subset needs fewer columns than X has
-    rows.
+    is the sum of R[i, w]**2 over i >= m, and the bound is the ratio of
+    R[:w, :w], whose singular values are those of X[:, :w].  Otherwise the
+    subsets go by size, SUBSET_CHUNK at a time, through one batched
+    Householder QR: each is stacked as [X_S | y], zero-padded on the right
+    to the widest of its chunk (columns to the right leave the leading
+    ones of a QR unchanged), and R[m, m]**2 is its RSS; the bound is the
+    ratio of X itself.  Either bound holds for every subset because
+    dropping columns cannot lower the ratio.  Every subset needs fewer
+    columns than X has rows.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -206,13 +211,10 @@ def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
     if len(subsets) and all(list(s) == list(range(m)) for s, m in zip(subsets, sizes)):
         return _prefix_rss(y, X, sizes)
     n, k = X.shape
-    s = np.linalg.svd(X, compute_uv=False)
-    bound = float(s[-1] / s[0]) if n >= k and s[0] > 0 else 0.0
-    exact = bound < RANK_TOL * RANK_MARGIN
+    bound = singular_value_ratio(np.linalg.svd(X, compute_uv=False)) if n >= k else 0.0
     columns = np.vstack([X.T, y, np.zeros(n)])  # row k is y, row k + 1 padding
     order = sorted(range(len(subsets)), key=lambda i: sizes[i])
     rss = np.empty(len(subsets))
-    ratio = np.full(len(subsets), bound)
     for lo in range(0, len(order), SUBSET_CHUNK):
         chunk = order[lo:lo + SUBSET_CHUNK]
         widths = sizes[chunk]
@@ -224,9 +226,7 @@ def subset_rss(y, X, subsets) -> tuple[np.ndarray, np.ndarray]:
             idx[row, :widths[row] + 1] = [*subsets[i], k]
         r = np.linalg.qr(columns[idx].transpose(0, 2, 1), mode="r")
         rss[chunk] = r[np.arange(len(chunk)), widths, widths] ** 2
-        if exact:
-            ratio[chunk] = _leading_ratio(r[:, :width, :width], widths)
-    return rss, ratio
+    return rss, bound
 
 
 def _prefix_rss(y: np.ndarray, X: np.ndarray, sizes: np.ndarray):
@@ -238,24 +238,8 @@ def _prefix_rss(y: np.ndarray, X: np.ndarray, sizes: np.ndarray):
     r = np.linalg.qr(np.column_stack([X[:, :width], y]), mode="r")
     # tail[m] = sum of R[i, width]**2 for i >= m: y's residual off X[:, :m]
     tail = np.cumsum(r[::-1, width] ** 2)[::-1]
-    s = np.linalg.svd(r[:width, :width], compute_uv=False)
-    bound = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    if bound >= RANK_TOL * RANK_MARGIN:
-        ratio = np.full(len(sizes), bound)
-    else:
-        ratio = _leading_ratio(r[None, :width, :width], sizes)
-    return tail[sizes], ratio
-
-
-def _leading_ratio(r: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """s_min/s_max of the leading block R[:m, :m] of each upper-triangular
-    factor in the stack ``r``, m = ``sizes`` (0 where R is zero)."""
-    width = r.shape[-1]
-    # zeroing the columns from m on leaves R[:m, :m] and zeros
-    block = r * (np.arange(width) < sizes[:, None])[:, None, :]
-    sv = np.linalg.svd(block, compute_uv=False)
-    return np.divide(sv[np.arange(len(sizes)), sizes - 1], sv[:, 0],
-                     out=np.zeros(len(sizes)), where=sv[:, 0] > 0)
+    bound = singular_value_ratio(np.linalg.svd(r[:width, :width], compute_uv=False))
+    return tail[sizes], bound
 
 
 def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
@@ -263,8 +247,9 @@ def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
     column subset s, or None where ``ols`` rejects X[:, s]; scored by
     ``subset_rss``.
 
-    A subset whose singular-value ratio is within RANK_MARGIN of RANK_TOL
-    takes the verdict of ``ols``.  When two or more subsets lie within
+    Every subset is scored from its RSS when the search's ratio bound is
+    at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each of them,
+    and fitted by ``ols`` otherwise.  When two or more subsets lie within
     TIE_RTOL (relative) of the smallest criterion, ``ols`` re-scores them,
     so a choice between near-equal criteria rests on exact values.
     """
@@ -283,11 +268,11 @@ def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
             scores[i] = None
 
     fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
-    rss, ratio = subset_rss(y, X, [subsets[i] for i in fits])
-    for i, r, q in zip(fits, rss, ratio):
-        if q >= RANK_TOL * RANK_MARGIN:
+    rss, bound = subset_rss(y, X, [subsets[i] for i in fits])
+    for i, r in zip(fits, rss):
+        if bound >= RANK_TOL * RANK_MARGIN:
             scores[i] = criterion_from_rss(float(r), n, len(subsets[i]), kind)
-        elif q >= RANK_TOL / RANK_MARGIN:
+        else:
             refit(i)
     while True:
         live = [(s, i) for i, s in enumerate(scores) if s is not None]
@@ -399,6 +384,18 @@ def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
         omega += w * (gj + gj.T)
         one_sided += w * gj
     return omega, one_sided, g0
+
+
+def interpolate_in_inverse(table: dict, t: float) -> tuple[float, ...]:
+    """The row of ``table`` (sample size -> critical values) at size t,
+    linear in 1/t between neighbouring sizes, as finite-sample critical
+    values move like 1/T; clamped to the first and last rows outside the
+    table's sizes."""
+    sizes = sorted(table)
+    t = min(max(t, sizes[0]), sizes[-1])
+    lo, hi = next((lo, hi) for lo, hi in zip(sizes, sizes[1:]) if t <= hi)
+    w = (1.0 / t - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
+    return tuple((1 - w) * a + w * b for a, b in zip(table[lo], table[hi]))
 
 
 def tail_probability(dist: str, stat: float, df=None) -> float:

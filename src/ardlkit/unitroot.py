@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DegenerateSeries, PossibleI2, SeriesTooShort
 from .frame import lag_matrix
-from .regression import KernelSpec, bartlett_variances, first_minimum, ols, subset_criteria
+from .regression import (KernelSpec, bartlett_variances, first_minimum, interpolate_in_inverse,
+                         ols, subset_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -88,17 +89,8 @@ def mackinnon_critical_values(deterministic: str, nobs: int) -> dict[str, float]
 
 
 def ers_critical_values(nobs: int) -> dict[str, float]:
-    sizes = sorted(_ERS_TREND)
-    t = min(max(nobs, sizes[0]), sizes[-1])
-    for lo, hi in zip(sizes, sizes[1:]):
-        if lo <= t <= hi:
-            # interpolate in 1/T: finite-sample tables shrink like 1/T
-            w = (1.0 / t - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
-            return {
-                key: (1 - w) * a + w * b
-                for key, a, b in zip(LEVEL_KEYS.values(), _ERS_TREND[lo], _ERS_TREND[hi])
-            }
-    raise AssertionError("unreachable")
+    """The ERS trend table at nobs, clamped to its first and last rows."""
+    return dict(zip(LEVEL_KEYS.values(), interpolate_in_inverse(_ERS_TREND, nobs)))
 
 
 def _report(variable, test, deterministic, lag_or_bw, stat, cvs) -> UnitRootReport:

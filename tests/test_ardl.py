@@ -179,8 +179,8 @@ class TestSelectArdlLags:
         real_kernel = regression.subset_rss
 
         def borderline(y, X, subsets):
-            rss, ratio = real_kernel(y, X, subsets)
-            return rss, np.full_like(ratio, regression.RANK_TOL)
+            rss, _ = real_kernel(y, X, subsets)
+            return rss, regression.RANK_TOL
 
         def rank_deficient(y, X):
             raise errors.RankDeficient([1])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from ardlkit.cli import (
     EXIT_USAGE,
     PipelineConfig,
     UsageError,
+    _config_from_args,
+    build_parser,
     main,
     run_pipeline,
 )
@@ -63,6 +66,17 @@ class TestPipelineConfig:
         assert config.regressors == ("X1",)
         assert config.max_p == 2 and config.criterion == "aic"
         assert config.format == "markdown"
+
+    @pytest.mark.parametrize("command", ["bounds", "granger", "diag"])
+    def test_left_out_flags_take_the_config_defaults(self, command):
+        args = build_parser().parse_args([command, "--data", "d.csv", "--dependent", "Y",
+                                          "--regressors", "X1, X2"])
+        config = _config_from_args(args)
+        assert (config.data_path, config.dependent, config.regressors) == ("d.csv", "Y",
+                                                                           ("X1", "X2"))
+        for field in fields(PipelineConfig):
+            if field.name not in ("data_path", "dependent", "regressors"):
+                assert getattr(config, field.name) == field.default, field.name
 
     def test_unknown_key_named(self):
         with pytest.raises(UsageError, match="max_lags"):

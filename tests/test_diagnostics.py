@@ -171,6 +171,17 @@ class TestRecursiveResiduals:
         with pytest.raises(errors.RankDeficient):
             recursive_residuals(np.arange(20.0), X)
 
+    def test_scaling_the_data_scales_the_residuals(self):
+        # a well-conditioned design with no constant: scaling y and X by c
+        # scales every w by c, and the head block's rank verdict is ols's,
+        # which does not depend on scale
+        X = normals(21, 120).reshape(40, 3)
+        y = X @ np.array([1.0, -0.5, 0.25]) + normals(22, 40)
+        w = recursive_residuals(y, X)
+        for c in (1e-12, 1.0, 1e12):
+            np.testing.assert_allclose(recursive_residuals(c * y, c * X) / c, w,
+                                       rtol=1e-12, atol=0)
+
     def test_fixture_design_matches_mpmath_oracle(self):
         mpmath = pytest.importorskip("mpmath")
         y, X = fixture_ecm_design()

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ardlkit import errors, regression, unitroot
 from ardlkit.regression import (
+    RANK_MARGIN,
     RANK_TOL,
     SUBSET_CHUNK,
     KernelSpec,
@@ -180,23 +181,24 @@ class TestSubsetRss:
     def test_rss_matches_ols(self):
         X, y = self.design()
         subsets = self.subsets(X.shape[1], 3 * SUBSET_CHUNK + 5)  # several chunks
-        rss, ratio = subset_rss(y, X, subsets)
-        for s, r, q in zip(subsets, rss, ratio):
+        rss, bound = subset_rss(y, X, subsets)
+        assert bound > 0
+        for s, r in zip(subsets, rss):
             assert r == pytest.approx(ols(y, X[:, s]).rss, rel=1e-12)
             sv = np.linalg.svd(X[:, s], compute_uv=False)
-            assert 0 < q <= sv[-1] / sv[0] * (1 + 1e-12)  # a lower bound
+            assert bound <= sv[-1] / sv[0] * (1 + 1e-12)  # one bound for every subset
 
-    def test_exact_ratio_when_design_is_singular(self):
-        X, y = self.design()
-        X[:, 5] = X[:, 3] - 2.0 * X[:, 4]
-        subsets = self.subsets(X.shape[1], 40)
-        rss, ratio = subset_rss(y, X, subsets)
-        for s, q in zip(subsets, ratio):
-            sv = np.linalg.svd(X[:, s], compute_uv=False)
-            if {3, 4, 5} <= set(s):
-                assert q < RANK_TOL
-            else:
-                assert q == pytest.approx(sv[-1] / sv[0], rel=1e-8)
+    def test_near_singular_design_is_fitted_by_ols(self):
+        # X5 = X3 - 2 X4 exactly, which ols rejects, and up to a perturbation
+        # that leaves the subsets holding all three at a ratio of about
+        # 5e-10, which ols accepts: both are below the margin
+        base, y = self.design()
+        subsets = self.subsets(base.shape[1], 40)
+        for eps in (0.0, 4e-9):
+            X = base.copy()
+            X[:, 5] = X[:, 3] - 2.0 * X[:, 4] + eps * normals(11, X.shape[0])
+            assert subset_rss(y, X, subsets)[1] < RANK_TOL * RANK_MARGIN
+            assert_ols_decisions(y, X, subsets, rejected=eps == 0.0)
 
     def test_criteria_match_ols(self):
         X, y = self.design()
@@ -227,6 +229,24 @@ class TestSubsetRss:
         fit = ols(QUAD_Y, QUAD_X)
         for kind in ("aic", "sic", "hq"):
             assert criterion_from_rss(fit.rss, 6, 3, kind) == info_criterion(fit, kind)
+
+
+def assert_ols_decisions(y, X, subsets, rejected: bool):
+    """Each criterion of ``subset_criteria`` is ``ols``'s, and None exactly
+    where ``ols`` raises, which it does for some subset iff ``rejected``."""
+    for kind in ("aic", "sic", "hq"):
+        scores = subset_criteria(y, X, subsets, kind)
+        raised = 0
+        for s, ic in zip(subsets, scores):
+            try:
+                expected = info_criterion(ols(y, X[:, s]), kind)
+            except errors.RankDeficient:
+                raised += 1
+                assert ic is None
+            else:
+                assert ic == pytest.approx(expected, rel=1e-12)
+        assert (raised > 0) == rejected
+        assert raised < len(subsets)
 
 
 def adf_design(seed, T, deterministic, max_lag):
@@ -267,24 +287,20 @@ class TestPrefixRss:
                     searches += 1
         assert searches >= 1000
 
-    def test_near_collinear_design_takes_exact_ratios(self):
-        lhs, X, _ = adf_design(5, 60, "constant_trend", 3)
-        X = np.column_stack([X, X[:, 2] + 1e-10 * normals(77, X.shape[0])])
-        prefixes = [list(range(m)) for m in range(3, X.shape[1] + 1)]
-        rss, ratio = subset_rss(lhs, X, prefixes)
-        batched_rss, _ = subset_rss(lhs, X, reversed_columns(prefixes))
-        # the widest prefix is singular to working precision, so the others
-        # are scored by their own exact ratios, not by its bound
-        assert ratio[-1] < RANK_TOL
-        for m, r, b, q in zip(range(3, X.shape[1]), rss, batched_rss, ratio):
-            sv = np.linalg.svd(X[:, :m], compute_uv=False)
-            assert q == pytest.approx(sv[-1] / sv[0], rel=1e-8)
-            assert r == pytest.approx(b, rel=1e-12)
-        for kind in ("aic", "sic", "hq"):
-            scores = subset_criteria(lhs, X, prefixes, kind)
-            assert scores[-1] is None
-            for m, ic in zip(range(3, X.shape[1]), scores):
-                assert ic == pytest.approx(info_criterion(ols(lhs, X[:, :m]), kind), rel=1e-12)
+    def test_near_collinear_design_is_fitted_by_ols(self):
+        # the widest prefix repeats a column up to a perturbation that puts
+        # its ratio near 1e-12, which ols rejects, or near 3.5e-10, which
+        # ols accepts: both are below the margin
+        lhs, base, _ = adf_design(5, 60, "constant_trend", 3)
+        for eps, rejected in ((1e-10, True), (3e-8, False)):
+            X = np.column_stack([base, base[:, 2] + eps * normals(77, base.shape[0])])
+            prefixes = [list(range(m)) for m in range(3, X.shape[1] + 1)]
+            rss, bound = subset_rss(lhs, X, prefixes)
+            batched_rss, batched_bound = subset_rss(lhs, X, reversed_columns(prefixes))
+            assert max(bound, batched_bound) < RANK_TOL * RANK_MARGIN
+            np.testing.assert_allclose(rss[:-1], batched_rss[:-1], rtol=1e-12, atol=0)
+            for subsets in (prefixes, reversed_columns(prefixes)):
+                assert_ols_decisions(lhs, X, subsets, rejected)
 
     def test_prefix_as_wide_as_the_sample(self):
         lhs, X, prefixes = adf_design(3, 33, "constant", 3)
