@@ -247,7 +247,8 @@ def _add_model_flags(p: argparse.ArgumentParser):
     """Flags that set the ``PipelineConfig`` fields they are named after.
     The parser is made with ``argument_default=argparse.SUPPRESS``, so a
     flag left out leaves its field's default to ``PipelineConfig``."""
-    p.add_argument("--data", dest="data_path", required=True, help="input CSV (year,<name>,...)")
+    p.add_argument("--data", dest="data_path", metavar="DATA", required=True,
+                   help="input CSV (year,<name>,...)")
     p.add_argument("--dependent", required=True)
     p.add_argument("--regressors", type=_names, required=True,
                    help="comma-separated regressor names")
@@ -257,7 +258,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--criterion", choices=CRITERIA)
     p.add_argument("--deterministic", choices=DETERMINISTICS)
     p.add_argument("--level", type=float)
-    p.add_argument("--out", dest="output_dir", help="output directory")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     p.add_argument("--format", choices=FORMATS)
 
 
