@@ -15,10 +15,12 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import ardl as ardl_mod
 from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
-from .errors import ArdlkitError, DataError, PreconditionError
+from .errors import ArdlkitError, DataError, PreconditionError, UnknownVariable
 from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, KernelSpec
 from .report import FORMATS, PipelineReport, render
@@ -122,18 +124,39 @@ def run_unit_roots(frame: TimeSeriesFrame, names, deterministic: str,
     """ADF, PP and DF-GLS on the level and the first difference of each
     named variable, with the integration order the ADF pair gives at
     ``level``.  A variable that neither ADF test rejects raises
-    ``PossibleI2``."""
-    runs = (("adf", lambda s: unitroot.adf(s, deterministic)),
-            ("pp", lambda s: unitroot.pp(s, deterministic, bandwidth)),
-            ("dfgls", lambda s: unitroot.dfgls(s, deterministic)))
-    rows = []
+    ``PossibleI2``.
+
+    Each test runs as one ``unitroot.unit_root_block`` call per series
+    length, on the stacked levels and on the stacked differences: six
+    calls in all.  The first failure raises in the order of one variable
+    at a time: its own tests (ADF, PP, DF-GLS, level before difference),
+    then its ``PossibleI2``, then the next variable.
+    """
+    columns, missing = [], None
     for var in names:
-        series = frame.column(var)
-        tests = {name: (replace(run(series), variable=var),
-                        replace(run(series[1:] - series[:-1]), variable=var))
-                 for name, run in runs}
+        try:
+            columns.append(frame.column(var))
+        except UnknownVariable as exc:
+            missing = exc
+            break
+    levels = np.array(columns).reshape(len(columns), frame.n)
+    options = {"adf": {}, "pp": {"bandwidth": bandwidth}, "dfgls": {}}
+    outcomes = {test: [unitroot.unit_root_block(test, block, deterministic, **options[test])
+                       for block in (levels, np.diff(levels, axis=1))]
+                for test in unitroot.TESTS}
+    rows = []
+    for v, var in enumerate(names[:len(columns)]):
+        tests = {}
+        for test, blocks in outcomes.items():
+            pair = [block[v] for block in blocks]
+            for outcome in pair:
+                if isinstance(outcome, ArdlkitError):
+                    raise outcome
+            tests[test] = tuple(replace(outcome, variable=var) for outcome in pair)
         decision = unitroot.integration_order(*tests["adf"], level=level)
         rows.append((var, tests, decision.order))
+    if missing is not None:
+        raise missing
     return rows
 
 
@@ -285,7 +308,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("unitroot", help="ADF / PP / DF-GLS on every variable")
     p.add_argument("--data", required=True)
-    p.add_argument("--vars", default=None, help="comma-separated subset")
+    p.add_argument("--vars", type=_names, default=None, help="comma-separated subset")
     p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
     p.add_argument("--level", type=float, choices=tuple(unitroot.LEVEL_KEYS), default=0.05)
     p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
@@ -381,10 +404,9 @@ def main(argv=None) -> int:
             return _cmd_mc(args)
         if args.command == "unitroot":
             frame = _stage("load")(load_csv, Path(args.data).read_text())
-            names = ([s.strip() for s in args.vars.split(",")] if args.vars
-                     else frame.names)
             report = PipelineReport(unit_root=_stage("unit_root")(
-                run_unit_roots, frame, names, args.deterministic, args.bandwidth, args.level))
+                run_unit_roots, frame, args.vars or frame.names, args.deterministic,
+                args.bandwidth, args.level))
             fmt, out = args.format, args.out
         else:
             config = _config_from_args(args)

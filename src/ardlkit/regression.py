@@ -1,10 +1,12 @@
 """Least squares, hypothesis-test plumbing, information criteria, and
 kernel long-run variance estimation.
 
-This is the shared numerical engine.  Fits go through a single SVD so
-that rank detection, the solution, and (X'X)^-1 all come from one
-rank-revealing factorization; severe collinearity among lagged logs is
-the expected failure mode and is reported with the offending columns.
+This is the shared numerical engine.  Fits go through one SVD engine,
+``ols_stack``, which fits a stack of designs by one batched SVD; ``ols``
+is its one-row case, and a row fitted in a stack gets the bits it gets
+alone.  Rank detection, the solution, and (X'X)^-1 all come from that
+one rank-revealing factorization; severe collinearity among lagged logs
+is the expected failure mode and is reported with the offending columns.
 """
 
 from __future__ import annotations
@@ -108,8 +110,56 @@ def _dependent_columns(vt: np.ndarray, s: np.ndarray) -> list[int]:
     return [int(i) for i in np.flatnonzero(weights > 1e-8 * weights.max())]
 
 
+class StackedFit(NamedTuple):
+    """Least-squares fits of R rows on their designs, row r of every array
+    for fit r.  ``singular`` maps each row whose design is singular to its
+    ``RankDeficient``; that row's numbers are meaningless."""
+
+    coef: np.ndarray         # (R, k)
+    residuals: np.ndarray    # (R, n)
+    rss: np.ndarray          # (R,)
+    xtx_inverse: np.ndarray  # (R, k, k), or (1, k, k) for a shared design
+    stderr: np.ndarray       # (R, k)
+    tstats: np.ndarray       # (R, k)
+    df_resid: int
+    singular: dict[int, RankDeficient]
+
+
+def ols_stack(Y, X) -> StackedFit:
+    """Minimize ||Y[r] - X[r] b||^2 for every row r through one batched SVD.
+
+    Y is (R, n); X is (R, n, k), or (1, n, k) for one design shared by every
+    row.  Every product is a stacked matmul, which makes the same BLAS call
+    for each row as for a lone one, so a row's numbers are bitwise those of
+    fitting it alone.  Raises ``TooFewObservations`` when n <= k.
+    """
+    n, k = X.shape[1:]
+    if n <= k:
+        raise TooFewObservations(n, k)
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    singular = {i: RankDeficient(_dependent_columns(vt[i], row))
+                for i, row in enumerate(s) if singular_value_ratio(row) < RANK_TOL}
+    if singular:
+        s = s.copy()
+        s[list(singular)] = 1.0  # keeps the singular rows' arithmetic finite
+        if X.shape[0] == 1:
+            singular = dict.fromkeys(range(Y.shape[0]), singular[0])
+    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
+    coef = (v @ ((ut @ Y[..., None]) / s[..., None]))[..., 0]
+    residuals = Y - (X @ coef[..., None])[..., 0]
+    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
+    xtx_inv = (v / s[:, None, :] ** 2) @ vt
+    df_resid = n - k
+    s2 = rss / df_resid
+    stderr = np.sqrt(np.maximum(s2[:, None] * xtx_inv.diagonal(axis1=1, axis2=2), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
+    return StackedFit(coef, residuals, rss, xtx_inv, stderr, tstats, df_resid, singular)
+
+
 def ols(y, X) -> RegressionResult:
-    """Minimize ||y - Xb||^2 via SVD; full diagnostics retained.
+    """Minimize ||y - Xb||^2 via SVD; full diagnostics retained.  This is
+    the one-row case of ``ols_stack``.
 
     Raises ``RankDeficient`` naming the dependent columns when the
     design is numerically singular, and ``TooFewObservations`` when
@@ -117,18 +167,12 @@ def ols(y, X) -> RegressionResult:
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, k = X.shape
-    if n <= k:
-        raise TooFewObservations(n, k)
-
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    if singular_value_ratio(s) < RANK_TOL:
-        raise RankDeficient(_dependent_columns(vt, s))
-
-    coef = vt.T @ ((u.T @ y) / s)
-    residuals = y - X @ coef
-    rss = float(residuals @ residuals)
-    xtx_inv = (vt.T / s**2) @ vt
+    fit = ols_stack(y[None], X[None])
+    if fit.singular:
+        raise fit.singular[0]
+    n = X.shape[0]
+    residuals = fit.residuals[0]
+    rss = float(fit.rss[0])
 
     has_const = np.any(np.ptp(X, axis=0) == 0)
     if has_const:
@@ -138,27 +182,22 @@ def ols(y, X) -> RegressionResult:
     degenerate = tss <= 0.0
     r2 = 0.0 if degenerate else 1.0 - rss / tss
 
-    df_resid = n - k
-    s2 = rss / df_resid
-    stderr = np.sqrt(np.maximum(s2 * xtx_inv.diagonal(), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
     sigma2 = rss / n
     if sigma2 > 0:
         loglik = -n / 2.0 * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
     else:
         loglik = math.inf
     return RegressionResult(
-        coef=coef,
-        stderr=stderr,
-        tstats=tstats,
+        coef=fit.coef[0],
+        stderr=fit.stderr[0],
+        tstats=fit.tstats[0],
         residuals=residuals,
         rss=rss,
         tss=tss,
         r2=r2,
-        df_resid=df_resid,
+        df_resid=fit.df_resid,
         loglik=loglik,
-        xtx_inverse=xtx_inv,
+        xtx_inverse=fit.xtx_inverse[0],
         degenerate_r2=degenerate,
     )
 
@@ -188,30 +227,31 @@ def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-def subset_rss(y, X, subsets) -> tuple[np.ndarray, float]:
+def subset_rss(y, X, subsets, floor: float = 0.0) -> tuple[np.ndarray | None, float]:
     """RSS of y regressed on X[:, s] for every column subset s in
     ``subsets``, and one lower bound on the ``singular_value_ratio`` of
     every X[:, s].
 
-    When every subset is a column prefix range(m), one Householder QR of
-    [X[:, :w] | y], w the widest m, scores them all: the RSS of prefix m
-    is the sum of R[i, w]**2 over i >= m, and the bound is the ratio of
-    R[:w, :w], whose singular values are those of X[:, :w].  Otherwise the
-    subsets go by size, SUBSET_CHUNK at a time, through one batched
+    When every subset is a column prefix range(m), ``_prefix_rss`` scores
+    them all from one QR.  Otherwise the bound is the ratio of X itself,
+    taken first: below ``floor`` no subset is factored and the RSS is None.
+    Else the subsets go by size, SUBSET_CHUNK at a time, through one batched
     Householder QR: each is stacked as [X_S | y], zero-padded on the right
     to the widest of its chunk (columns to the right leave the leading
-    ones of a QR unchanged), and R[m, m]**2 is its RSS; the bound is the
-    ratio of X itself.  Either bound holds for every subset because
-    dropping columns cannot lower the ratio.  Every subset needs fewer
-    columns than X has rows.
+    ones of a QR unchanged), and R[m, m]**2 is its RSS.  Either bound holds
+    for every subset because dropping columns cannot lower the ratio.
+    Every subset needs fewer columns than X has rows.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     sizes = np.array([len(s) for s in subsets], dtype=int)
     if len(subsets) and all(list(s) == list(range(m)) for s, m in zip(subsets, sizes)):
-        return _prefix_rss(y, X, sizes)
+        rss, bounds = _prefix_rss(y[None], X[None], sizes)
+        return rss[0], bounds[0]
     n, k = X.shape
     bound = singular_value_ratio(np.linalg.svd(X, compute_uv=False)) if n >= k else 0.0
+    if bound < floor:
+        return None, bound
     columns = np.vstack([X.T, y, np.zeros(n)])  # row k is y, row k + 1 padding
     order = sorted(range(len(subsets)), key=lambda i: sizes[i])
     rss = np.empty(len(subsets))
@@ -229,17 +269,23 @@ def subset_rss(y, X, subsets) -> tuple[np.ndarray, float]:
     return rss, bound
 
 
-def _prefix_rss(y: np.ndarray, X: np.ndarray, sizes: np.ndarray):
-    """``subset_rss`` for the column prefixes range(m), m in ``sizes``."""
-    n = X.shape[0]
+def _prefix_rss(Y, X, sizes) -> tuple[np.ndarray, list[float]]:
+    """``subset_rss`` of every row Y[r] on its X[r], Y (R, n) and X
+    (R, n, K), for the column prefixes range(m), m in the non-empty
+    ``sizes``: one batched Householder QR of the stacked [X[r][:, :w] | Y[r]],
+    w the widest m.  The RSS of prefix m is the sum of R[i, w]**2 over
+    i >= m, and the bound is the ratio of R[:w, :w], whose singular values
+    are those of X[r][:, :w].
+    """
+    n = X.shape[1]
     width = int(sizes.max())
     if n <= width:
         raise TooFewObservations(n, width)
-    r = np.linalg.qr(np.column_stack([X[:, :width], y]), mode="r")
-    # tail[m] = sum of R[i, width]**2 for i >= m: y's residual off X[:, :m]
-    tail = np.cumsum(r[::-1, width] ** 2)[::-1]
-    bound = singular_value_ratio(np.linalg.svd(r[:width, :width], compute_uv=False))
-    return tail[sizes], bound
+    r = np.linalg.qr(np.concatenate([X[:, :, :width], Y[..., None]], axis=2), mode="r")
+    # tail[:, m] = sum of R[i, width]**2 for i >= m: y's residual off X[:, :m]
+    tail = np.cumsum(r[:, ::-1, width] ** 2, axis=1)[:, ::-1]
+    s = np.linalg.svd(r[:, :width, :width], compute_uv=False)
+    return tail[:, sizes], [singular_value_ratio(row) for row in s]
 
 
 def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
@@ -256,6 +302,28 @@ def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
     _check_criterion(kind)
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    fits = [i for i, subset in enumerate(subsets) if len(subset) < X.shape[0]]
+    rss, bound = subset_rss(y, X, [subsets[i] for i in fits], RANK_TOL * RANK_MARGIN)
+    return _settle_criteria(y, X, subsets, fits, rss, bound, kind)
+
+
+def prefix_criteria(Y, X, sizes, kind: str = "aic") -> list[list[float | None]]:
+    """``subset_criteria`` of every row Y[r] on its X[r], Y (R, n) and X
+    (R, n, K), for the column prefixes range(m), m in ``sizes``, the
+    narrowest narrower than n: one ``_prefix_rss`` scores every row."""
+    _check_criterion(kind)
+    subsets = [list(range(m)) for m in sizes]
+    fits = [i for i, m in enumerate(sizes) if m < X.shape[1]]
+    rss, bounds = _prefix_rss(Y, X, np.array([sizes[i] for i in fits]))
+    return [_settle_criteria(y, x, subsets, fits, r, bound, kind)
+            for y, x, r, bound in zip(Y, X, rss, bounds)]
+
+
+def _settle_criteria(y, X, subsets, fits, rss, bound: float, kind: str) -> list[float | None]:
+    """The criteria of ``subset_criteria`` from the RSS and the ratio bound
+    of the subsets in ``fits``: from the RSS when the bound is at least
+    RANK_TOL * RANK_MARGIN, else by ``ols``; then the near-ties re-scored
+    by ``ols``."""
     n = X.shape[0]
     scores: list[float | None] = [None] * len(subsets)
     exact: set[int] = set()
@@ -267,12 +335,11 @@ def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
         except (ArdlkitError, np.linalg.LinAlgError):
             scores[i] = None
 
-    fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
-    rss, bound = subset_rss(y, X, [subsets[i] for i in fits])
-    for i, r in zip(fits, rss):
-        if bound >= RANK_TOL * RANK_MARGIN:
+    if bound >= RANK_TOL * RANK_MARGIN:
+        for i, r in zip(fits, rss):
             scores[i] = criterion_from_rss(float(r), n, len(subsets[i]), kind)
-        else:
+    else:
+        for i in fits:
             refit(i)
     while True:
         live = [(s, i) for i, s in enumerate(scores) if s is not None]

@@ -4,6 +4,8 @@ All three are left-tail tests of the unit-root null.  Critical values
 come from the MacKinnon (2010) response surface (ADF, PP, and the
 demeaned and no-deterministic DF-GLS cases) and the
 Elliott-Rothenberg-Stock (1996) table for the detrended DF-GLS case.
+Each test runs on a block of equal-length series through one kernel,
+``unit_root_block``; ``adf``, ``pp`` and ``dfgls`` are its one-series case.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, PossibleI2, SeriesTooShort
-from .frame import lag_matrix
+from .errors import ArdlkitError, DegenerateSeries, PossibleI2, SeriesTooShort
 from .regression import (KernelSpec, bartlett_variances, first_minimum, interpolate_in_inverse,
-                         ols, subset_criteria)
+                         ols_stack, prefix_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -108,31 +109,23 @@ def _deterministic_block(deterministic: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown deterministic {deterministic!r}")
 
 
-def _df_design(y: np.ndarray, deterministic: str, p: int):
-    """Design of the ADF regression with p augmentation lags.
+def _df_designs(Y: np.ndarray, deterministic: str, p: int):
+    """Designs of the ADF regression with p augmentation lags, one per row
+    of Y (R, n): the (R, n-1-p) left-hand sides and the stacked designs.
 
     Rows are aligned to t = p+1 .. n-1 (0-based).  Columns: y_{t-1},
     deterministic terms, then the p lagged differences.
     """
-    dy = np.diff(y)
-    rows = dy.shape[0] - p
-    lhs = dy[p:]
-    level = y[p:-1]
-    blocks = [level[:, None], _deterministic_block(deterministic, rows)]
-    if p > 0:
-        blocks.append(lag_matrix(dy, p))
-    X = np.column_stack([b for b in blocks if b.shape[1]])
-    return lhs, X
-
-
-def _select_adf_lag(y: np.ndarray, deterministic: str, max_lag: int, criterion: str) -> int:
-    """Pick the augmentation lag by information criterion on a common sample:
-    lags 0..max_lag are the nested column prefixes of the max-lag design,
-    scored by ``subset_criteria`` and chosen by ``first_minimum``."""
-    lhs, X = _df_design(y, deterministic, max_lag)
-    base = X.shape[1] - max_lag
-    prefixes = [list(range(base + p)) for p in range(max_lag + 1)]
-    return first_minimum(subset_criteria(lhs, X, prefixes, criterion))
+    dY = np.diff(Y, axis=1)
+    m = dY.shape[1]
+    terms = _deterministic_block(deterministic, m - p)
+    base = 1 + terms.shape[1]
+    X = np.empty((Y.shape[0], m - p, base + p))
+    X[:, :, 0] = Y[:, p:-1]
+    X[:, :, 1:base] = terms
+    for j in range(p):
+        X[:, :, base + j] = dY[:, p - j - 1:m - j - 1]
+    return dY[:, p:], X
 
 
 def default_max_lag(n: int) -> int:
@@ -145,95 +138,161 @@ def default_max_lag(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** 0.25))
 
 
-def _checked_series(series, name: str, max_lag: int | None):
-    """The series as a float vector and the resolved max_lag, once the
-    input is long enough for the max-lag design and not degenerate."""
-    y = np.asarray(series, dtype=float).ravel()
-    n = y.shape[0]
-    if max_lag is None:
-        max_lag = default_max_lag(n)
-    if n < max_lag + 10:
-        raise SeriesTooShort(f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})")
-    if np.ptp(np.diff(y)) == 0:
-        raise DegenerateSeries()
-    return y, max_lag
+def unit_root_block(test: str, block, deterministic: str = "constant", *,
+                    max_lag: int | None = None, criterion: str = "aic",
+                    bandwidth: int | str = "auto") -> list[UnitRootReport | ArdlkitError]:
+    """``test`` ("adf", "pp" or "dfgls") on every row of ``block``, an
+    (R, n) array of equal-length series, with one outcome per row: its
+    report, or the ``ArdlkitError`` that row raised.
+
+    ``max_lag`` and ``criterion`` set the ADF and DF-GLS lag search,
+    ``bandwidth`` the PP long-run variance.  The rows share every
+    factorization they can: one batched QR scores the lag search of all
+    rows, the rows that choose the same lag are fitted by one
+    ``ols_stack``, and so are the GLS detrending and PP's ADF(0)
+    regressions.  Each row's numbers are bitwise those of its one-row
+    block.
+    """
+    Y = np.asarray(block, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"block must be an (R, n) array, got shape {Y.shape}")
+    n = Y.shape[1]
+    if test == "pp":
+        too_short = f"PP needs n >= 15, got {n}" if n < 15 else None
+    elif test in ("adf", "dfgls"):
+        max_lag = default_max_lag(n) if max_lag is None else max_lag
+        name = "ADF" if test == "adf" else "DF-GLS"
+        too_short = (f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})"
+                     if n < max_lag + 10 else None)
+    else:
+        raise ValueError(f"unknown unit-root test {test!r}")
+    if too_short is not None:
+        return [SeriesTooShort(too_short) for _ in Y]
+    flat = np.ptp(np.diff(Y, axis=1), axis=1) == 0
+    outcomes: list = [DegenerateSeries() if f else None for f in flat]
+    live = np.flatnonzero(~flat)
+    if live.size:
+        if test == "pp":
+            done = _pp_rows(Y[live], deterministic, bandwidth)
+        else:
+            done = _df_rows(test, Y[live], deterministic, max_lag, criterion)
+        for r, outcome in zip(live, done):
+            outcomes[r] = outcome
+    return outcomes
 
 
-def _df_statistic(y: np.ndarray, deterministic: str, max_lag: int, criterion: str):
-    """The chosen lag p, the Dickey-Fuller t-ratio of the ADF(p) regression
-    and its number of observations."""
-    p = _select_adf_lag(y, deterministic, max_lag, criterion)
-    lhs, X = _df_design(y, deterministic, p)
-    return p, ols(lhs, X).tstats[0], lhs.shape[0]
+def _df_rows(test: str, Y: np.ndarray, deterministic: str, max_lag: int,
+             criterion: str) -> list:
+    """ADF, or DF-GLS on the GLS-detrended rows, for ``unit_root_block``.
+
+    Each row's lag p minimizes the criterion over lags 0..max_lag, the
+    nested column prefixes of the max-lag design on its common sample,
+    by ``first_minimum``.  The statistic is the Dickey-Fuller t-ratio of
+    the ADF(p) regression on its own sample, so the rows that choose the
+    same p share one fit.  Without deterministic terms the detrending is a
+    no-op and DF-GLS is the no-constant Dickey-Fuller regression, so only
+    its trend case takes the ERS table.
+    """
+    terms = deterministic
+    if test == "dfgls":
+        Y, terms = _gls_detrend_block(Y, deterministic), "none"
+    lhs, X = _df_designs(Y, terms, max_lag)
+    sizes = [X.shape[2] - max_lag + p for p in range(max_lag + 1)]
+    lags = [first_minimum(scores) for scores in prefix_criteria(lhs, X, sizes, criterion)]
+    outcomes: list = [None] * len(lags)
+    for p in sorted(set(lags)):
+        rows = [r for r, q in enumerate(lags) if q == p]
+        lhs, X = _df_designs(Y[rows], terms, p)
+        fit = ols_stack(lhs, X)
+        nobs = lhs.shape[1]
+        if test == "dfgls" and deterministic == "constant_trend":
+            cvs = ers_critical_values(nobs)
+        else:
+            cvs = mackinnon_critical_values(terms, nobs)
+        for i, r in enumerate(rows):
+            outcomes[r] = fit.singular.get(i) or _report("", test, deterministic, p,
+                                                         fit.tstats[i, 0], dict(cvs))
+    return outcomes
 
 
-def adf(series, deterministic: str = "constant", max_lag: int | None = None,
-        criterion: str = "aic") -> UnitRootReport:
-    """Augmented Dickey-Fuller test with IC-based lag selection."""
-    y, max_lag = _checked_series(series, "ADF", max_lag)
-    p, stat, nobs = _df_statistic(y, deterministic, max_lag, criterion)
-    cvs = mackinnon_critical_values(deterministic, nobs)
-    return _report("", "adf", deterministic, p, stat, cvs)
-
-
-def pp(series, deterministic: str = "constant", bandwidth: int | str = "auto") -> UnitRootReport:
-    """Phillips-Perron Z_t test.
+def _pp_rows(Y: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
+    """Phillips-Perron Z_t for ``unit_root_block``.
 
     The Dickey-Fuller regression is run without augmentation lags and
     serial correlation is absorbed through the Bartlett long-run
     variance of the residuals.
     """
-    y = np.asarray(series, dtype=float).ravel()
-    n = y.shape[0]
-    if n < 15:
-        raise SeriesTooShort(f"PP needs n >= 15, got {n}")
-    if np.ptp(np.diff(y)) == 0:
-        raise DegenerateSeries()
     spec = KernelSpec(bandwidth=bandwidth)
-    fit = ols(*_df_design(y, deterministic, 0))
-    u = fit.residuals
-    nobs = u.shape[0]
+    lhs, X = _df_designs(Y, deterministic, 0)
+    fit = ols_stack(lhs, X)
+    nobs = lhs.shape[1]
     bw = spec.resolve(nobs)
-    gamma0, lam2 = bartlett_variances(u, bw)
-    tau = fit.tstats[0]
-    z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
-        nobs * fit.stderr[0] / math.sqrt(fit.s2)
-    )
     cvs = mackinnon_critical_values(deterministic, nobs)
-    return _report("", "pp", deterministic, bw, z_tau, cvs)
+    outcomes: list = []
+    for i, u in enumerate(fit.residuals):
+        try:
+            if i in fit.singular:
+                raise fit.singular[i]
+            gamma0, lam2 = bartlett_variances(u, bw)
+        except ArdlkitError as exc:
+            outcomes.append(exc)
+            continue
+        tau, s2 = fit.tstats[i, 0], float(fit.rss[i]) / fit.df_resid
+        z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
+            nobs * fit.stderr[i, 0] / math.sqrt(s2)
+        )
+        outcomes.append(_report("", "pp", deterministic, bw, z_tau, dict(cvs)))
+    return outcomes
 
 
-def gls_detrend(series, deterministic: str = "constant") -> np.ndarray:
-    """Quasi-difference the series with abar = 1 - cbar/T and detrend."""
-    y = np.asarray(series, dtype=float).ravel()
-    n = y.shape[0]
+def _gls_detrend_block(Y: np.ndarray, deterministic: str) -> np.ndarray:
+    """``gls_detrend`` of every row of Y (R, n): the rows share one
+    quasi-differenced design, so one ``ols_stack`` fits them all."""
+    n = Y.shape[1]
     cbar = -7.0 if deterministic == "constant" else -13.5
     a = 1.0 + cbar / n
     z = _deterministic_block(deterministic, n)
     if z.shape[1] == 0:  # nothing to detrend
-        return y.copy()
+        return Y.copy()
     zq = z.copy()
     zq[1:] = z[1:] - a * z[:-1]
-    yq = y.copy()
-    yq[1:] = y[1:] - a * y[:-1]
-    return y - z @ ols(yq, zq).coef
+    Yq = Y.copy()
+    Yq[:, 1:] = Y[:, 1:] - a * Y[:, :-1]
+    fit = ols_stack(Yq, zq[None])
+    if fit.singular:
+        raise fit.singular[0]
+    return Y - (z @ fit.coef[..., None])[..., 0]
+
+
+def _single(test: str, series, deterministic: str, **options) -> UnitRootReport:
+    """``test`` on one series: the one-row ``unit_root_block``, its error raised."""
+    [outcome] = unit_root_block(test, np.asarray(series, dtype=float).ravel()[None],
+                                deterministic, **options)
+    if isinstance(outcome, ArdlkitError):
+        raise outcome
+    return outcome
+
+
+def adf(series, deterministic: str = "constant", max_lag: int | None = None,
+        criterion: str = "aic") -> UnitRootReport:
+    """Augmented Dickey-Fuller test with IC-based lag selection."""
+    return _single("adf", series, deterministic, max_lag=max_lag, criterion=criterion)
+
+
+def pp(series, deterministic: str = "constant", bandwidth: int | str = "auto") -> UnitRootReport:
+    """Phillips-Perron Z_t test."""
+    return _single("pp", series, deterministic, bandwidth=bandwidth)
 
 
 def dfgls(series, deterministic: str = "constant", max_lag: int | None = None,
           criterion: str = "aic") -> UnitRootReport:
-    """Elliott-Rothenberg-Stock GLS-detrended Dickey-Fuller test.
+    """Elliott-Rothenberg-Stock GLS-detrended Dickey-Fuller test."""
+    return _single("dfgls", series, deterministic, max_lag=max_lag, criterion=criterion)
 
-    Without deterministic terms the detrending is a no-op and the test is
-    the no-constant Dickey-Fuller regression, so only the trend case takes
-    the ERS table.
-    """
-    y, max_lag = _checked_series(series, "DF-GLS", max_lag)
-    p, stat, nobs = _df_statistic(gls_detrend(y, deterministic), "none", max_lag, criterion)
-    if deterministic == "constant_trend":
-        cvs = ers_critical_values(nobs)
-    else:
-        cvs = mackinnon_critical_values("none", nobs)
-    return _report("", "dfgls", deterministic, p, stat, cvs)
+
+def gls_detrend(series, deterministic: str = "constant") -> np.ndarray:
+    """Quasi-difference the series with abar = 1 - cbar/T and detrend."""
+    return _gls_detrend_block(np.asarray(series, dtype=float).ravel()[None], deterministic)[0]
 
 
 def integration_order(level_report: UnitRootReport, diff_report: UnitRootReport,

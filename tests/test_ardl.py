@@ -146,8 +146,8 @@ class TestSelectArdlLags:
         columns = {tuple(_grid_columns(spec, p, q)): (p, q) for p, q in scores}
         real_kernel = regression.subset_rss
 
-        def tied_kernel(y, X, subsets):
-            rss, ratio = real_kernel(y, X, subsets)
+        def tied_kernel(y, X, subsets, floor=0.0):
+            rss, ratio = real_kernel(y, X, subsets, floor)
             n = X.shape[0]
             cands = [columns[tuple(s)] for s in subsets]
             b, j = cands.index(best), cands.index(cheap)
@@ -178,8 +178,8 @@ class TestSelectArdlLags:
         # every candidate's rank verdict falls to ols, which fails
         real_kernel = regression.subset_rss
 
-        def borderline(y, X, subsets):
-            rss, _ = real_kernel(y, X, subsets)
+        def borderline(y, X, subsets, floor=0.0):
+            rss, _ = real_kernel(y, X, subsets, floor)
             return rss, regression.RANK_TOL
 
         def rank_deficient(y, X):

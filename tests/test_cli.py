@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ardlkit
+from ardlkit import errors, unitroot
 from ardlkit.ardl import PESARAN_CASE3
 from ardlkit.cli import (
     EXIT_DATA,
@@ -20,8 +22,10 @@ from ardlkit.cli import (
     build_parser,
     main,
     run_pipeline,
+    run_unit_roots,
 )
-from ardlkit.synthetic import Dgp, generate
+from ardlkit.frame import TimeSeriesFrame, load_csv
+from ardlkit.synthetic import Dgp, generate, random_walk
 
 from conftest import FIXTURE_CSV
 
@@ -248,6 +252,14 @@ class TestSubcommands:
         assert rc == 0
         assert (out / "unit_root.md").exists()
 
+    def test_unitroot_vars_parse_like_regressors(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["unitroot", "--data", str(FIXTURE_CSV), "--vars", "Y, X1,",
+                   "--out", str(out), "--format", "json"])
+        assert rc == 0
+        rows = json.loads((out / "report.json").read_text())["unit_root"]
+        assert [row["variable"] for row in rows] == ["Y", "X1"]
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "o"
         assert main(["bounds", *fixture_args(out), "--format", "csv"]) == 0
@@ -363,6 +375,69 @@ class TestPipelineCommand:
         assert report.robustness_warning == (
             f"bounds test did not find cointegration at the {text} level; "
             "FMOLS/DOLS/CCR estimates assume a cointegrating relation")
+
+
+class TestRunUnitRoots:
+    """``run_unit_roots`` raises the first failure of the per-variable
+    order: variable by variable, ADF, PP, DF-GLS, the level before the
+    difference, and a variable's possible I(2) after its own tests."""
+
+    ORDER = [(v, test, diff) for v in range(3) for test in unitroot.TESTS for diff in (0, 1)]
+
+    @staticmethod
+    def planted(monkeypatch, frame) -> dict:
+        """A plan that ``unit_root_block`` then follows: it returns
+        plan[(row, test, diff)] in place of that row's outcome."""
+        plan = {}
+        real = unitroot.unit_root_block
+
+        def block(test, Y, deterministic, **options):
+            diff = int(Y.shape[1] < frame.n)
+            return [plan.get((v, test, diff), outcome)
+                    for v, outcome in enumerate(real(test, Y, deterministic, **options))]
+
+        monkeypatch.setattr(unitroot, "unit_root_block", block)
+        return plan
+
+    def test_first_failure_in_order(self, monkeypatch):
+        frame = load_csv(FIXTURE_CSV.read_text())
+        names = frame.names[:3]
+        plan = self.planted(monkeypatch, frame)
+        for i, first in enumerate(self.ORDER):
+            plan.clear()
+            plan.update({key: errors.NumericalError(repr(key)) for key in self.ORDER[i:]})
+            with pytest.raises(errors.NumericalError) as raised:
+                run_unit_roots(frame, names, "constant", "auto", 0.05)
+            assert str(raised.value) == repr(first)
+
+    def test_possible_i2_beats_a_later_variable_but_not_its_own_tests(self, monkeypatch):
+        frame = load_csv(FIXTURE_CSV.read_text())
+        names = frame.names[:3]
+        adf = unitroot.adf(frame.column(names[0]))
+        no_reject = replace(adf, reject=dict.fromkeys(adf.reject, False))
+        plan = self.planted(monkeypatch, frame)
+        plan.update({(0, "adf", 0): no_reject, (0, "adf", 1): no_reject,
+                     (1, "adf", 0): errors.NumericalError("later variable")})
+        with pytest.raises(errors.PossibleI2):
+            run_unit_roots(frame, names, "constant", "auto", 0.05)
+        plan[(0, "dfgls", 1)] = errors.NumericalError("own test")
+        with pytest.raises(errors.NumericalError, match="own test"):
+            run_unit_roots(frame, names, "constant", "auto", 0.05)
+
+    def test_real_failures(self):
+        n = 60
+        twice = np.cumsum(random_walk(n, 8))  # twice-integrated: possible I(2)
+        frame = TimeSeriesFrame(tuple(range(1950, 1950 + n)),
+                                {"A": random_walk(n, 3), "B": twice, "C": np.arange(n, 0.0, -1.0)})
+        with pytest.raises(errors.PossibleI2):
+            run_unit_roots(frame, ("A", "B", "C"), "constant", "auto", 0.05)
+        with pytest.raises(errors.DegenerateSeries):
+            run_unit_roots(frame, ("A", "C", "B"), "constant", "auto", 0.05)
+        with pytest.raises(errors.UnknownVariable):
+            run_unit_roots(frame, ("A", "D", "C"), "constant", "auto", 0.05)
+        with pytest.raises(errors.DegenerateSeries):
+            run_unit_roots(frame, ("C", "D"), "constant", "auto", 0.05)
+        assert run_unit_roots(frame, (), "constant", "auto", 0.05) == []
 
 
 def modules_after_import(prefix: str) -> list:

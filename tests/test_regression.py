@@ -25,7 +25,9 @@ from ardlkit.regression import (
 )
 from ardlkit.synthetic import ar1, normals, random_walk
 
+import tail_oracle
 from conftest import GOLDEN_DIR
+from tail_oracle import FIXTURE_F_TRIPLES
 
 # Quadratic fit of y = [1,3,2,5,4,7] on [1, t, t^2]; reference values
 # frozen from an independent least-squares computation.
@@ -188,17 +190,30 @@ class TestSubsetRss:
             sv = np.linalg.svd(X[:, s], compute_uv=False)
             assert bound <= sv[-1] / sv[0] * (1 + 1e-12)  # one bound for every subset
 
-    def test_near_singular_design_is_fitted_by_ols(self):
+    def test_near_singular_design_is_fitted_by_ols(self, monkeypatch):
         # X5 = X3 - 2 X4 exactly, which ols rejects, and up to a perturbation
         # that leaves the subsets holding all three at a ratio of about
-        # 5e-10, which ols accepts: both are below the margin
+        # 5e-10, which ols accepts: both are below the margin, so the search
+        # goes to ols without factoring any subset by QR
         base, y = self.design()
         subsets = self.subsets(base.shape[1], 40)
+        qr_calls = []
+        real_qr = np.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(1)
+            return real_qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        subset_criteria(y, base, subsets)
+        assert qr_calls  # the counter sees the batched QRs of a sound design
         for eps in (0.0, 4e-9):
             X = base.copy()
             X[:, 5] = X[:, 3] - 2.0 * X[:, 4] + eps * normals(11, X.shape[0])
             assert subset_rss(y, X, subsets)[1] < RANK_TOL * RANK_MARGIN
+            qr_calls.clear()
             assert_ols_decisions(y, X, subsets, rejected=eps == 0.0)
+            assert len(qr_calls) == 0
 
     def test_criteria_match_ols(self):
         X, y = self.design()
@@ -251,7 +266,8 @@ def assert_ols_decisions(y, X, subsets, rejected: bool):
 
 def adf_design(seed, T, deterministic, max_lag):
     """The max-lag ADF design of a seeded random walk and its lag prefixes."""
-    lhs, X = unitroot._df_design(random_walk(T, seed), deterministic, max_lag)
+    lhs, X = unitroot._df_designs(random_walk(T, seed)[None], deterministic, max_lag)
+    lhs, X = lhs[0], X[0]
     base = X.shape[1] - max_lag
     return lhs, X, [list(range(base + p)) for p in range(max_lag + 1)]
 
@@ -410,9 +426,8 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability("cauchy", 1.0)
 
-    SYMMETRIC = np.concatenate([np.linspace(-9.0, 9.0, 361), np.logspace(-6, 1.5, 40),
-                                -np.logspace(-6, 1.5, 40)])
-    POSITIVE = np.concatenate([np.logspace(-8, 3, 441), np.linspace(0.05, 40.0, 800)])
+    SYMMETRIC = tail_oracle.SYMMETRIC
+    POSITIVE = tail_oracle.POSITIVE
 
     def test_t_bitwise_equal_to_scipy_stats(self):
         for df in (1, 2.5, 5, 30, 200):
@@ -423,29 +438,25 @@ class TestTailProbability:
         # the largest relative errors of scipy 1.17.1's norm.sf, chi2.sf and
         # f.sf against the 50-digit oracle, on these same points
         scipy_worst = {"normal": 8.1e-14, "chi2": 6.1e-14, "f": 2.4e-13}
-        mpmath = pytest.importorskip("mpmath")
-        mpf = mpmath.mpf
-        worst = dict.fromkeys(scipy_worst, 0.0)
-
-        def track(dist, stat, df, exact):
-            got = tail_probability(dist, float(stat), df)
-            worst[dist] = max(worst[dist], float(abs(got - exact) / exact))
-
-        with mpmath.workdps(50):
-            for x in self.SYMMETRIC:
-                track("normal", x, None, mpmath.ncdf(-mpf(x)))
-            for df in (1, 2, 3, 7, 20, 50):
-                for x in self.POSITIVE:
-                    track("chi2", x, df,
-                          mpmath.gammainc(mpf(df) / 2, mpf(x) / 2, mpmath.inf, regularized=True))
-        for d1 in (1, 2, 4, 6):
-            for d2 in (5, 30, 67, 72, 73, 76, 200):
-                for x in self.POSITIVE:
-                    track("f", x, (d1, d2), f_tail_oracle(d1, d2, x))
-        for d1, d2, f in FIXTURE_F_TRIPLES:
-            track("f", f, (d1, d2), f_tail_oracle(d1, d2, f))
+        points = tail_oracle.points()
+        hi, lo = np.load(tail_oracle.TABLE).T
+        got = np.array([tail_probability(dist, x, df) for dist, x, df in points])
+        error = np.abs((got - hi) - lo) / hi  # got - hi is exact: they agree to 1e-13
+        dists = np.array([dist for dist, _, _ in points])
         for dist, bound in scipy_worst.items():
-            assert worst[dist] <= bound, (dist, worst[dist])
+            worst = error[dists == dist].max()
+            assert worst <= bound, (dist, worst)
+
+    def test_oracle_table_holds_the_oracle(self):
+        # a few dozen points across every family, recomputed at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        points = tail_oracle.points()
+        table = np.load(tail_oracle.TABLE)
+        assert table.shape == (len(points), 2)
+        for i in [*range(0, len(points), 997), len(points) - 1]:
+            exact = tail_oracle.exact(*points[i])
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(table[i, 0]) + table[i, 1] - exact) <= 1e-30 * exact, i
 
     def test_chi2_with_two_df_is_exponential(self):
         for x in self.POSITIVE:
@@ -488,31 +499,10 @@ class TestTailProbability:
             np.testing.assert_equal(tail_probability(dist, stat, df), oracle.sf(stat, *args))
 
 
-# (d1, d2, F) behind the p-values of the fixture report: the bounds
-# test's reference F (6 level terms, 72 residual df) and the ten
-# pairwise Granger tests (lag, nobs - 2 * lag - 1).
-FIXTURE_F_TRIPLES = [
-    (6, 72, 6.856271846667391),
-    (1, 76, 7.122924189973372),
-    (1, 76, 4.286119154961754),
-    (2, 73, 1.4619627784379727),
-    (4, 67, 4.197739753289787),
-    (1, 76, 2.2945963580474817),
-    (2, 73, 2.5397151233336146),
-    (1, 76, 9.890165968189164),
-    (1, 76, 1.5190167962468204),
-    (1, 76, 1.7186348133062017),
-    (1, 76, 0.23936677690019298),
-]
-
-
 def f_tail_oracle(d1, d2, f) -> float:
-    """P(F > f) = I_{d2 / (d2 + d1 f)}(d2 / 2, d1 / 2) at 50 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        x = mpmath.mpf(d2) / (d2 + d1 * mpmath.mpf(f))
-        return float(mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
-                                    regularized=True))
+    """P(F > f) at 50 digits, rounded to a float."""
+    pytest.importorskip("mpmath")
+    return float(tail_oracle.exact("f", f, (d1, d2)))
 
 
 @pytest.mark.parametrize("d1, d2, f", FIXTURE_F_TRIPLES)

@@ -9,7 +9,7 @@ from ardlkit.regression import CRITERIA, KernelSpec, info_criterion, long_run_va
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
-    _df_design,
+    _df_designs,
     adf,
     default_max_lag,
     dfgls,
@@ -18,6 +18,7 @@ from ardlkit.unitroot import (
     integration_order,
     mackinnon_critical_values,
     pp,
+    unit_root_block,
 )
 
 from conftest import FIXTURE_CSV
@@ -204,7 +205,8 @@ class TestPp:
         frame = load_csv(FIXTURE_CSV.read_text())
         for name in frame.names:
             for y in (frame.column(name), np.diff(frame.column(name))):
-                fit = ols(*_df_design(y, deterministic, 0))
+                lhs, X = _df_designs(y[None], deterministic, 0)
+                fit = ols(lhs[0], X[0])
                 nobs = fit.residuals.shape[0]
                 bw = KernelSpec(bandwidth=bandwidth).resolve(nobs)
                 lam2 = long_run_variance(fit.residuals, KernelSpec(bandwidth=bw))
@@ -291,6 +293,80 @@ class TestErsCriticalValues:
 
     def test_large_sample_near_asymptote(self):
         assert ers_critical_values(10**8)["5%"] == pytest.approx(-2.89, abs=1e-4)
+
+
+def block_rows(T):
+    """Random walks, a stationary AR(1) and cumulated MA(1) series of
+    length T: rows that choose different augmentation lags."""
+    e = normals(T, T + 1)
+    return np.array([*(random_walk(T, seed) for seed in range(5)), ar1(T, 7, 0.3),
+                     np.cumsum(e[1:] + 0.6 * e[:-1]), np.cumsum(e[1:] - 0.8 * e[:-1])])
+
+
+def one_row(test, y, deterministic, **options):
+    """The report of ``test`` on the series y alone, or the error it raises."""
+    try:
+        return {"adf": adf, "pp": pp, "dfgls": dfgls}[test](y, deterministic, **options)
+    except errors.ArdlkitError as exc:
+        return exc
+
+
+def assert_same_outcomes(rows, singles):
+    for row, single in zip(rows, singles, strict=True):
+        if isinstance(single, errors.ArdlkitError):
+            assert type(row) is type(single) and str(row) == str(single)
+        else:
+            assert row == single  # every float bitwise
+
+
+class TestUnitRootBlock:
+    @pytest.mark.parametrize("T", [33, 50, 80, 100])
+    def test_rows_equal_the_one_row_tests(self, T):
+        Y = block_rows(T)
+        lags = set()
+        for deterministic in ("none", "constant", "constant_trend"):
+            runs = [("pp", {"bandwidth": bw}) for bw in ("auto", 0, 4)]
+            runs += [(test, {"criterion": kind}) for test in ("adf", "dfgls") for kind in CRITERIA]
+            for test, options in runs:
+                rows = unit_root_block(test, Y, deterministic, **options)
+                assert_same_outcomes(rows, [one_row(test, y, deterministic, **options) for y in Y])
+                if test != "pp":
+                    lags.add(frozenset(row.lag_or_bandwidth for row in rows))
+        assert max(map(len, lags)) >= 2  # a block with more than one stacked final fit
+
+    def test_a_failing_row_fails_alone(self):
+        Y = block_rows(60)
+        Y[1] = np.arange(60.0)  # constant differences
+        Y[4, :-1] = 2.0  # a constant level but for the last value: y_{t-1} repeats the constant
+        for test in ("adf", "pp", "dfgls"):
+            rows = unit_root_block(test, Y, "constant")
+            assert isinstance(rows[1], errors.DegenerateSeries)
+            assert_same_outcomes(rows, [one_row(test, y, "constant") for y in Y])
+            assert sum(isinstance(row, errors.ArdlkitError) for row in rows) <= 2
+        assert isinstance(unit_root_block("adf", Y, "constant")[4], errors.RankDeficient)
+
+    def test_a_too_large_max_lag_is_an_outcome_of_every_row(self):
+        Y = block_rows(40)
+        for test in ("adf", "dfgls"):
+            rows = unit_root_block(test, Y, max_lag=31)
+            assert all(isinstance(row, errors.SeriesTooShort) for row in rows)
+            with pytest.raises(errors.SeriesTooShort):
+                {"adf": adf, "dfgls": dfgls}[test](Y[0], max_lag=31)
+        # the widest lag prefixes leave too few rows and are skipped
+        assert_same_outcomes(unit_root_block("adf", Y, max_lag=30),
+                             [one_row("adf", y, "constant", max_lag=30) for y in Y])
+        rows = unit_root_block("pp", Y, bandwidth=39)
+        assert all(isinstance(row, errors.BandwidthTooLarge) for row in rows)
+
+    def test_empty_block(self):
+        for test in ("adf", "pp", "dfgls"):
+            assert unit_root_block(test, np.empty((0, 50))) == []
+
+    def test_bad_arguments_raise(self):
+        with pytest.raises(ValueError, match="unit-root test"):
+            unit_root_block("kpss", block_rows(50))
+        with pytest.raises(ValueError, match="block"):
+            unit_root_block("adf", random_walk(50, 1))
 
 
 class TestDefaultMaxLag:
