@@ -65,10 +65,10 @@ def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     """Minimize the criterion of the unrestricted model on a common sample.
 
     Series of unequal length are trimmed to their common tail, as in
-    ``granger_pair``.  The design for each lag is a column subset of the
-    max-lag design, so ``subset_criteria`` scores every lag from that one
-    design; a lag that ``ols`` rejects is skipped, and ``first_minimum``
-    picks the lag.
+    ``granger_pair``.  With the max-lag design's columns in the order
+    [const, y_1, x_1, y_2, x_2, ...], the design for each lag is a column
+    prefix, so ``subset_criteria`` scores every lag as one chain; a lag
+    that ``ols`` rejects is skipped, and ``first_minimum`` picks the lag.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -76,9 +76,10 @@ def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     x, y = x[-n:], y[-n:]
     max_lag = min(max_lag, max(1, (n - 3) // 2))
     lhs, X = _granger_design(x, y, max_lag)
-    subsets = [[0, *range(1, 1 + lag), *range(1 + max_lag, 1 + max_lag + lag)]
-               for lag in range(1, max_lag + 1)]
-    return 1 + first_minimum(subset_criteria(lhs, X, subsets, criterion))
+    order = [0, *(c for lag in range(1, max_lag + 1) for c in (lag, max_lag + lag))]
+    prefixes = [list(range(1 + 2 * lag)) for lag in range(1, max_lag + 1)]
+    [scores] = subset_criteria(lhs[None], X[None, :, order], prefixes, criterion)
+    return 1 + first_minimum(scores)
 
 
 def causality_matrix(frame: TimeSeriesFrame, variables, dependent: str,

@@ -7,6 +7,9 @@ is its one-row case, and a row fitted in a stack gets the bits it gets
 alone.  Rank detection, the solution, and (X'X)^-1 all come from that
 one rank-revealing factorization; severe collinearity among lagged logs
 is the expected failure mode and is reported with the offending columns.
+Every lag search (ARDL, unit-root, Granger) is scored by one function,
+``subset_criteria``, through one batched QR of its chains of nested
+column lists.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ CRITERIA = ("aic", "sic", "hq")
 # Singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
 
-# subset_rss factors at most this many subsets per batched QR, so its
-# working copy stays small whatever the number of subsets.
-SUBSET_CHUNK = 24
-
-# subset_criteria scores a search from its batched RSS only when the
-# search's singular-value ratio bound is at least RANK_MARGIN * RANK_TOL,
-# and fits every subset by ols otherwise; it also re-scores by ols the
-# subsets whose criteria lie within TIE_RTOL (relative) of the smallest.
-# Batched and per-subset factorizations differ in the last bits, and these
-# are the decisions such bits could flip.
+# subset_criteria scores a row of a search from its QR's RSS only when the
+# singular-value ratio of the row's full design, taken before the QR, is at
+# least RANK_MARGIN * RANK_TOL, and fits every subset by ols otherwise; it
+# also re-scores by ols the subsets whose criteria lie within TIE_RTOL
+# (relative) of the smallest.  The chain QR and a subset's own SVD differ
+# in the last bits, and these are the decisions such bits could flip.
 RANK_MARGIN = 10.0
 TIE_RTOL = 1e-8
 
@@ -227,96 +226,70 @@ def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-def subset_rss(y, X, subsets, floor: float = 0.0) -> tuple[np.ndarray | None, float]:
-    """RSS of y regressed on X[:, s] for every column subset s in
-    ``subsets``, and one lower bound on the ``singular_value_ratio`` of
-    every X[:, s].
+def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]]:
+    """``info_criterion(ols(Y[r], X[r][:, s]), kind)``, to rounding, for every
+    row Y[r] of Y (R, n) on its X[r] of X (R, n, K) and every column list s
+    in ``subsets``, or None where ``ols`` rejects X[r][:, s]; a list as long
+    as n is None.
 
-    When every subset is a column prefix range(m), ``_prefix_rss`` scores
-    them all from one QR.  Otherwise the bound is the ratio of X itself,
-    taken first: below ``floor`` no subset is factored and the RSS is None.
-    Else the subsets go by size, SUBSET_CHUNK at a time, through one batched
-    Householder QR: each is stacked as [X_S | y], zero-padded on the right
-    to the widest of its chunk (columns to the right leave the leading
-    ones of a QR unchanged), and R[m, m]**2 is its RSS.  Either bound holds
-    for every subset because dropping columns cannot lower the ratio.
-    Every subset needs fewer columns than X has rows.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    sizes = np.array([len(s) for s in subsets], dtype=int)
-    if len(subsets) and all(list(s) == list(range(m)) for s, m in zip(subsets, sizes)):
-        rss, bounds = _prefix_rss(y[None], X[None], sizes)
-        return rss[0], bounds[0]
-    n, k = X.shape
-    bound = singular_value_ratio(np.linalg.svd(X, compute_uv=False)) if n >= k else 0.0
-    if bound < floor:
-        return None, bound
-    columns = np.vstack([X.T, y, np.zeros(n)])  # row k is y, row k + 1 padding
-    order = sorted(range(len(subsets)), key=lambda i: sizes[i])
-    rss = np.empty(len(subsets))
-    for lo in range(0, len(order), SUBSET_CHUNK):
-        chunk = order[lo:lo + SUBSET_CHUNK]
-        widths = sizes[chunk]
-        width = int(widths[-1])
-        if n <= width:
-            raise TooFewObservations(n, width)
-        idx = np.full((len(chunk), width + 1), k + 1)
-        for row, i in enumerate(chunk):
-            idx[row, :widths[row] + 1] = [*subsets[i], k]
-        r = np.linalg.qr(columns[idx].transpose(0, 2, 1), mode="r")
-        rss[chunk] = r[np.arange(len(chunk)), widths, widths] ** 2
-    return rss, bound
-
-
-def _prefix_rss(Y, X, sizes) -> tuple[np.ndarray, list[float]]:
-    """``subset_rss`` of every row Y[r] on its X[r], Y (R, n) and X
-    (R, n, K), for the column prefixes range(m), m in the non-empty
-    ``sizes``: one batched Householder QR of the stacked [X[r][:, :w] | Y[r]],
-    w the widest m.  The RSS of prefix m is the sum of R[i, w]**2 over
-    i >= m, and the bound is the ratio of R[:w, :w], whose singular values
-    are those of X[r][:, :w].
-    """
-    n = X.shape[1]
-    width = int(sizes.max())
-    if n <= width:
-        raise TooFewObservations(n, width)
-    r = np.linalg.qr(np.concatenate([X[:, :, :width], Y[..., None]], axis=2), mode="r")
-    # tail[:, m] = sum of R[i, width]**2 for i >= m: y's residual off X[:, :m]
-    tail = np.cumsum(r[:, ::-1, width] ** 2, axis=1)[:, ::-1]
-    s = np.linalg.svd(r[:, :width, :width], compute_uv=False)
-    return tail[:, sizes], [singular_value_ratio(row) for row in s]
-
-
-def subset_criteria(y, X, subsets, kind: str = "aic") -> list[float | None]:
-    """``info_criterion(ols(y, X[:, s]), kind)``, to rounding, for every
-    column subset s, or None where ``ols`` rejects X[:, s]; scored by
-    ``subset_rss``.
-
-    Every subset is scored from its RSS when the search's ratio bound is
-    at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each of them,
-    and fitted by ``ols`` otherwise.  When two or more subsets lie within
-    TIE_RTOL (relative) of the smallest criterion, ``ols`` re-scores them,
-    so a choice between near-equal criteria rests on exact values.
+    The lists are scored in chains: a list that has the one before it as
+    its prefix extends that one's chain, and any other list starts a chain.
+    Each row's bound is the ``singular_value_ratio`` of its X, taken before
+    any QR; dropping columns cannot lower it, so it bounds the ratio of
+    every list.  A row whose bound is at least RANK_TOL * RANK_MARGIN, so
+    that ``ols`` accepts each list, is scored from RSS, and the other rows
+    are fitted by ``ols``.  When any row is scored from RSS, one batched
+    Householder QR factors [X[r][:, chain] | 0 | Y[r]] for every chain of
+    every row, the zeros padding each chain to the widest, w columns: the
+    RSS of a chain's first m columns is the sum of R[i, w]**2 over i >= m.
+    A search of more than one chain factors its chains on K + 1 rows with
+    the Gram matrix of [X[r] | Y[r]], which give the same R up to signs:
+    U'[X[r] | Y[r]] from the SVD of X[r], and a row for Y[r]'s residual.
+    When two or more lists lie within TIE_RTOL (relative) of a row's
+    smallest criterion, ``ols`` re-scores them, so a choice between
+    near-equal criteria rests on exact values.
     """
     _check_criterion(kind)
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    fits = [i for i, subset in enumerate(subsets) if len(subset) < X.shape[0]]
-    rss, bound = subset_rss(y, X, [subsets[i] for i in fits], RANK_TOL * RANK_MARGIN)
-    return _settle_criteria(y, X, subsets, fits, rss, bound, kind)
-
-
-def prefix_criteria(Y, X, sizes, kind: str = "aic") -> list[list[float | None]]:
-    """``subset_criteria`` of every row Y[r] on its X[r], Y (R, n) and X
-    (R, n, K), for the column prefixes range(m), m in ``sizes``, the
-    narrowest narrower than n: one ``_prefix_rss`` scores every row."""
-    _check_criterion(kind)
-    subsets = [list(range(m)) for m in sizes]
-    fits = [i for i, m in enumerate(sizes) if m < X.shape[1]]
-    rss, bounds = _prefix_rss(Y, X, np.array([sizes[i] for i in fits]))
-    return [_settle_criteria(y, x, subsets, fits, r, bound, kind)
-            for y, x, r, bound in zip(Y, X, rss, bounds)]
+    Y = np.asarray(Y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape[1:]
+    fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
+    bounds = ([singular_value_ratio(s) for s in np.linalg.svd(X, compute_uv=False)]
+              if n >= k else [0.0] * len(X))
+    rss = np.empty((len(X), len(fits)))  # read only for the rows scored from RSS
+    if fits and max(bounds, default=0.0) >= RANK_TOL * RANK_MARGIN:
+        tips, chain, sizes = [], [], []  # each chain's widest list; each fit's chain, width
+        for i in fits:
+            subset = list(subsets[i])
+            if tips and subset[:len(tips[-1])] == tips[-1]:
+                tips[-1] = subset
+            else:
+                tips.append(subset)
+            chain.append(len(tips) - 1)
+            sizes.append(len(subset))
+        width = max(sizes)
+        if tips == [list(range(width))]:
+            # one chain of leading columns, as in a unit-root search: its n
+            # rows cost less than the SVD with U that would shorten them
+            stacked = np.concatenate([X[:, :, :width], Y[..., None]], axis=2)[:, None]
+        else:
+            # [X[r] | Y[r] | 0] on k + 1 rows with its Gram matrix, which fixes
+            # every R: U'X = S V', U'Y, and Y's residual off X, from X's SVD
+            u, s, vt = np.linalg.svd(X, full_matrices=False)
+            uy = (u.transpose(0, 2, 1) @ Y[..., None])[..., 0]
+            table = np.zeros((len(X), k + 2, k + 1))  # the columns as rows
+            table[:, :k, :k] = vt.transpose(0, 2, 1) * s[:, None, :]
+            table[:, k, :k] = uy
+            table[:, k, k] = np.linalg.norm(Y - (u @ uy[..., None])[..., 0], axis=1)
+            index = [tip + [k + 1] * (width - len(tip)) + [k] for tip in tips]
+            stacked = table[:, index].transpose(0, 1, 3, 2)
+        # R[i, width] = h[..., width, i]: raw mode keeps R transposed
+        h = np.linalg.qr(stacked, mode="raw")[0]
+        # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
+        tail = np.cumsum(h[..., width, width::-1] ** 2, axis=-1).reshape(len(X), -1)
+        rss = tail[:, [c * (width + 1) + width - m for c, m in zip(chain, sizes)]]
+    return [_settle_criteria(y, x, subsets, fits, row, bound, kind)
+            for y, x, row, bound in zip(Y, X, rss, bounds)]
 
 
 def _settle_criteria(y, X, subsets, fits, rss, bound: float, kind: str) -> list[float | None]:
@@ -466,7 +439,7 @@ def interpolate_in_inverse(table: dict, t: float) -> tuple[float, ...]:
 
 
 def tail_probability(dist: str, stat: float, df=None) -> float:
-    """Upper-tail probability for the normal, t, chi2, and F families.
+    """Upper-tail probability for the normal, chi2, and F families.
 
     The normal, chi2 and F tails come from the ``math`` module: erfc, and
     the regularized incomplete gamma and beta functions by power series
@@ -478,18 +451,11 @@ def tail_probability(dist: str, stat: float, df=None) -> float:
     340 the lgamma form costs about lgamma((d1 + d2) / 2) ulp.  A series
     or fraction that does not converge raises ``NumericalError``.
 
-    The t tail is scipy.special.stdtr, imported on first use: no ardlkit
-    computation needs it, and importing scipy would be most of a cold
-    start.  As in scipy.stats, a chi2 or F statistic at or below zero
-    gives 1.0, NaN gives NaN, and +-inf give 0 and 1.
+    As in scipy.stats, a chi2 or F statistic at or below zero gives 1.0,
+    NaN gives NaN, and +-inf give 0 and 1.
     """
     if dist == "normal":
         return math.nan if math.isnan(stat) else _normal_sf(stat)
-    if dist == "t":
-        if df is None or df <= 0:
-            raise InvalidDf(f"t distribution needs df > 0, got {df}")
-        from scipy.special import stdtr
-        return float(stdtr(df, -stat))
     if dist == "chi2":
         if df is None or df <= 0:
             raise InvalidDf(f"chi2 distribution needs df > 0, got {df}")

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArdlkitError, DegenerateSeries, PossibleI2, SeriesTooShort
+from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
+                     SeriesTooShort)
 from .regression import (KernelSpec, bartlett_variances, first_minimum, interpolate_in_inverse,
-                         ols_stack, prefix_criteria)
+                         ols_stack, subset_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -197,8 +198,8 @@ def _df_rows(test: str, Y: np.ndarray, deterministic: str, max_lag: int,
     if test == "dfgls":
         Y, terms = _gls_detrend_block(Y, deterministic), "none"
     lhs, X = _df_designs(Y, terms, max_lag)
-    sizes = [X.shape[2] - max_lag + p for p in range(max_lag + 1)]
-    lags = [first_minimum(scores) for scores in prefix_criteria(lhs, X, sizes, criterion)]
+    prefixes = [list(range(X.shape[2] - max_lag + p)) for p in range(max_lag + 1)]
+    lags = [first_minimum(scores) for scores in subset_criteria(lhs, X, prefixes, criterion)]
     outcomes: list = [None] * len(lags)
     for p in sorted(set(lags)):
         rows = [r for r, q in enumerate(lags) if q == p]
@@ -234,10 +235,13 @@ def _pp_rows(Y: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
             if i in fit.singular:
                 raise fit.singular[i]
             gamma0, lam2 = bartlett_variances(u, bw)
+            s2 = float(fit.rss[i]) / fit.df_resid
+            if min(gamma0, lam2, s2) <= 0.0:  # an exact fit, or a zero long-run variance
+                raise DegenerateResiduals()
         except ArdlkitError as exc:
             outcomes.append(exc)
             continue
-        tau, s2 = fit.tstats[i, 0], float(fit.rss[i]) / fit.df_resid
+        tau = fit.tstats[i, 0]
         z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
             nobs * fit.stderr[i, 0] / math.sqrt(s2)
         )

@@ -126,8 +126,8 @@ class TestSelectArdlLags:
         start = 1 + max(spec.max_p - 1, spec.max_q)
         lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)), start=start)
         cands = list(scores)
-        batched = subset_criteria(lhs, X, [_grid_columns(spec, p, q) for p, q in cands],
-                                  "hq")
+        [batched] = subset_criteria(lhs[None], X[None],
+                                    [_grid_columns(spec, p, q) for p, q in cands], "hq")
         for cand, ic in zip(cands, batched):
             if scores[cand] is None:
                 assert ic is None
@@ -135,8 +135,8 @@ class TestSelectArdlLags:
                 assert ic == pytest.approx(scores[cand], rel=1e-12)
 
     def test_near_tie_rescored_exactly(self, coint_frame, monkeypatch):
-        # Move a worse candidate with fewer lags just below the best batched
-        # score: trusting the batched scores would select it, the exact
+        # Move a worse candidate with fewer lags just below the best RSS
+        # score: trusting the RSS scores would select it, the exact
         # re-score must not.
         spec = ModelSpec("Y", ("X1",), max_p=3, max_q=3)
         best, scores = brute_force_search(coint_frame, spec, "aic")
@@ -144,19 +144,19 @@ class TestSelectArdlLags:
         assert cheap[0] + sum(cheap[1]) < best[0] + sum(best[1])
         assert scores[cheap] - scores[best] > 1e-6 * abs(scores[best])
         columns = {tuple(_grid_columns(spec, p, q)): (p, q) for p, q in scores}
-        real_kernel = regression.subset_rss
+        real_settle = regression._settle_criteria
 
-        def tied_kernel(y, X, subsets, floor=0.0):
-            rss, ratio = real_kernel(y, X, subsets, floor)
+        def tied_settle(y, X, subsets, fits, rss, bound, kind):
+            rss = rss.copy()
             n = X.shape[0]
-            cands = [columns[tuple(s)] for s in subsets]
+            cands = [columns[tuple(subsets[i])] for i in fits]
             b, j = cands.index(best), cands.index(cheap)
-            ic_best = criterion_from_rss(rss[b], n, len(subsets[b]))
+            ic_best = criterion_from_rss(rss[b], n, len(subsets[fits[b]]))
             target = ic_best - 0.5 * regression.TIE_RTOL * abs(ic_best)
-            rss[j] = n * math.exp((target - 2.0 * len(subsets[j])) / n)
-            return rss, ratio
+            rss[j] = n * math.exp((target - 2.0 * len(subsets[fits[j]])) / n)
+            return real_settle(y, X, subsets, fits, rss, bound, kind)
 
-        monkeypatch.setattr(regression, "subset_rss", tied_kernel)
+        monkeypatch.setattr(regression, "_settle_criteria", tied_settle)
         chosen = select_ardl_lags(coint_frame, spec, "aic")
         assert (chosen.p, chosen.q) == best
 
@@ -176,11 +176,10 @@ class TestSelectArdlLags:
 
     def test_exact_fallback_lets_only_package_errors_skip(self, coint_frame, monkeypatch):
         # every candidate's rank verdict falls to ols, which fails
-        real_kernel = regression.subset_rss
+        real_settle = regression._settle_criteria
 
-        def borderline(y, X, subsets, floor=0.0):
-            rss, _ = real_kernel(y, X, subsets, floor)
-            return rss, regression.RANK_TOL
+        def borderline(y, X, subsets, fits, rss, bound, kind):
+            return real_settle(y, X, subsets, fits, rss, regression.RANK_TOL, kind)
 
         def rank_deficient(y, X):
             raise errors.RankDeficient([1])
@@ -189,7 +188,7 @@ class TestSelectArdlLags:
             raise RuntimeError("not a numerical failure")
 
         spec = ModelSpec("Y", ("X1",))
-        monkeypatch.setattr(regression, "subset_rss", borderline)
+        monkeypatch.setattr(regression, "_settle_criteria", borderline)
         monkeypatch.setattr(regression, "ols", rank_deficient)
         with pytest.raises(errors.NoFeasibleSpec, match="every feasible candidate is rank deficient"):
             select_ardl_lags(coint_frame, spec)

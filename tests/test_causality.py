@@ -133,6 +133,17 @@ class TestSelectGrangerLag:
                     expected, _ = self.per_lag_search(cx, cy, 4, criterion)
                     assert select_granger_lag(cx, cy, 4, criterion) == expected
 
+    @pytest.mark.parametrize("T", [20, 33, 80])
+    def test_matches_per_lag_search_at_every_max_lag(self, T):
+        for seed in range(8):
+            x = ar1(T, 200 + seed, 0.5)
+            y = 0.4 * np.roll(x, 1 + seed % 3) + ar1(T, 300 + seed, 0.4)
+            for max_lag in range(1, 5):
+                for cx, cy in ((x, y), (y, x)):
+                    for criterion in ("aic", "sic", "hq"):
+                        expected, _ = self.per_lag_search(cx, cy, max_lag, criterion)
+                        assert select_granger_lag(cx, cy, max_lag, criterion) == expected
+
     def test_unequal_lengths_use_common_tail(self):
         for seed in range(6):
             long, short = ar1(120, 50 + seed, 0.5), ar1(100, 70 + seed, 0.4)

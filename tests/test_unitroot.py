@@ -220,6 +220,17 @@ class TestPp:
         with pytest.raises(errors.BandwidthTooLarge):
             pp(RW, bandwidth=RW.shape[0] - 1)
 
+    def test_an_exact_fit_fails_alone(self):
+        # the ADF(0) regression fits 1 + 0.5^t exactly, so its residuals
+        # have no variance, short- or long-run
+        exact = 1.0 + 0.5 ** np.arange(30)
+        with pytest.raises(errors.DegenerateResiduals):
+            pp(exact)
+        walk = random_walk(30, 4)
+        rows = unit_root_block("pp", np.array([exact, walk]))
+        assert isinstance(rows[0], errors.DegenerateResiduals)
+        assert rows[1] == pp(walk)
+
 
 class TestDfgls:
     def test_constant_case_frozen_statistic(self):
