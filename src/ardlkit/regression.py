@@ -234,17 +234,20 @@ def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]
 
     The lists are scored in chains: a list that has the one before it as
     its prefix extends that one's chain, and any other list starts a chain.
-    Each row's bound is the ``singular_value_ratio`` of its X, taken before
-    any QR; dropping columns cannot lower it, so it bounds the ratio of
-    every list.  A row whose bound is at least RANK_TOL * RANK_MARGIN, so
+    Each row's bound is the ``singular_value_ratio`` of its X, from the one
+    SVD of X the search takes, before any QR; dropping columns cannot lower
+    it, so it bounds the ratio of every list.  A row whose bound is at least RANK_TOL * RANK_MARGIN, so
     that ``ols`` accepts each list, is scored from RSS, and the other rows
     are fitted by ``ols``.  When any row is scored from RSS, one batched
     Householder QR factors [X[r][:, chain] | 0 | Y[r]] for every chain of
     every row, the zeros padding each chain to the widest, w columns: the
     RSS of a chain's first m columns is the sum of R[i, w]**2 over i >= m.
-    A search of more than one chain factors its chains on K + 1 rows with
-    the Gram matrix of [X[r] | Y[r]], which give the same R up to signs:
-    U'[X[r] | Y[r]] from the SVD of X[r], and a row for Y[r]'s residual.
+    One chain of X's leading columns, as in every unit-root and Granger
+    search, is factored on its n rows.  Any other search factors its chains
+    on K + 1 rows with the Gram matrix of [X[r] | Y[r]], which give the same
+    R up to signs: U'[X[r] | Y[r]] from the SVD of X[r], taken with U, and a
+    row for Y[r]'s residual.  The short rows keep the ARDL grid's batch
+    small; on one chain, computing U costs more than the rows it saves.
     When two or more lists lie within TIE_RTOL (relative) of a row's
     smallest criterion, ``ols`` re-scores them, so a choice between
     near-equal criteria rests on exact values.
@@ -254,28 +257,29 @@ def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]
     X = np.asarray(X, dtype=float)
     n, k = X.shape[1:]
     fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
-    bounds = ([singular_value_ratio(s) for s in np.linalg.svd(X, compute_uv=False)]
-              if n >= k else [0.0] * len(X))
+    tips, chain, sizes = [], [], []  # each chain's widest list; each fit's chain, width
+    for i in fits:
+        subset = list(subsets[i])
+        if tips and subset[:len(tips[-1])] == tips[-1]:
+            tips[-1] = subset
+        else:
+            tips.append(subset)
+        chain.append(len(tips) - 1)
+        sizes.append(len(subset))
+    width = max(sizes, default=0)
+    lead = tips == [list(range(width))]  # one chain of leading columns
+    bounds = [0.0] * len(X)
+    if n >= k:
+        svd = np.linalg.svd(X, full_matrices=False, compute_uv=not lead)
+        bounds = [singular_value_ratio(row) for row in (svd if lead else svd.S).tolist()]
     rss = np.empty((len(X), len(fits)))  # read only for the rows scored from RSS
     if fits and max(bounds, default=0.0) >= RANK_TOL * RANK_MARGIN:
-        tips, chain, sizes = [], [], []  # each chain's widest list; each fit's chain, width
-        for i in fits:
-            subset = list(subsets[i])
-            if tips and subset[:len(tips[-1])] == tips[-1]:
-                tips[-1] = subset
-            else:
-                tips.append(subset)
-            chain.append(len(tips) - 1)
-            sizes.append(len(subset))
-        width = max(sizes)
-        if tips == [list(range(width))]:
-            # one chain of leading columns, as in a unit-root search: its n
-            # rows cost less than the SVD with U that would shorten them
+        if lead:
             stacked = np.concatenate([X[:, :, :width], Y[..., None]], axis=2)[:, None]
         else:
             # [X[r] | Y[r] | 0] on k + 1 rows with its Gram matrix, which fixes
             # every R: U'X = S V', U'Y, and Y's residual off X, from X's SVD
-            u, s, vt = np.linalg.svd(X, full_matrices=False)
+            u, s, vt = svd
             uy = (u.transpose(0, 2, 1) @ Y[..., None])[..., 0]
             table = np.zeros((len(X), k + 2, k + 1))  # the columns as rows
             table[:, :k, :k] = vt.transpose(0, 2, 1) * s[:, None, :]

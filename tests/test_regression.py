@@ -175,18 +175,18 @@ def ratio(X) -> float:
     return singular_value_ratio(np.linalg.svd(X, compute_uv=False))
 
 
-class CountedQr:
-    """Counts the calls of ``np.linalg.qr`` while patched in."""
+class Counted:
+    """Counts the calls of ``np.linalg.<name>`` while patched in."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, name):
         self.calls = 0
-        real_qr = np.linalg.qr
+        real = getattr(np.linalg, name)
 
-        def counted_qr(*args, **kwargs):
+        def counted(*args, **kwargs):
             self.calls += 1
-            return real_qr(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(np.linalg, name, counted)
 
 
 class TestSubsetRss:
@@ -225,7 +225,7 @@ class TestSubsetRss:
         # goes to ols without factoring any subset by QR
         base, y = self.design()
         subsets = self.subsets(base.shape[1], 40)
-        qr = CountedQr(monkeypatch)
+        qr = Counted(monkeypatch, "qr")
         criteria(y, base, subsets)
         assert qr.calls == 1  # one batched QR scores a sound design
         for eps in (0.0, 4e-9):
@@ -235,6 +235,16 @@ class TestSubsetRss:
             qr.calls = 0
             assert_ols_decisions(y, X, subsets, rejected=eps == 0.0)
             assert qr.calls == 0
+
+    def test_one_svd_per_search(self, monkeypatch):
+        # the bound and the table of a search of several chains, and the
+        # bound of one chain of leading columns, come from one SVD of X
+        X, y = self.design()
+        svd = Counted(monkeypatch, "svd")
+        for subsets in (self.subsets(X.shape[1], 40), [[0, 1], [0, 1, 2], [0, 1, 2, 3]]):
+            svd.calls = 0
+            criteria(y, X, subsets)
+            assert svd.calls == 1
 
     def test_criteria_match_ols(self):
         X, y = self.design()
@@ -354,7 +364,7 @@ class TestPrefixRss:
         # the bound comes from X before any QR: a search below the margin
         # goes to ols with no QR, a sound one takes one
         lhs, base, prefixes = adf_design(5, 60, "constant_trend", 3)
-        qr = CountedQr(monkeypatch)
+        qr = Counted(monkeypatch, "qr")
         criteria(lhs, base, prefixes)
         assert qr.calls == 1
         for eps in (1e-10, 3e-8):
