@@ -10,6 +10,7 @@ F on the joint nullity of the level block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -151,27 +152,24 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     ``subset_criteria`` scores the whole grid from that one design.  In
     the grid's order the candidates that differ only in q_k come together,
     each a column prefix of the next, and one batched QR factors these
-    chains (162 of 3 at k = 5 and max_p = max_q = 2).  A candidate needs
+    chains (162 of 3 at k = 5 and max_p = max_q = 2); the grid and its
+    column lists are built once per (max_p, max_q, k).  A candidate needs
     at least 5 more observations than parameters.  Ties break toward fewer
     total lags, then the lexicographically smaller (p, q) tuple.
     """
     spec.validate_against(frame)
     common_start = 1 + max(spec.max_p - 1, spec.max_q)
-    grid = list(itertools.product(
-        range(1, spec.max_p + 1),
-        itertools.product(range(spec.max_q + 1), repeat=spec.k),
-    ))
     rows = frame.n - common_start
-    columns = [_grid_columns(spec, p, q) for p, q in grid]
-    feasible = [i for i, cols in enumerate(columns) if rows >= len(cols) + 5]
+    candidates, columns, widths = _lag_grid(spec.max_p, spec.max_q, spec.k)
+    feasible = [i for i, width in enumerate(widths) if rows >= width + 5]
     if not feasible:
         raise NoFeasibleSpec(f"no candidate has 5 observations to spare on the "
                              f"common sample of {rows} rows")
     widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
     lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
     [scores] = subset_criteria(lhs[None], X[None], [columns[i] for i in feasible], criterion)
-    ranked = [(ic, p + sum(q), (p, *q))
-              for ic, (p, q) in zip(scores, (grid[i] for i in feasible)) if ic is not None]
+    ranked = [(ic, sum(candidates[i]), candidates[i])
+              for ic, i in zip(scores, feasible) if ic is not None]
     if not ranked:
         raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "
                              f"common sample of {rows} rows")
@@ -179,15 +177,23 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     return ArdlSpec(p, q)
 
 
-def _grid_columns(spec: ModelSpec, p: int, q: tuple[int, ...]) -> list[int]:
-    """Columns of the widest design (max_p, max_q each) that form the
-    design of ARDL(p, q), in ``_conditional_design``'s order."""
-    own = 2 + spec.k  # const and the k + 1 levels precede the lagged differences
-    columns = list(range(own + p - 1))
-    first = own + spec.max_p - 1
-    for j, qj in enumerate(q):
-        columns += range(first + j * spec.max_q, first + j * spec.max_q + qj)
-    return columns
+@functools.lru_cache(maxsize=None)
+def _lag_grid(max_p: int, max_q: int, k: int):
+    """The (max_p, max_q) grid of ARDL(p, q_1..q_k) for k regressors, built
+    once per key as three tuples in the grid's order: each candidate
+    (p, q_1, .., q_k); the columns of the widest design that form its
+    design, in ``_conditional_design``'s order; and their count."""
+    own = 2 + k  # const and the k + 1 levels precede the lagged differences
+    first = own + max_p - 1
+    candidates, columns = [], []
+    for p, q in itertools.product(range(1, max_p + 1),
+                                  itertools.product(range(max_q + 1), repeat=k)):
+        cols = list(range(own + p - 1))
+        for j, qj in enumerate(q):
+            cols += range(first + j * max_q, first + j * max_q + qj)
+        candidates.append((p, *q))
+        columns.append(tuple(cols))
+    return tuple(candidates), tuple(columns), tuple(len(cols) for cols in columns)
 
 
 def fit_conditional_ecm(frame: TimeSeriesFrame, spec: ModelSpec,

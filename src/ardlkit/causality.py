@@ -4,6 +4,14 @@ The null "x does not Granger-cause y" is an F-test on the block of x
 lags in a bivariate autoregression of y.  p < alpha is evidence of
 causality; the report legend follows the statistics, not prose
 conventions.
+
+Every test runs through one kernel, ``granger_block``, on a block of
+equal-length (cause, effect) pairs: one ``subset_criteria`` call scores
+the lag search of every pair, and the pairs that use the same lag share
+one stacked fit of the unrestricted model and one of the restricted
+(``regression.ols_stack``).  ``causality_matrix`` makes one call on a
+frame's 2k ordered pairs; ``select_granger_lag`` and ``granger_pair`` are
+the one-pair case.
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArdlkitError, SeriesTooShort
-from .frame import TimeSeriesFrame, lag_matrix
-from .regression import first_minimum, ols, subset_criteria, wald_f_zero
+from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
+from .frame import TimeSeriesFrame
+from .regression import first_minimum, ols_stack, subset_criteria, wald_f
 
 REPORT_LEVELS = (0.01, 0.05, 0.10)
 
@@ -32,79 +40,159 @@ class CausalityReport:
     error: str | None = None
 
 
-def _granger_design(x: np.ndarray, y: np.ndarray, lag: int):
-    """(lhs, design) of the unrestricted model: a constant, then ``lag`` lags
-    of y, then ``lag`` lags of x; its first 1 + lag columns are the
-    restricted model's design."""
-    lhs = y[lag:]
-    unrestricted = np.column_stack([np.ones(lhs.shape[0]), lag_matrix(y, lag),
-                                    lag_matrix(x, lag)])
-    return lhs, unrestricted
+def _granger_designs(causes: np.ndarray, effects: np.ndarray, lag: int):
+    """(lhs, design) of the unrestricted model of every pair, rows of the
+    (R, n) ``causes`` and ``effects``: the (R, n - lag) left-hand sides and
+    the designs of a constant, then ``lag`` lags of the effect, then ``lag``
+    lags of the cause; the first 1 + lag columns are the restricted
+    model's design."""
+    n = effects.shape[1]
+    X = np.empty((effects.shape[0], n - lag, 1 + 2 * lag))
+    X[:, :, 0] = 1.0
+    for j in range(1, lag + 1):
+        X[:, :, j] = effects[:, lag - j:n - j]
+        X[:, :, lag + j] = causes[:, lag - j:n - j]
+    return effects[:, lag:], X
+
+
+def granger_block(causes, effects, labels, lag: int | str = "auto", *, max_lag: int = 4,
+                  criterion: str = "aic") -> list[CausalityReport | ArdlkitError]:
+    """Whether row r of ``causes`` Granger-causes row r of ``effects``, both
+    (R, n) arrays, for every r, with one outcome per row: its report,
+    labelled by the (cause, effect) names ``labels[r]``, or the
+    ``ArdlkitError`` that row raised.
+
+    ``lag`` is a fixed lag, or "auto" for each pair's lag by ``criterion``
+    over 1..``max_lag`` as ``select_granger_lag`` describes.  One
+    ``subset_criteria`` call scores the lag search of every pair, and the
+    pairs that use the same lag share one ``ols_stack`` of the
+    unrestricted model and one of the restricted.  Each row's numbers are
+    bitwise those of its one-row block.
+    """
+    causes = np.asarray(causes, dtype=float)
+    effects = np.asarray(effects, dtype=float)
+    if not len(effects):
+        return []
+    if lag == "auto":
+        try:
+            lags = _search_lags(causes, effects, max_lag, criterion)
+        except SeriesTooShort as exc:  # the rows share n, so they fail alike
+            return [exc] * len(effects)
+    elif int(lag) < 1:
+        raise ValueError("lag must be >= 1")
+    else:
+        lags = [int(lag)] * len(effects)
+    outcomes: list = [None] * len(lags)
+    for use in sorted(set(lags)):
+        rows = [r for r, q in enumerate(lags) if q == use]
+        done = _fit_rows(causes[rows], effects[rows], use, [labels[r] for r in rows])
+        for r, outcome in zip(rows, done):
+            outcomes[r] = outcome
+    return outcomes
+
+
+def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
+                 criterion: str) -> list[int]:
+    """Each pair's lag for ``granger_block``: the first minimum of the
+    criterion of the unrestricted model over lags 1..max_lag, on the
+    common sample of the max-lag design.  max_lag is capped at
+    max(1, (n - 3) // 2).  With that design's columns in the order
+    [const, y_1, x_1, y_2, x_2, ...], the design for each lag is a column
+    prefix, so ``subset_criteria`` scores every lag of every pair as one
+    chain per pair; a lag that ``ols`` rejects is skipped, and
+    ``first_minimum`` picks the lag."""
+    n = effects.shape[1]
+    max_lag = min(max_lag, max(1, (n - 3) // 2))
+    if max_lag < 1:
+        raise ValueError("max lag must be >= 1")
+    if n <= max_lag:
+        raise SeriesTooShort(f"need more than {max_lag} observations for {max_lag} lags, got {n}")
+    lhs, X = _granger_designs(causes, effects, max_lag)
+    order = [0, *(c for lag in range(1, max_lag + 1) for c in (lag, max_lag + lag))]
+    prefixes = [list(range(1 + 2 * lag)) for lag in range(1, max_lag + 1)]
+    return [1 + first_minimum(scores)
+            for scores in subset_criteria(lhs, X[..., order], prefixes, criterion)]
+
+
+def _fit_rows(causes: np.ndarray, effects: np.ndarray, lag: int, labels) -> list:
+    """The F-tests of ``granger_block`` for pairs at one lag: the
+    unrestricted and the restricted model of every pair, each fitted on
+    the lag's own sample by one ``ols_stack``, and the F by ``wald_f``."""
+    n = effects.shape[1]
+    if n <= 2 * lag + 2:
+        return [SeriesTooShort(f"Granger test with lag {lag} needs n > {2 * lag + 2}, got {n}")
+                for _ in labels]
+    lhs, X = _granger_designs(causes, effects, lag)
+    try:
+        full = ols_stack(lhs, X)
+    except TooFewObservations as exc:  # the rows share their shape, so they fail alike
+        return [exc] * len(labels)
+    restricted = ols_stack(lhs, X[..., :1 + lag])
+    outcomes: list = []
+    for i, (cause, effect) in enumerate(labels):
+        error = full.singular.get(i) or restricted.singular.get(i)
+        if error is not None:
+            outcomes.append(error)
+            continue
+        wald = wald_f(float(full.rss[i]), float(restricted.rss[i]), lag, full.df_resid)
+        outcomes.append(CausalityReport(cause, effect, lag, lhs.shape[1], wald.f, wald.p,
+                                        {lv: wald.p < lv for lv in REPORT_LEVELS}))
+    return outcomes
+
+
+def _one_pair(x, y):
+    """x and y as (1, n) blocks, trimmed to their common tail of n points."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    n = min(x.shape[0], y.shape[0])
+    return x[x.shape[0] - n:][None], y[y.shape[0] - n:][None]
 
 
 def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> CausalityReport:
-    """Test whether lags of x improve prediction of y beyond y's own lags."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    n = min(x.shape[0], y.shape[0])
-    if n <= 2 * lag + 2:
-        raise SeriesTooShort(f"Granger test with lag {lag} needs n > {2 * lag + 2}, got {n}")
-    x, y = x[-n:], y[-n:]
-    lhs, X = _granger_design(x, y, lag)
-    fit_u = ols(lhs, X)
-    fit_r = ols(lhs, X[:, :1 + lag])
-    subset = tuple(range(1 + lag, 1 + 2 * lag))
-    wald = wald_f_zero(fit_u, subset, fit_r.rss)
-    reject = {lv: wald.p < lv for lv in REPORT_LEVELS}
-    return CausalityReport(cause, effect, lag, lhs.shape[0], wald.f, wald.p, reject)
+    """Test whether lags of x improve prediction of y beyond y's own lags:
+    the one-pair ``granger_block``, its error raised.  Series of unequal
+    length are trimmed to their common tail."""
+    [outcome] = granger_block(*_one_pair(x, y), [(cause, effect)], lag)
+    if isinstance(outcome, ArdlkitError):
+        raise outcome
+    return outcome
 
 
 def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
-    """Minimize the criterion of the unrestricted model on a common sample.
-
-    Series of unequal length are trimmed to their common tail, as in
-    ``granger_pair``.  With the max-lag design's columns in the order
-    [const, y_1, x_1, y_2, x_2, ...], the design for each lag is a column
-    prefix, so ``subset_criteria`` scores every lag as one chain; a lag
-    that ``ols`` rejects is skipped, and ``first_minimum`` picks the lag.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    n = min(x.shape[0], y.shape[0])
-    x, y = x[-n:], y[-n:]
-    max_lag = min(max_lag, max(1, (n - 3) // 2))
-    lhs, X = _granger_design(x, y, max_lag)
-    order = [0, *(c for lag in range(1, max_lag + 1) for c in (lag, max_lag + lag))]
-    prefixes = [list(range(1 + 2 * lag)) for lag in range(1, max_lag + 1)]
-    [scores] = subset_criteria(lhs[None], X[None, :, order], prefixes, criterion)
-    return 1 + first_minimum(scores)
+    """Minimize the criterion of the unrestricted model on a common sample:
+    the one-pair lag search of ``granger_block``.  Series of unequal
+    length are trimmed to their common tail, as in ``granger_pair``."""
+    [lag] = _search_lags(*_one_pair(x, y), max_lag, criterion)
+    return lag
 
 
 def causality_matrix(frame: TimeSeriesFrame, variables, dependent: str,
                      lag: int | str = "auto") -> list[CausalityReport]:
-    """Both directions for every (variable, dependent) pair.
+    """Both directions for every (variable, dependent) pair, from one
+    ``granger_block`` call on every ordered pair.
 
-    A failed pair is reported as an errored row; the rest proceed.
+    A failed pair is reported as an errored row; the rest proceed.  A
+    variable that is the dependent gives two errored rows, and an unknown
+    one raises ``UnknownVariable``.
     """
     dep = frame.column(dependent)
+    labels, causes, effects = [], [], []
+    for name in variables:
+        if name != dependent:
+            other = frame.column(name)
+            labels += [(name, dependent), (dependent, name)]
+            causes += [other, dep]
+            effects += [dep, other]
+    outcomes = iter(granger_block(causes, effects, labels, lag))
     reports: list[CausalityReport] = []
     for name in variables:
-        if name == dependent:
-            reports.append(_errored(name, dependent, "variable equals the dependent"))
-            reports.append(_errored(dependent, name, "variable equals the dependent"))
-            continue
-        other = frame.column(name)
-        for cause, effect, cx, cy in (
-            (name, dependent, other, dep),
-            (dependent, name, dep, other),
-        ):
-            try:
-                use_lag = select_granger_lag(cx, cy) if lag == "auto" else int(lag)
-                reports.append(granger_pair(cx, cy, use_lag, cause, effect))
-            except ArdlkitError as exc:
-                reports.append(_errored(cause, effect, str(exc)))
+        for cause, effect in ((name, dependent), (dependent, name)):
+            if name == dependent:
+                reports.append(_errored(cause, effect, "variable equals the dependent"))
+                continue
+            outcome = next(outcomes)
+            reports.append(_errored(cause, effect, str(outcome))
+                           if isinstance(outcome, ArdlkitError) else outcome)
     return reports
 
 

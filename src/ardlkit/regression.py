@@ -211,18 +211,25 @@ def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
     """F-test that the coefficients indexed by ``subset`` are jointly zero.
 
     ``restricted_rss`` comes from the nested model with those columns
-    dropped.  A numerator below -1e-10 (nesting violated) is reported as
-    F = 0 with a flag rather than raised.
+    dropped; ``wald_f`` takes the test, negative numerators included.
     """
     m = len(tuple(subset))
     if m == 0:
         raise ValueError("subset must be nonempty")
-    num = restricted_rss - fit.rss
-    if num < -1e-10 * max(fit.rss, 1.0):
+    return wald_f(fit.rss, restricted_rss, m, fit.df_resid)
+
+
+def wald_f(rss: float, restricted_rss: float, m: int, df_resid: int) -> WaldF:
+    """F-test of m zero restrictions from the unrestricted fit's ``rss`` and
+    ``df_resid`` and the nested fit's ``restricted_rss``.  A numerator
+    below -1e-10 * max(rss, 1) (nesting violated) is reported as F = 0
+    with a flag rather than raised."""
+    num = restricted_rss - rss
+    if num < -1e-10 * max(rss, 1.0):
         return WaldF(0.0, 1.0, True)
     num = max(num, 0.0)
-    f = (num / m) / (fit.rss / fit.df_resid)
-    p = tail_probability("f", f, (m, fit.df_resid))
+    f = (num / m) / (rss / df_resid)
+    p = tail_probability("f", f, (m, df_resid))
     return WaldF(float(f), float(p), False)
 
 

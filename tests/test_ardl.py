@@ -11,7 +11,7 @@ from ardlkit.ardl import (
     PESARAN_CASE3,
     ArdlSpec,
     _conditional_design,
-    _grid_columns,
+    _lag_grid,
     bounds_test,
     decide_bounds,
     fit_conditional_ecm,
@@ -30,6 +30,13 @@ def five_var_frame(T=120, seed=99):
     cols = ecm_system(T, seed, beta=(0.5, -0.3, 0.4, -0.2, 0.3),
                       alpha=-0.3, sigma=0.4, delta=0.2, intercept=1.0)
     return make_frame(cols)
+
+
+def grid_columns(spec, p, q):
+    """The columns of the widest design that ``select_ardl_lags`` scores
+    as ARDL(p, q)."""
+    candidates, columns, _ = _lag_grid(spec.max_p, spec.max_q, spec.k)
+    return columns[candidates.index((p, *q))]
 
 
 def brute_force_search(frame, spec, criterion):
@@ -127,7 +134,7 @@ class TestSelectArdlLags:
         lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)), start=start)
         cands = list(scores)
         [batched] = subset_criteria(lhs[None], X[None],
-                                    [_grid_columns(spec, p, q) for p, q in cands], "hq")
+                                    [grid_columns(spec, p, q) for p, q in cands], "hq")
         for cand, ic in zip(cands, batched):
             if scores[cand] is None:
                 assert ic is None
@@ -143,7 +150,7 @@ class TestSelectArdlLags:
         cheap = min((c for c in scores if c != best), key=lambda c: (c[0] + sum(c[1]), c))
         assert cheap[0] + sum(cheap[1]) < best[0] + sum(best[1])
         assert scores[cheap] - scores[best] > 1e-6 * abs(scores[best])
-        columns = {tuple(_grid_columns(spec, p, q)): (p, q) for p, q in scores}
+        columns = {grid_columns(spec, p, q): (p, q) for p, q in scores}
         real_settle = regression._settle_criteria
 
         def tied_settle(y, X, subsets, fits, rss, bound, kind):
@@ -173,6 +180,31 @@ class TestSelectArdlLags:
         monkeypatch.setattr(ardl, "ols", counted)
         select_ardl_lags(frame, spec)
         assert len(calls) <= 5  # the per-candidate search made 486 fits
+
+    @pytest.mark.parametrize("max_p, max_q, k", [(2, 2, 5), (3, 1, 2), (1, 0, 1), (4, 3, 1)])
+    def test_grid_columns_name_each_candidates_design(self, max_p, max_q, k):
+        names = [f"X{j}" for j in range(1, k + 1)]
+        frame = make_frame({"Y": random_walk(40, 11),
+                            **{name: random_walk(40, 12 + j) for j, name in enumerate(names)}})
+        spec = ModelSpec("Y", tuple(names), max_p=max_p, max_q=max_q)
+        candidates, columns, widths = _lag_grid(max_p, max_q, k)
+        grid = list(itertools.product(range(1, max_p + 1),
+                                      itertools.product(range(max_q + 1), repeat=k)))
+        assert candidates == tuple((p, *q) for p, q in grid)
+        *_, widest, _, _ = _conditional_design(frame, spec, ArdlSpec(max_p, (max_q,) * k))
+        for (p, *q), cols, width in zip(candidates, columns, widths):
+            *_, labels, _, _ = _conditional_design(frame, spec, ArdlSpec(p, q))
+            assert tuple(widest[c] for c in cols) == labels
+            assert width == len(cols)
+
+    def test_grid_is_built_once_per_key(self, coint_frame):
+        _lag_grid.cache_clear()
+        spec = ModelSpec("Y", ("X1",), max_p=3, max_q=2)
+        first = select_ardl_lags(coint_frame, spec)
+        assert select_ardl_lags(coint_frame, spec, "sic") and select_ardl_lags(coint_frame, spec)
+        info = _lag_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert select_ardl_lags(coint_frame, spec) == first
 
     def test_exact_fallback_lets_only_package_errors_skip(self, coint_frame, monkeypatch):
         # every candidate's rank verdict falls to ols, which fails

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ardlkit import errors
+from ardlkit import causality, errors
 from ardlkit.causality import (
     CausalityReport,
     causality_matrix,
@@ -12,10 +12,11 @@ from ardlkit.causality import (
     select_granger_lag,
 )
 from ardlkit.frame import lag_matrix
-from ardlkit.regression import info_criterion, ols
-from ardlkit.synthetic import ar1, normals
+from ardlkit.regression import info_criterion, ols, wald_f_zero
+from ardlkit.synthetic import ar1, ecm_system, normals
 
 from conftest import make_frame
+from test_regression import Counted
 
 # F and p frozen from an independent restricted/unrestricted RSS
 # computation for the seeded pair below at lag 2.
@@ -89,6 +90,19 @@ class TestGrangerPair:
         with pytest.raises(errors.SeriesTooShort):
             granger_pair(np.arange(8.0), np.arange(8.0) ** 2, 3)
 
+    def test_bitwise_equal_to_two_ols_fits(self):
+        # the stacked fits give each pair the bits of fitting it alone
+        for T in (20, 33, 80):
+            for seed in range(4):
+                x = ar1(T, 500 + seed, 0.5)
+                y = 0.3 * np.roll(x, 1) + ar1(T, 600 + seed, 0.4)
+                for lag in range(1, 5):
+                    X = np.column_stack([np.ones(T - lag), lag_matrix(y, lag), lag_matrix(x, lag)])
+                    full = ols(y[lag:], X)
+                    wald = wald_f_zero(full, range(lag), ols(y[lag:], X[:, :1 + lag]).rss)
+                    report = granger_pair(x, y, lag)
+                    assert (report.f_stat, report.p, report.nobs) == (wald.f, wald.p, T - lag)
+
     def test_unequal_lengths_use_common_tail(self):
         x, y = causal_pair(120)
         report_full = granger_pair(x[20:], y[20:], 2)
@@ -161,6 +175,26 @@ class TestSelectGrangerLag:
         assert select_granger_lag(x, y, 4) == expected == 1
 
 
+def frame_k(k, T, seed=0):
+    beta = (0.5, -0.3, 0.4, -0.2, 0.3)[:k]
+    return make_frame(ecm_system(T, 40 + seed, beta=beta, alpha=-0.3, sigma=0.4))
+
+
+def per_pair(frame, variables, dependent, lag):
+    """The reference rows: one ``select_granger_lag`` and one ``granger_pair``
+    call per ordered pair."""
+    rows = []
+    for name in variables:
+        for cause, effect in ((name, dependent), (dependent, name)):
+            x, y = frame.column(cause), frame.column(effect)
+            try:
+                use = select_granger_lag(x, y) if lag == "auto" else lag
+                rows.append(granger_pair(x, y, use, cause, effect))
+            except errors.ArdlkitError as exc:
+                rows.append(causality._errored(cause, effect, str(exc)))
+    return rows
+
+
 class TestCausalityMatrix:
     def test_both_directions_per_pair(self, coint_frame):
         reports = causality_matrix(coint_frame, ("X1",), "Y", lag=2)
@@ -175,6 +209,69 @@ class TestCausalityMatrix:
     def test_auto_lag(self, coint_frame):
         reports = causality_matrix(coint_frame, ("X1",), "Y")
         assert all(r.lag >= 1 for r in reports)
+
+    @pytest.mark.parametrize("T", [20, 33, 80])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_rows_equal_the_per_pair_tests(self, T, k):
+        frame = frame_k(k, T)
+        names = tuple(f"X{j}" for j in range(1, k + 1))
+        for lag in ("auto", 1, 2, 3, 4):
+            reports = causality_matrix(frame, names, "Y", lag)
+            assert [repr(r) for r in reports] == [repr(r) for r in per_pair(frame, names, "Y", lag)]
+            assert all(r.error is None for r in reports)
+
+    def test_singular_pair_fails_alone(self):
+        # X1(t) = Y(t-1): at lag 2, X1's first lag repeats Y's second
+        frame = frame_k(2, 60, seed=3)
+        y = frame.column("Y")
+        frame = make_frame({"Y": y, "X1": np.concatenate([[0.0], y[:-1]]),
+                            "X2": frame.column("X2")})
+        reports = causality_matrix(frame, ("X1", "X2"), "Y", 2)
+        for report, (x, y) in zip(reports[:2], (("X1", "Y"), ("Y", "X1"))):
+            with pytest.raises(errors.RankDeficient) as exc:
+                granger_pair(frame.column(x), frame.column(y), 2)
+            assert report.error == str(exc.value)
+            assert (report.cause, report.effect, report.lag, report.nobs) == (x, y, 0, 0)
+        assert reports[2:] == causality_matrix(frame, ("X2",), "Y", 2)
+        assert all(r.error is None for r in reports[2:])
+
+    @pytest.mark.parametrize("T, lag, error", [(20, 9, errors.SeriesTooShort),
+                                               (7, 2, errors.TooFewObservations)])
+    def test_lag_too_large_for_the_sample(self, T, lag, error):
+        frame = frame_k(2, T)
+        reports = causality_matrix(frame, ("X1", "X2"), "Y", lag)
+        with pytest.raises(error) as exc:
+            granger_pair(frame.column("X1"), frame.column("Y"), lag)
+        assert [r.error for r in reports] == [str(exc.value)] * 4
+        assert reports == per_pair(frame, ("X1", "X2"), "Y", lag)
+
+    def test_dependent_as_variable_errors_in_place(self):
+        frame = frame_k(2, 33)
+        reports = causality_matrix(frame, ("X1", "Y", "X2"), "Y")
+        assert [(r.cause, r.effect) for r in reports[2:4]] == [("Y", "Y")] * 2
+        assert all(r.error == "variable equals the dependent" for r in reports[2:4])
+        assert reports[:2] + reports[4:] == causality_matrix(frame, ("X1", "X2"), "Y")
+
+    def test_unknown_variable_raises(self):
+        frame = frame_k(2, 33)
+        with pytest.raises(errors.UnknownVariable):
+            causality_matrix(frame, ("X1", "X9"), "Y")
+        with pytest.raises(errors.UnknownVariable):
+            causality_matrix(frame, ("X1",), "Z")
+
+    def test_one_lag_search_per_matrix(self, monkeypatch):
+        frame = frame_k(5, 33)
+        search = Counted(monkeypatch, "subset_criteria", causality)
+        causality_matrix(frame, tuple(f"X{j}" for j in range(1, 6)), "Y")
+        assert search.calls == 1  # the per-pair loop made one per ordered pair
+
+    @pytest.mark.parametrize("lag", ["auto", 3])
+    def test_two_stacked_fits_per_lag(self, monkeypatch, lag):
+        frame = frame_k(5, 33)  # its auto lags are 1, 3 and 4
+        fits = Counted(monkeypatch, "ols_stack", causality)
+        reports = causality_matrix(frame, tuple(f"X{j}" for j in range(1, 6)), "Y", lag)
+        assert all(r.error is None for r in reports)
+        assert fits.calls == 2 * len({r.lag for r in reports})
 
 
 class TestClassifyDirection:

@@ -20,6 +20,7 @@ from ardlkit.regression import (
     singular_value_ratio,
     subset_criteria,
     tail_probability,
+    wald_f,
     wald_f_zero,
 )
 from ardlkit.synthetic import ar1, normals, random_walk
@@ -140,6 +141,18 @@ class TestWaldF:
         with pytest.raises(ValueError):
             wald_f_zero(fit, (), 1.0)
 
+    def test_wald_f_zero_is_wald_f_on_the_fit(self):
+        y = normals(4, 30)
+        X = np.column_stack([np.ones(30), normals(5, 30), normals(6, 30)])
+        fit = ols(y, X)
+        restricted = ols(y, X[:, :1]).rss
+        # either side of the negative-numerator rule's -1e-10 * max(rss, 1)
+        tol = 1e-10 * max(fit.rss, 1.0)
+        for rss_r in (restricted, fit.rss, fit.rss * 0.5, fit.rss - 2 * tol, fit.rss - tol / 2):
+            assert wald_f_zero(fit, (1, 2), rss_r) == wald_f(fit.rss, rss_r, 2, fit.df_resid)
+        assert wald_f(fit.rss, fit.rss - 2 * tol, 2, fit.df_resid) == (0.0, 1.0, True)
+        assert wald_f(fit.rss, fit.rss - tol / 2, 2, fit.df_resid) == (0.0, 1.0, False)
+
 
 class TestInfoCriterion:
     def test_closed_forms(self):
@@ -176,17 +189,18 @@ def ratio(X) -> float:
 
 
 class Counted:
-    """Counts the calls of ``np.linalg.<name>`` while patched in."""
+    """Counts the calls of ``module.<name>`` (``np.linalg`` by default) while
+    patched in."""
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, module=np.linalg):
         self.calls = 0
-        real = getattr(np.linalg, name)
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
 
 class TestSubsetRss:
