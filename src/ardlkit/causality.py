@@ -17,6 +17,7 @@ the one-pair case.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +56,14 @@ def _granger_designs(causes: np.ndarray, effects: np.ndarray, lag: int):
     return effects[:, lag:], X
 
 
-def granger_block(causes, effects, labels, lag: int | str = "auto", *, max_lag: int = 4,
-                  criterion: str = "aic") -> list[CausalityReport | ArdlkitError]:
+def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityReport | ArdlkitError]:
     """Whether row r of ``causes`` Granger-causes row r of ``effects``, both
     (R, n) arrays, for every r, with one outcome per row: its report,
     labelled by the (cause, effect) names ``labels[r]``, or the
     ``ArdlkitError`` that row raised.
 
-    ``lag`` is a fixed lag, or "auto" for each pair's lag by ``criterion``
-    over 1..``max_lag`` as ``select_granger_lag`` describes.  One
+    ``lag`` is a fixed lag, or "auto" for each pair's lag as
+    ``select_granger_lag`` picks it with its defaults (AIC over 1..4).  One
     ``subset_criteria`` call scores the lag search of every pair, and the
     pairs that use the same lag share one ``ols_stack`` of the
     unrestricted model and one of the restricted.  Each row's numbers are
@@ -75,7 +75,7 @@ def granger_block(causes, effects, labels, lag: int | str = "auto", *, max_lag: 
         return []
     if lag == "auto":
         try:
-            lags = _search_lags(causes, effects, max_lag, criterion)
+            lags = _search_lags(causes, effects, 4, "aic")
         except SeriesTooShort as exc:  # the rows share n, so they fail alike
             return [exc] * len(effects)
     elif int(lag) < 1:
@@ -150,9 +150,9 @@ def _one_pair(x, y):
 
 def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> CausalityReport:
     """Test whether lags of x improve prediction of y beyond y's own lags:
-    the one-pair ``granger_block``, its error raised.  Series of unequal
-    length are trimmed to their common tail."""
-    [outcome] = granger_block(*_one_pair(x, y), [(cause, effect)], lag)
+    the one-pair ``granger_block`` at the fixed ``lag``, its error raised.
+    Series of unequal length are trimmed to their common tail."""
+    [outcome] = granger_block(*_one_pair(x, y), [(cause, effect)], operator.index(lag))
     if isinstance(outcome, ArdlkitError):
         raise outcome
     return outcome

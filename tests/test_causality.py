@@ -86,6 +86,13 @@ class TestGrangerPair:
         with pytest.raises(ValueError):
             granger_pair(x, y, 0)
 
+    @pytest.mark.parametrize("lag", ["auto", 2.0])
+    def test_lag_must_be_an_integer(self, lag):
+        # a lag search is select_granger_lag's; granger_pair tests one fixed lag
+        x, y = causal_pair()
+        with pytest.raises(TypeError):
+            granger_pair(x, y, lag)
+
     def test_too_short(self):
         with pytest.raises(errors.SeriesTooShort):
             granger_pair(np.arange(8.0), np.arange(8.0) ** 2, 3)
