@@ -20,7 +20,7 @@ import numpy as np
 from . import ardl as ardl_mod
 from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
-from .errors import ArdlkitError, DataError, PreconditionError, UnknownVariable
+from .errors import ArdlkitError, DataError, InvalidParams, PreconditionError, UnknownVariable
 from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, KernelSpec
 from .report import FORMATS, PipelineReport, render
@@ -57,7 +57,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         try:
-            self.model_spec()
+            object.__setattr__(self, "level", self.model_spec().level)
             KernelSpec(bandwidth=self.bandwidth)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -379,7 +379,11 @@ def _cmd_mc(args) -> int:
         params = {"rho": args.rho}
     elif args.dgp == "random_walk":
         params = {"drift": args.drift}
-    dgp = synthetic.Dgp(args.dgp, args.T, args.seed, params)
+    try:
+        dgp = synthetic.Dgp(args.dgp, args.T, args.seed, params)
+        synthetic.check_reps(args.reps)
+    except InvalidParams as exc:
+        raise UsageError(str(exc)) from None
     result = synthetic.mc_rejection_rate(_mc_test(args), dgp,
                                          args.reps, args.level, collect=True)
     out_dir = Path(args.out)

@@ -108,8 +108,10 @@ class ModelSpec:
             raise ValueError("max_q must be >= 0")
         if self.deterministic not in DETERMINISTICS:
             raise ValueError(f"deterministic must be one of {DETERMINISTICS}")
-        if not any(math.isclose(self.level, lv) for lv in LEVELS):
+        level = next((lv for lv in LEVELS if math.isclose(self.level, lv)), None)
+        if level is None:
             raise ValueError(f"level must be one of {LEVELS}")
+        object.__setattr__(self, "level", level)  # lookups keyed by level match exactly
 
     def validate_against(self, frame: TimeSeriesFrame) -> None:
         for name in (self.dependent, *self.regressors):

@@ -8,8 +8,9 @@ alone.  Rank detection, the solution, and (X'X)^-1 all come from that
 one rank-revealing factorization; severe collinearity among lagged logs
 is the expected failure mode and is reported with the offending columns.
 Every lag search (ARDL, unit-root, Granger) is scored by one function,
-``subset_criteria``, through one batched QR of its chains of nested
-column lists.
+``subset_criteria``, from one Householder QR of [X | y]: its R scores one
+chain of leading columns, and one batched QR of R's columns scores any
+other chains of nested column lists.
 """
 
 from __future__ import annotations
@@ -241,20 +242,19 @@ def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]
 
     The lists are scored in chains: a list that has the one before it as
     its prefix extends that one's chain, and any other list starts a chain.
-    Each row's bound is the ``singular_value_ratio`` of its X, from the one
-    SVD of X the search takes, before any QR; dropping columns cannot lower
-    it, so it bounds the ratio of every list.  A row whose bound is at least RANK_TOL * RANK_MARGIN, so
-    that ``ols`` accepts each list, is scored from RSS, and the other rows
-    are fitted by ``ols``.  When any row is scored from RSS, one batched
-    Householder QR factors [X[r][:, chain] | 0 | Y[r]] for every chain of
-    every row, the zeros padding each chain to the widest, w columns: the
-    RSS of a chain's first m columns is the sum of R[i, w]**2 over i >= m.
-    One chain of X's leading columns, as in every unit-root and Granger
-    search, is factored on its n rows.  Any other search factors its chains
-    on K + 1 rows with the Gram matrix of [X[r] | Y[r]], which give the same
-    R up to signs: U'[X[r] | Y[r]] from the SVD of X[r], taken with U, and a
-    row for Y[r]'s residual.  The short rows keep the ARDL grid's batch
-    small; on one chain, computing U costs more than the rows it saves.
+    Each row's bound is the ``singular_value_ratio`` of its X, from the
+    search's one SVD of X, taken without U before any QR; dropping columns
+    cannot lower it, so it bounds the ratio of every list.  A row whose
+    bound is at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each
+    list, is scored from RSS, and the other rows are fitted by ``ols``.
+    When any row is scored from RSS, one Householder QR factors
+    [X[r] | Y[r]] on its n rows, for every row: the RSS of a chain's first
+    m columns is the sum of R[i, w]**2 over i >= m, where column w holds
+    Y[r] (Golub 1965).  One chain of X's leading columns, as in every
+    unit-root and Granger search, is read off that R.  Any other search
+    takes each chain's columns of R, padded to the widest chain with zero
+    columns, and factors them all in one batched QR on R's K + 1 rows:
+    those columns have the Gram matrix of the data's, so the same R.
     When two or more lists lie within TIE_RTOL (relative) of a row's
     smallest criterion, ``ols`` re-scores them, so a choice between
     near-equal criteria rests on exact values.
@@ -277,25 +277,20 @@ def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]
     lead = tips == [list(range(width))]  # one chain of leading columns
     bounds = [0.0] * len(X)
     if n >= k:
-        svd = np.linalg.svd(X, full_matrices=False, compute_uv=not lead)
-        bounds = [singular_value_ratio(row) for row in (svd if lead else svd.S).tolist()]
+        bounds = [singular_value_ratio(row)
+                  for row in np.linalg.svd(X, compute_uv=False).tolist()]
     rss = np.empty((len(X), len(fits)))  # read only for the rows scored from RSS
     if fits and max(bounds, default=0.0) >= RANK_TOL * RANK_MARGIN:
-        if lead:
-            stacked = np.concatenate([X[:, :, :width], Y[..., None]], axis=2)[:, None]
-        else:
-            # [X[r] | Y[r] | 0] on k + 1 rows with its Gram matrix, which fixes
-            # every R: U'X = S V', U'Y, and Y's residual off X, from X's SVD
-            u, s, vt = svd
-            uy = (u.transpose(0, 2, 1) @ Y[..., None])[..., 0]
-            table = np.zeros((len(X), k + 2, k + 1))  # the columns as rows
-            table[:, :k, :k] = vt.transpose(0, 2, 1) * s[:, None, :]
-            table[:, k, :k] = uy
-            table[:, k, k] = np.linalg.norm(Y - (u @ uy[..., None])[..., 0], axis=1)
+        # R[i, j] = h[..., j, i] for i <= j: raw mode keeps R transposed
+        w = width if lead else k
+        h = np.linalg.qr(np.concatenate([X[:, :, :w], Y[..., None]], axis=2), mode="raw")[0]
+        if not lead:
+            # R's columns and a zero column, as rows: [X[r] | Y[r]] = Q R, so
+            # any of R's columns give the R of the same columns of the data
+            cols = np.zeros((len(X), k + 2, k + 1))
+            cols[:, :k + 1, :n] = np.tril(h[..., :k + 1])
             index = [tip + [k + 1] * (width - len(tip)) + [k] for tip in tips]
-            stacked = table[:, index].transpose(0, 1, 3, 2)
-        # R[i, width] = h[..., width, i]: raw mode keeps R transposed
-        h = np.linalg.qr(stacked, mode="raw")[0]
+            h = np.linalg.qr(cols[:, index].transpose(0, 1, 3, 2), mode="raw")[0]
         # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
         tail = np.cumsum(h[..., width, width::-1] ** 2, axis=-1).reshape(len(X), -1)
         rss = tail[:, [c * (width + 1) + width - m for c, m in zip(chain, sizes)]]

@@ -185,6 +185,12 @@ class McResult:
     rows: tuple  # (replication, statistic, reject) triples
 
 
+def check_reps(reps: int) -> None:
+    """Raise ``InvalidParams`` unless ``reps`` is at least 100."""
+    if reps < 100:
+        raise InvalidParams(f"reps must be >= 100, got {reps}")
+
+
 def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
                       collect: bool = False) -> McResult:
     """Fraction of replications rejecting at ``level``.
@@ -197,8 +203,7 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
     raises an ``ArdlkitError`` or ``LinAlgError``; more than 1% failures
     aborts, and any other exception propagates.
     """
-    if reps < 100:
-        raise InvalidParams(f"reps must be >= 100, got {reps}")
+    check_reps(reps)
     rejections = 0
     failures = 0
     rows = []

@@ -162,6 +162,8 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
         too_short = f"PP needs n >= 15, got {n}" if n < 15 else None
     elif test in ("adf", "dfgls"):
         max_lag = default_max_lag(n) if max_lag is None else max_lag
+        if max_lag < 0:
+            raise ValueError("max_lag must be >= 0")
         name = "ADF" if test == "adf" else "DF-GLS"
         too_short = (f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})"
                      if n < max_lag + 10 else None)

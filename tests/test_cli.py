@@ -82,6 +82,10 @@ class TestPipelineConfig:
             if field.name not in ("data_path", "dependent", "regressors"):
                 assert getattr(config, field.name) == field.default, field.name
 
+    def test_near_equal_level_is_stored_as_that_level(self):
+        config = PipelineConfig("d.csv", "Y", ("X1",), level=0.10000000001)
+        assert config.level == 0.10 and config.model_spec().level == 0.10
+
     def test_unknown_key_named(self):
         with pytest.raises(UsageError, match="max_lags"):
             PipelineConfig.from_dict(
@@ -199,14 +203,25 @@ class TestExitCodes:
         # the unit-root tables have no 20% or 2.5% critical values
         ["mc", "--test", "adf", "--level", "0.2"],
         ["mc", "--test", "dfgls", "--level", "0.025"],
+        # mc's own range checks: at least 100 replications, T >= 10, |rho| < 1
+        ["mc", "--test", "adf", "--reps", "50"],
+        ["mc", "--test", "adf", "--T", "5"],
+        ["mc", "--test", "adf", "--dgp", "ar1", "--rho", "1.5"],
     ], ids=["level", "dependent-as-regressor", "bandwidth", "dols-leads", "granger-lag",
             "granger-lag-0", "unitroot-level", "unitroot-bandwidth", "mc-adf-level",
-            "mc-dfgls-level"])
+            "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mc_failing_replications_are_numerical_errors(self, tmp_path, capsys):
+        # at T = 10 every ADF replication is too short for its default max lag
+        out = tmp_path / "o"
+        rc = main(["mc", "--test", "adf", "--T", "10", "--reps", "100", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "more than 1% of replications failed" in capsys.readouterr().err
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -297,6 +312,16 @@ class TestSubcommands:
         if fmt == "json":
             stability = {"stability"} if command in ("diag", "pipeline") else set()
             assert set(json.loads((out / "report.json").read_text())) == {*tables, *stability}
+
+    def test_near_equal_level_is_that_level(self, tmp_path):
+        # a level within math.isclose of 0.1 is 0.1: the bounds decision, the
+        # unit-root tables and the CUSUM bounds are all read at 10%
+        written = []
+        for level in ("0.1", "0.10000000001"):
+            out = tmp_path / level
+            assert main(["robust", *fixture_args(out), "--level", level]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
 
     def test_mc(self, tmp_path, capsys):
         out = tmp_path / "o"

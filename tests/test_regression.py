@@ -190,14 +190,16 @@ def ratio(X) -> float:
 
 class Counted:
     """Counts the calls of ``module.<name>`` (``np.linalg`` by default) while
-    patched in."""
+    patched in, and keeps each call's keyword arguments."""
 
     def __init__(self, monkeypatch, name, module=np.linalg):
         self.calls = 0
+        self.kwargs = []
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.kwargs.append(kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -241,7 +243,7 @@ class TestSubsetRss:
         subsets = self.subsets(base.shape[1], 40)
         qr = Counted(monkeypatch, "qr")
         criteria(y, base, subsets)
-        assert qr.calls == 1  # one batched QR scores a sound design
+        assert qr.calls == 2  # one QR of [X | y] and one batched QR of the chains
         for eps in (0.0, 4e-9):
             X = base.copy()
             X[:, 5] = X[:, 3] - 2.0 * X[:, 4] + eps * normals(11, X.shape[0])
@@ -251,14 +253,36 @@ class TestSubsetRss:
             assert qr.calls == 0
 
     def test_one_svd_per_search(self, monkeypatch):
-        # the bound and the table of a search of several chains, and the
-        # bound of one chain of leading columns, come from one SVD of X
+        # the bound of a search of several chains, and of one chain of
+        # leading columns, comes from one SVD of X taken without U
         X, y = self.design()
         svd = Counted(monkeypatch, "svd")
         for subsets in (self.subsets(X.shape[1], 40), [[0, 1], [0, 1, 2], [0, 1, 2, 3]]):
-            svd.calls = 0
+            svd.kwargs.clear()
             criteria(y, X, subsets)
-            assert svd.calls == 1
+            assert svd.kwargs == [{"compute_uv": False}]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_several_chains_on_as_few_rows_as_columns(self, extra):
+        # on n = K rows R has n rows, padded to K + 1 by zeros, and on
+        # n = K + 1 it has all K + 1; every list narrower than n is ols's
+        k = 6
+        X, y = self.design(n=k + extra, k=k)
+        subsets = [s for s in self.subsets(k, 40) if len(s) < len(X)] + [[0, 1, 2], [0, 1, 4, 5]]
+        assert ratio(X) >= RANK_TOL * RANK_MARGIN
+        for kind in ("aic", "sic", "hq"):
+            np.testing.assert_allclose(criteria(y, X, subsets, kind),
+                                       ols_criteria(y, X, subsets, kind), rtol=1e-12, atol=0)
+
+    def test_narrow_chain_of_leading_columns_takes_one_qr(self, monkeypatch):
+        # a chain of leading columns that stops short of X's last columns is
+        # still one chain: one QR, and ols's criteria
+        X, y = self.design()
+        prefixes = [[0, 1], [0, 1, 2], [0, 1, 2, 3]]
+        qr = Counted(monkeypatch, "qr")
+        scores = criteria(y, X, prefixes)
+        assert qr.calls == 1
+        np.testing.assert_allclose(scores, ols_criteria(y, X, prefixes, "aic"), rtol=1e-12, atol=0)
 
     def test_criteria_match_ols(self):
         X, y = self.design()

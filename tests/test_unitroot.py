@@ -136,6 +136,12 @@ class TestLagSelection:
                 test(RW, max_lag=max_lag, criterion="x")
 
 
+    @pytest.mark.parametrize("test", [adf, dfgls], ids=["adf", "dfgls"])
+    def test_negative_max_lag(self, test):
+        with pytest.raises(ValueError, match="max_lag must be >= 0"):
+            test(RW, max_lag=-1)
+
+
 class TestMackinnonCriticalValues:
     def test_response_surface_values(self):
         # cv = b0 + b1/T + b2/T^2 + b3/T^3 cross-checked against the
