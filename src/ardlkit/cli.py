@@ -355,6 +355,9 @@ def build_parser() -> _Parser:
 def _mc_test(args):
     """The (frame, level, seed) -> (statistic, reject) test of ``mc``."""
     if args.test == "granger":
+        if not 0 < args.level < 1:
+            raise UsageError(f"--level must be in (0, 1), got {args.level}")
+
         def run_granger(frame, level, seed):
             # independent AR(1) cause series from a disjoint seed range
             x = synthetic.ar1(frame.n, seed + 500_000_000, 0.5)

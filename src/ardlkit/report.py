@@ -5,11 +5,26 @@ JSON form carries full-precision floats (Python repr) and is the
 round-trip format; Markdown and CSV are presentation views with
 significance stars (*** 1%, ** 5%, * 10%) and standard errors in
 parentheses.
+
+``report.json`` holds the bytes of ``json.dumps(doc, indent=2)``.
+CPython's C encoder serves only ``indent=None``, so ``dumps_indented``
+walks in Python only the containers that hold other containers, and
+hands each container of scalars, at any depth, to one
+``JSONEncoder.encode`` call, which takes the C encoder.  That encoder's
+item separator is a comma, a newline and the indentation of the
+container's items, so between the brackets it writes exactly what
+``indent=2`` writes there; the walker adds the line breaks after the
+opening and before the closing bracket.  Keys and the scalars beside
+nested containers go through the same encoders one at a time, so every
+string, number and key is written by json itself.  Without ``_json``
+the encoder falls back to json's own Python encoder, with the same
+bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -135,9 +150,9 @@ class PipelineReport:
                 {
                     "statistic": p.statistic,
                     "t_index": list(p.t_index),
-                    "values": [float(v) for v in p.values],
-                    "lower": [float(v) for v in p.lower],
-                    "upper": [float(v) for v in p.upper],
+                    "values": p.values.tolist(),
+                    "lower": p.lower.tolist(),
+                    "upper": p.upper.tolist(),
                     "stable": p.stable,
                 }
                 for p in self.stability
@@ -259,6 +274,46 @@ def diagnostics_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]
 
 # ------------------------------------------------------------- rendering
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The encoder of a container at ``depth``: its items on their own
+    lines, indented by ``depth + 1`` steps of two spaces.  A scalar or a
+    key encodes the same at every depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: str, int, float, bool and
+    None keys as a JSON string, any other key a ``TypeError``."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _encoder(0).encode(key)
+    return _encoder(0).encode(key)
+
+
+def dumps_indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for ``obj`` nested
+    ``depth`` containers deep; an unsupported type raises ``TypeError``."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(depth).encode(obj)
+    is_dict = isinstance(obj, dict)
+    pad = "\n" + "  " * (depth + 1)
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        body = _encoder(depth).encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + pad).join(f"{_key(k)}: {dumps_indented(v, depth + 1)}"
+                                for k, v in obj.items())
+    else:
+        body = ("," + pad).join(dumps_indented(v, depth + 1) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{pad}{body}\n{'  ' * depth}{closing}"
+
+
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     width = len(header)
     out = ["| " + " | ".join(header) + " |",
@@ -278,12 +333,10 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def stability_csv(path: StabilityPath) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "value", "lower", "upper"])
-    for t, v, lo, hi in zip(path.t_index, path.values, path.lower, path.upper):
-        writer.writerow([t, repr(float(v)), repr(float(lo)), repr(float(hi))])
-    return buf.getvalue()
+    # a float repr holds no character the csv module would quote
+    rows = zip(path.t_index, path.values.tolist(), path.lower.tolist(), path.upper.tolist())
+    return "t,value,lower,upper\n" + "".join(
+        f"{t},{v!r},{lo!r},{hi!r}\n" for t, v, lo, hi in rows)
 
 
 def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> str:
@@ -295,17 +348,16 @@ def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> s
     y_min -= pad
     y_max += pad
     margin = 40.0
-
-    def sx(x: float) -> float:
-        if xs[-1] == xs[0]:
-            return margin
-        return margin + (x - xs[0]) / (xs[-1] - xs[0]) * (width - 2 * margin)
-
-    def sy(y: float) -> float:
-        return height - margin - (y - y_min) / (y_max - y_min) * (height - 2 * margin)
+    if xs[-1] == xs[0]:
+        px = np.full(xs.shape, margin)
+    else:
+        px = margin + (xs - xs[0]) / (xs[-1] - xs[0]) * (width - 2 * margin)
+    px = px.tolist()
 
     def polyline(values, color: str, dash: str = "") -> str:
-        pts = " ".join(f"{sx(x):.2f},{sy(float(v)):.2f}" for x, v in zip(xs, values))
+        ys = np.asarray(values, dtype=float)
+        py = (height - margin) - (ys - y_min) / (y_max - y_min) * (height - 2 * margin)
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, py.tolist()))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                 f'{extra} points="{pts}"/>')
@@ -336,7 +388,7 @@ def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
 
     if fmt == "json":
         p = out_dir / "report.json"
-        p.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        p.write_text(dumps_indented(report.to_dict()) + "\n")
         written.append(p)
     else:
         ext = "md" if fmt == "markdown" else "csv"

@@ -78,6 +78,9 @@ class Dgp:
         if self.kind not in ("random_walk", "ar1", "ecm_system"):
             raise InvalidParams(f"unknown DGP kind {self.kind!r}")
         p = self.params
+        for name in ("rho", "sigma", "drift", "alpha", "delta", "intercept", "beta"):
+            if name in p and not np.all(np.isfinite(p[name])):
+                raise InvalidParams(f"{name} must be finite, got {p[name]!r}")
         if self.kind == "ar1":
             if p.get("sigma", 1.0) <= 0:
                 raise InvalidParams("sigma must be > 0")

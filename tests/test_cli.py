@@ -207,9 +207,16 @@ class TestExitCodes:
         ["mc", "--test", "adf", "--reps", "50"],
         ["mc", "--test", "adf", "--T", "5"],
         ["mc", "--test", "adf", "--dgp", "ar1", "--rho", "1.5"],
+        # the Granger test takes any level in (0, 1), and no DGP parameter
+        # may be NaN or infinite
+        ["mc", "--test", "granger", "--level", "1.5", "--reps", "100", "--T", "30"],
+        ["mc", "--test", "pp", "--dgp", "ar1", "--rho", "nan", "--reps", "100"],
+        ["mc", "--test", "adf", "--drift", "nan", "--reps", "100"],
+        ["mc", "--test", "adf", "--drift", "inf", "--reps", "100"],
     ], ids=["level", "dependent-as-regressor", "bandwidth", "dols-leads", "granger-lag",
             "granger-lag-0", "unitroot-level", "unitroot-bandwidth", "mc-adf-level",
-            "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho"])
+            "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho", "mc-granger-level", "mc-rho-nan",
+            "mc-drift-nan", "mc-drift-inf"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE

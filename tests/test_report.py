@@ -1,0 +1,135 @@
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from ardlkit.cli import PipelineConfig, run_pipeline
+from ardlkit.diagnostics import StabilityPath
+from ardlkit.report import dumps_indented, stability_csv, stability_svg
+
+from conftest import FIXTURE_CSV
+
+
+@pytest.fixture(scope="module")
+def fixture_report():
+    return run_pipeline(PipelineConfig(data_path=str(FIXTURE_CSV), dependent="Y",
+                                       regressors=("X1", "X2", "X3", "X4", "X5")))
+
+
+ADVERSARIAL = {
+    "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {"c": {}}}],
+    "nonfinite": [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+    "text": ["é ü ☃ 😀", "\x00\x1f\x7f\n\r\t\"\\", '", ', "[", "{", '": ', "]}", ",\n  ", "null"],
+    "scalars": [True, False, None, 0, -3, 10**30, 1.5e-300, np.float64(0.1), -0.0],
+    "tuples": [(1, 2), ((),), ("a", (None, 2.5)), ()],
+    "lists of dicts": [{"a": 1}, {"b": [1, {"c": ()}]}, {}],
+    "dicts of lists": {"x": [1.5, 2], "y": ["a"], "z": [[]]},
+    "keys": {1: "int", 2.5: [1], True: {}, None: [None], float("inf"): [[]], "é\n": {"ключ": 1}},
+    '", [{': {'": ': [{"]": "}"}]},
+    "mixed": [1, [2, [3, []]], {"k": "v"}, "s"],
+}
+
+
+@pytest.mark.parametrize("doc", [
+    ADVERSARIAL, [ADVERSARIAL, [ADVERSARIAL]], 1, -2.5, "x", None, True, float("nan"),
+    [], {}, (), np.float64(2.0), [[[]]], {"": {"": ""}},
+], ids=["adversarial", "nested-adversarial", "int", "float", "str", "none", "bool", "nan",
+        "empty-list", "empty-dict", "empty-tuple", "float64", "nested-empty", "empty-keys"])
+def test_dumps_indented_equals_stdlib(doc):
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(1), {1, 2}, [np.int64(1)], {"a": [{1}]}, {"a": [1, {"b": {2}}]},
+    {(1,): [1]}, {(1,): 1},
+], ids=["int64", "set", "int64-in-list", "set-deep", "set-beside-scalar",
+        "tuple-key", "tuple-key-of-scalars"])
+def test_dumps_indented_rejects_what_stdlib_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        dumps_indented(doc)
+
+
+def test_report_keys_are_str(fixture_report):
+    def keys(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield k
+                yield from keys(v)
+        elif isinstance(node, (list, tuple)):
+            for v in node:
+                yield from keys(v)
+
+    found = list(keys(fixture_report.to_dict()))
+    assert found and all(type(k) is str for k in found)
+
+
+# --------------------------------------------- per-point reference rows
+
+def reference_csv(path: StabilityPath) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "value", "lower", "upper"])
+    for t, v, lo, hi in zip(path.t_index, path.values, path.lower, path.upper):
+        writer.writerow([t, repr(float(v)), repr(float(lo)), repr(float(hi))])
+    return buf.getvalue()
+
+
+def reference_points(path: StabilityPath, values, width=640, height=400) -> str:
+    xs = np.asarray(path.t_index, dtype=float)
+    all_y = np.concatenate([path.values, path.lower, path.upper])
+    y_min, y_max = float(all_y.min()), float(all_y.max())
+    pad = 0.05 * (y_max - y_min or 1.0)
+    y_min -= pad
+    y_max += pad
+    margin = 40.0
+
+    def sx(x):
+        if xs[-1] == xs[0]:
+            return margin
+        return margin + (x - xs[0]) / (xs[-1] - xs[0]) * (width - 2 * margin)
+
+    def sy(y):
+        return height - margin - (y - y_min) / (y_max - y_min) * (height - 2 * margin)
+
+    return " ".join(f"{sx(x):.2f},{sy(float(v)):.2f}" for x, v in zip(xs, values))
+
+
+def synthetic_paths():
+    """(path, width, height): a one-point path, a constant path, steps near
+    the rounding of the coordinates, and a drawing 0 high, where the two
+    points just below the middle of the bounds fall at y = -0.0004 and
+    -0.0007 and print as -0.00."""
+    yield StabilityPath("cusum", (7,), np.array([0.3]), np.array([-1.0]), np.array([1.0]),
+                        True), 640, 400
+    flat = np.full(5, 2.0)
+    yield StabilityPath("cusum_sq", tuple(range(3, 8)), flat, flat, flat, True), 640, 400
+    v = np.array([0.0, 1e-6, -1e-6, 3.0, 3.0000001, 2.9999999])
+    yield StabilityPath("cusum", tuple(range(10, 16)), v, v - 1e-12, v + 1e-12, False), 640, 400
+    ones = np.ones(4)
+    yield StabilityPath("cusum", (1, 2, 3, 4), np.array([-1e-5, -2e-5, 0.0, 1e-5]),
+                        -ones, ones, True), 640, 0
+
+
+def check_rows(path: StabilityPath, width: int = 640, height: int = 400):
+    assert stability_csv(path) == reference_csv(path)
+    svg = stability_svg(path, width, height)
+    for values in (path.upper, path.lower, path.values):
+        assert f'points="{reference_points(path, values, width, height)}"' in svg
+    return svg
+
+
+@pytest.mark.parametrize("path,width,height", list(synthetic_paths()),
+                         ids=["one-point", "constant", "near-rounding", "minus-zero"])
+def test_stability_rows_equal_per_point_reference(path, width, height):
+    svg = check_rows(path, width, height)
+    assert (",-0.00 " in svg) == (height == 0)
+
+
+def test_fixture_stability_rows_equal_per_point_reference(fixture_report):
+    assert [p.statistic for p in fixture_report.stability] == ["cusum", "cusum_sq"]
+    for path in fixture_report.stability:
+        check_rows(path)

@@ -128,6 +128,21 @@ class TestDgpValidation:
         with pytest.raises(InvalidParams):
             Dgp("ecm_system", 100, 0, {"alpha": -2.5})
 
+    @pytest.mark.parametrize("kind,name", [
+        ("ar1", "rho"), ("ar1", "sigma"), ("random_walk", "drift"),
+        ("ecm_system", "alpha"), ("ecm_system", "sigma"), ("ecm_system", "delta"),
+        ("ecm_system", "intercept"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params(self, kind, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+            Dgp(kind, 100, 0, {name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_beta_entry(self, value):
+        with pytest.raises(InvalidParams, match="beta must be finite"):
+            Dgp("ecm_system", 100, 0, {"beta": (1.0, value, 2.0)})
+
     def test_with_seed(self):
         dgp = Dgp("ar1", 100, 1, {"rho": 0.5})
         assert dgp.with_seed(9).seed == 9
