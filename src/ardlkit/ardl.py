@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import RegressionResult, ols, subset_criteria, wald_f_zero
+from .regression import RegressionResult, ols, search_criteria, search_plan, wald_f_zero
 
 # The critical-bounds tables bounds_test takes.
 BOUNDS_TABLES = ("embedded", "pesaran")
@@ -149,40 +149,49 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     """Exhaustive (p, q_1..q_k) grid search on a common estimation sample.
 
     Every candidate's design is a column subset of the widest one, so
-    ``subset_criteria`` scores the whole grid from that one design.  In
+    ``search_criteria`` scores the whole grid from that one design.  In
     the grid's order the candidates that differ only in q_k come together,
     each a column prefix of the next, and one batched QR factors these
-    chains (162 of 3 at k = 5 and max_p = max_q = 2); the grid and its
-    column lists are built once per (max_p, max_q, k).  A candidate needs
-    at least 5 more observations than parameters.  Ties break toward fewer
-    total lags, then the lexicographically smaller (p, q) tuple.
+    chains (162 of 3 at k = 5 and max_p = max_q = 2).  A candidate needs
+    at least 5 more observations than parameters; the feasible candidates
+    and their ``SearchPlan`` are built once per (max_p, max_q, k, rows).
+    Ties break toward fewer total lags, then the lexicographically smaller
+    (p, q) tuple: the plan's rank.
     """
     spec.validate_against(frame)
     common_start = 1 + max(spec.max_p - 1, spec.max_q)
     rows = frame.n - common_start
-    candidates, columns, widths = _lag_grid(spec.max_p, spec.max_q, spec.k)
-    feasible = [i for i, width in enumerate(widths) if rows >= width + 5]
-    if not feasible:
+    candidates, plan = _lag_plan(spec.max_p, spec.max_q, spec.k, rows)
+    if not candidates:
         raise NoFeasibleSpec(f"no candidate has 5 observations to spare on the "
                              f"common sample of {rows} rows")
     widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
     lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
-    [scores] = subset_criteria(lhs[None], X[None], [columns[i] for i in feasible], criterion)
-    ranked = [(ic, sum(candidates[i]), candidates[i])
-              for ic, i in zip(scores, feasible) if ic is not None]
-    if not ranked:
+    ranked = search_criteria(lhs[None], X[None], plan, criterion)[0, plan.order]
+    live = np.flatnonzero(~np.isnan(ranked))
+    if not live.size:
         raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "
                              f"common sample of {rows} rows")
-    p, *q = min(ranked)[2]
+    p, *q = candidates[plan.order[live[ranked[live].argmin()]]]
     return ArdlSpec(p, q)
 
 
 @functools.lru_cache(maxsize=None)
+def _lag_plan(max_p: int, max_q: int, k: int, rows: int):
+    """The candidates of the (max_p, max_q) grid for k regressors that have
+    5 observations to spare on ``rows`` common-sample rows, and the
+    ``SearchPlan`` of their columns, built once per key."""
+    candidates, columns, widths = _lag_grid(max_p, max_q, k)
+    feasible = [i for i, width in enumerate(widths) if rows >= width + 5]
+    return (tuple(candidates[i] for i in feasible),
+            search_plan(columns[i] for i in feasible))
+
+
 def _lag_grid(max_p: int, max_q: int, k: int):
-    """The (max_p, max_q) grid of ARDL(p, q_1..q_k) for k regressors, built
-    once per key as three tuples in the grid's order: each candidate
-    (p, q_1, .., q_k); the columns of the widest design that form its
-    design, in ``_conditional_design``'s order; and their count."""
+    """The (max_p, max_q) grid of ARDL(p, q_1..q_k) for k regressors, as
+    three tuples in the grid's order: each candidate (p, q_1, .., q_k); the
+    columns of the widest design that form its design, in
+    ``_conditional_design``'s order; and their count."""
     own = 2 + k  # const and the k + 1 levels precede the lagged differences
     first = own + max_p - 1
     candidates, columns = [], []

@@ -6,7 +6,7 @@ causality; the report legend follows the statistics, not prose
 conventions.
 
 Every test runs through one kernel, ``granger_block``, on a block of
-equal-length (cause, effect) pairs: one ``subset_criteria`` call scores
+equal-length (cause, effect) pairs: one ``search_criteria`` call scores
 the lag search of every pair, and the pairs that use the same lag share
 one stacked fit of the unrestricted model and one of the restricted
 (``regression.ols_stack``).  ``causality_matrix`` makes one call on a
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
 from .frame import TimeSeriesFrame
-from .regression import first_minimum, ols_stack, subset_criteria, wald_f
+from .regression import first_minimum, ols_stack, prefix_plan, search_criteria, wald_f
 
 REPORT_LEVELS = (0.01, 0.05, 0.10)
 
@@ -64,7 +64,7 @@ def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityRepo
 
     ``lag`` is a fixed lag, or "auto" for each pair's lag as
     ``select_granger_lag`` picks it with its defaults (AIC over 1..4).  One
-    ``subset_criteria`` call scores the lag search of every pair, and the
+    ``search_criteria`` call scores the lag search of every pair, and the
     pairs that use the same lag share one ``ols_stack`` of the
     unrestricted model and one of the restricted.  Each row's numbers are
     bitwise those of its one-row block.
@@ -98,8 +98,8 @@ def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
     common sample of the max-lag design.  max_lag is capped at
     max(1, (n - 3) // 2).  With that design's columns in the order
     [const, y_1, x_1, y_2, x_2, ...], the design for each lag is a column
-    prefix, so ``subset_criteria`` scores every lag of every pair as one
-    chain per pair; a lag that ``ols`` rejects is skipped, and
+    prefix, so ``search_criteria`` scores every lag of every pair from one
+    cached ``prefix_plan``; a lag that ``ols`` rejects is skipped, and
     ``first_minimum`` picks the lag."""
     n = effects.shape[1]
     max_lag = min(max_lag, max(1, (n - 3) // 2))
@@ -109,9 +109,9 @@ def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
         raise SeriesTooShort(f"need more than {max_lag} observations for {max_lag} lags, got {n}")
     lhs, X = _granger_designs(causes, effects, max_lag)
     order = [0, *(c for lag in range(1, max_lag + 1) for c in (lag, max_lag + lag))]
-    prefixes = [list(range(1 + 2 * lag)) for lag in range(1, max_lag + 1)]
+    plan = prefix_plan(tuple(range(3, 2 * max_lag + 2, 2)))
     return [1 + first_minimum(scores)
-            for scores in subset_criteria(lhs, X[..., order], prefixes, criterion)]
+            for scores in search_criteria(lhs, X[..., order], plan, criterion).tolist()]
 
 
 def _fit_rows(causes: np.ndarray, effects: np.ndarray, lag: int, labels) -> list:

@@ -20,7 +20,8 @@ import numpy as np
 from . import ardl as ardl_mod
 from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
-from .errors import ArdlkitError, DataError, InvalidParams, PreconditionError, UnknownVariable
+from .errors import (ArdlkitError, DataError, InvalidParams, NotText, PreconditionError,
+                     UnknownVariable)
 from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, KernelSpec
 from .report import FORMATS, PipelineReport, render
@@ -98,9 +99,17 @@ class StageError(ArdlkitError):
         self.cause = cause
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; ``NotText`` if it does not
+    decode.  An ``OSError`` (no such file, a directory) propagates."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotText(path, exc) from None
+
+
 def _load_frame(config: PipelineConfig) -> tuple[TimeSeriesFrame, ModelSpec]:
-    text = Path(config.data_path).read_text()
-    frame = load_csv(text)
+    frame = load_csv(_read_text(config.data_path))
     spec = config.model_spec()
     if config.log_transform:
         frame = natural_log(frame, (spec.dependent, *spec.regressors))
@@ -292,7 +301,7 @@ def _add_bounds_table_flag(p: argparse.ArgumentParser):
 def _config_from_args(args) -> PipelineConfig:
     if args.command == "pipeline":
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(_read_text(args.config))
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid JSON config: {exc}") from exc
         config = PipelineConfig.from_dict(raw)
@@ -410,7 +419,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         if args.command == "unitroot":
-            frame = _stage("load")(load_csv, Path(args.data).read_text())
+            frame = _stage("load")(load_csv, _read_text(args.data))
             report = PipelineReport(unit_root=_stage("unit_root")(
                 run_unit_roots, frame, args.vars or frame.names, args.deterministic,
                 args.bandwidth, args.level))
@@ -439,7 +448,7 @@ def main(argv=None) -> int:
     except ArdlkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input that cannot be read, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

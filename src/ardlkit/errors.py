@@ -17,6 +17,11 @@ class DataError(ArdlkitError):
     """Invalid input data (CSV parsing, series shape, transforms)."""
 
 
+class NotText(DataError):
+    def __init__(self, path: str, exc: UnicodeDecodeError):
+        super().__init__(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}")
+
+
 class RaggedRow(DataError):
     def __init__(self, row: int, expected: int, got: int):
         super().__init__(f"row {row}: expected {expected} fields, got {got}")

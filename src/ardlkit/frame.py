@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,13 @@ class TimeSeriesFrame:
         n = len(self.years)
         if n < 1:
             raise EmptyBody()
-        years = np.asarray(self.years)
-        # one vector test in the usual case; the loop names the first bad pair.
-        # The span test catches a step that wraps around int64 to 1.
-        if (years.dtype.kind != "i" or int(self.years[-1]) - int(self.years[0]) != n - 1
-                or (np.diff(years) != 1).any()):
+        # one tuple comparison in the usual case, consecutive integers; the
+        # loop decides any other index and names its first bad pair
+        try:
+            start = operator.index(self.years[0])
+        except TypeError:
+            start = None
+        if start is None or tuple(self.years) != tuple(range(start, start + n)):
             self._check_years()
         for name, col in self.columns.items():
             if len(col) != n:

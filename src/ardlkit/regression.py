@@ -8,13 +8,17 @@ alone.  Rank detection, the solution, and (X'X)^-1 all come from that
 one rank-revealing factorization; severe collinearity among lagged logs
 is the expected failure mode and is reported with the offending columns.
 Every lag search (ARDL, unit-root, Granger) is scored by one function,
-``subset_criteria``, from one Householder QR of [X | y]: its R scores one
-chain of leading columns, and one batched QR of R's columns scores any
-other chains of nested column lists.
+``search_criteria``, which returns every row's criteria as one (R, C)
+array.  What a search needs besides the data (its chains of nested column
+lists, their gather and pick indices, the tie-break rank) is a
+``SearchPlan``, built once per search key and cached by the caller.  One
+Householder QR of [X | y] scores one chain of leading columns, and one
+batched QR of R's columns scores any other chains.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +34,7 @@ CRITERIA = ("aic", "sic", "hq")
 # Singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
 
-# subset_criteria scores a row of a search from its QR's RSS only when the
+# search_criteria scores a row of a search from its QR's RSS only when the
 # singular-value ratio of the row's full design, taken before the QR, is at
 # least RANK_MARGIN * RANK_TOL, and fits every subset by ols otherwise; it
 # also re-scores by ols the subsets whose criteria lie within TIE_RTOL
@@ -234,112 +238,183 @@ def wald_f(rss: float, restricted_rss: float, m: int, df_resid: int) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-def subset_criteria(Y, X, subsets, kind: str = "aic") -> list[list[float | None]]:
-    """``info_criterion(ols(Y[r], X[r][:, s]), kind)``, to rounding, for every
-    row Y[r] of Y (R, n) on its X[r] of X (R, n, K) and every column list s
-    in ``subsets``, or None where ``ols`` rejects X[r][:, s]; a list as long
-    as n is None.
+@dataclass(frozen=True, eq=False)
+class SearchPlan:
+    """What a lag search over the column lists ``columns`` needs besides the
+    data, built by ``search_plan`` once per search key and read-only: every
+    caller caches its plans (``prefix_plan``; ``ardl._lag_plan``).
 
     The lists are scored in chains: a list that has the one before it as
     its prefix extends that one's chain, and any other list starts a chain.
+    Every list starts with X's first ``shared`` columns, which R of
+    ``_chain_rss`` already has in triangular form.  ``gather`` holds each
+    chain's other rows of the padded R: its columns after the shared ones,
+    then zero columns (row span + 1) up to the widest list, then y (row
+    span).  It is None for one chain of leading columns, which is read off
+    that R directly.  ``pick`` is each list's place in the flattened tail
+    sums.  ``order`` ranks the lists for ties: narrower first, then in list
+    order, which in the ARDL grid is fewer total lags, then the smaller
+    (p, q).
+    """
+
+    columns: tuple[tuple[int, ...], ...]
+    widths: np.ndarray         # (C,) each list's column count
+    width: int                 # the widest list's
+    order: np.ndarray          # (C,) list indices, best rank first
+    span: int                  # X's leading columns the QR factors
+    shared: int                # leading columns every list starts with
+    gather: np.ndarray | None  # (chains, width + 1 - shared)
+    pick: np.ndarray           # (C,)
+
+
+def search_plan(columns) -> SearchPlan:
+    """The ``SearchPlan`` of the column lists ``columns``."""
+    columns = tuple(tuple(int(c) for c in s) for s in columns)
+    tips, chain = [], []  # each chain's widest list; each list's chain
+    for s in columns:
+        if tips and s[:len(tips[-1])] == tips[-1]:
+            tips[-1] = s
+        else:
+            tips.append(s)
+        chain.append(len(tips) - 1)
+    widths = np.array([len(s) for s in columns], dtype=np.intp)
+    width = span = int(widths.max(initial=0))
+    shared, gather = 0, None
+    if tips and tips != [tuple(range(width))]:
+        span = 1 + max(max(tip, default=-1) for tip in tips)
+        while shared < widths.min() and all(tip[shared] == shared for tip in tips):
+            shared += 1
+        gather = np.array([tip[shared:] + (span + 1,) * (width - len(tip)) + (span,)
+                           for tip in tips], dtype=np.intp)
+    pick = np.asarray(chain, dtype=np.intp) * (width + 1 - shared) + width - widths
+    plan = SearchPlan(columns, widths, width, np.argsort(widths, kind="stable"), span, shared,
+                      gather, pick)
+    for array in (plan.widths, plan.order, plan.gather, plan.pick):
+        if array is not None:
+            array.flags.writeable = False
+    return plan
+
+
+@functools.lru_cache(maxsize=None)
+def prefix_plan(widths: tuple[int, ...]) -> SearchPlan:
+    """The cached plan of the leading-column prefixes of ``widths``: one
+    chain, as in every unit-root and Granger lag search."""
+    return search_plan(tuple(range(w)) for w in widths)
+
+
+def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
+    """``info_criterion(ols(Y[r], X[r][:, s]), kind)``, to rounding, for every
+    row Y[r] of Y (R, n) on its X[r] of X (R, n, K) and every column list s
+    of ``plan``, as one (R, C) array: NaN where ``ols`` rejects X[r][:, s],
+    and for a list as long as n.
+
     Each row's bound is the ``singular_value_ratio`` of its X, from the
     search's one SVD of X, taken without U before any QR; dropping columns
     cannot lower it, so it bounds the ratio of every list.  A row whose
     bound is at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each
-    list, is scored from RSS, and the other rows are fitted by ``ols``.
-    When any row is scored from RSS, one Householder QR factors
-    [X[r] | Y[r]] on its n rows, for every row: the RSS of a chain's first
-    m columns is the sum of R[i, w]**2 over i >= m, where column w holds
-    Y[r] (Golub 1965).  One chain of X's leading columns, as in every
-    unit-root and Granger search, is read off that R.  Any other search
-    takes each chain's columns of R, padded to the widest chain with zero
-    columns, and factors them all in one batched QR on R's K + 1 rows:
-    those columns have the Gram matrix of the data's, so the same R.
-    When two or more lists lie within TIE_RTOL (relative) of a row's
-    smallest criterion, ``ols`` re-scores them, so a choice between
-    near-equal criteria rests on exact values.
+    list, is scored from RSS (``_chain_rss``), and the other rows are
+    fitted by ``ols``.  When two or more lists lie within TIE_RTOL
+    (relative) of a row's smallest criterion, ``ols`` re-scores them, so a
+    choice between near-equal criteria rests on exact values.
     """
     _check_criterion(kind)
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape[1:]
-    fits = [i for i, subset in enumerate(subsets) if len(subset) < n]
-    tips, chain, sizes = [], [], []  # each chain's widest list; each fit's chain, width
-    for i in fits:
-        subset = list(subsets[i])
-        if tips and subset[:len(tips[-1])] == tips[-1]:
-            tips[-1] = subset
+    if plan.width >= n:  # the lists as wide as n score NaN
+        fits = plan.widths < n
+        scores = np.full((len(X), len(plan.columns)), np.nan)
+        scores[:, fits] = search_criteria(
+            Y, X, search_plan(s for s, f in zip(plan.columns, fits) if f), kind)
+        return scores
+    sound = np.zeros(len(X), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n >= k:
+            s = np.linalg.svd(X, compute_uv=False)
+            sound = s[:, -1] / s[:, 0] >= RANK_TOL * RANK_MARGIN  # NaN for a zero X
+        count = np.count_nonzero(sound)
+        if plan.columns and count:
+            scores = n * np.log(_chain_rss(Y, X, plan) / n) + _penalty(n, kind) * plan.widths
+            # the rows with two or more lists near their best, and every
+            # row whose best is -inf, go to _settle_ties, which decides
+            best = scores.min(axis=1, keepdims=True)
+            far = scores - best > TIE_RTOL * np.maximum(np.abs(best), 1.0)
+            ties = sound & (np.add.reduce(far, axis=1) < len(plan.columns) - 1)
         else:
-            tips.append(subset)
-        chain.append(len(tips) - 1)
-        sizes.append(len(subset))
-    width = max(sizes, default=0)
-    lead = tips == [list(range(width))]  # one chain of leading columns
-    bounds = [0.0] * len(X)
-    if n >= k:
-        bounds = [singular_value_ratio(row)
-                  for row in np.linalg.svd(X, compute_uv=False).tolist()]
-    rss = np.empty((len(X), len(fits)))  # read only for the rows scored from RSS
-    if fits and max(bounds, default=0.0) >= RANK_TOL * RANK_MARGIN:
-        # R[i, j] = h[..., j, i] for i <= j: raw mode keeps R transposed
-        w = width if lead else k
-        h = np.linalg.qr(np.concatenate([X[:, :, :w], Y[..., None]], axis=2), mode="raw")[0]
-        if not lead:
-            # R's columns and a zero column, as rows: [X[r] | Y[r]] = Q R, so
-            # any of R's columns give the R of the same columns of the data
-            cols = np.zeros((len(X), k + 2, k + 1))
-            cols[:, :k + 1, :n] = np.tril(h[..., :k + 1])
-            index = [tip + [k + 1] * (width - len(tip)) + [k] for tip in tips]
-            h = np.linalg.qr(cols[:, index].transpose(0, 1, 3, 2), mode="raw")[0]
-        # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
-        tail = np.cumsum(h[..., width, width::-1] ** 2, axis=-1).reshape(len(X), -1)
-        rss = tail[:, [c * (width + 1) + width - m for c, m in zip(chain, sizes)]]
-    return [_settle_criteria(y, x, subsets, fits, row, bound, kind)
-            for y, x, row, bound in zip(Y, X, rss, bounds)]
+            scores = np.empty((len(X), len(plan.columns)))
+            ties = np.zeros(len(X), dtype=bool)
+    if count < len(X):
+        for r in (~sound).nonzero()[0]:
+            scores[r] = [_exact_criterion(Y[r], X[r][:, s], kind) for s in plan.columns]
+    for r in ties.nonzero()[0]:
+        scores[r] = _settle_ties(Y[r], X[r], plan.columns, scores[r].tolist(), kind)
+    return scores
 
 
-def _settle_criteria(y, X, subsets, fits, rss, bound: float, kind: str) -> list[float | None]:
-    """The criteria of ``subset_criteria`` from the RSS and the ratio bound
-    of the subsets in ``fits``: from the RSS when the bound is at least
-    RANK_TOL * RANK_MARGIN, else by ``ols``; then the near-ties re-scored
-    by ``ols``."""
-    n = X.shape[0]
-    scores: list[float | None] = [None] * len(subsets)
+def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
+    """The (R, C) RSS of every row on every list of ``plan``.
+
+    One Householder QR factors [X[r] | Y[r]] on its n rows, for every row:
+    the RSS of a chain's first m columns is the sum of R[i, w]**2 over
+    i >= m, where column w holds Y[r] (Golub 1965).  One chain of X's
+    leading columns, as in every unit-root and Granger search, is read off
+    that R.  Any other plan takes each chain's columns of R, padded to the
+    widest chain with zero columns, and factors them all in one batched QR
+    on R's rows: those columns have the Gram matrix of the data's, so the
+    same R.  The columns every chain starts with are triangular already,
+    so their Householder steps are the identity and the batched QR takes
+    only the other columns, on the rows below them (Furnival & Wilson
+    1974), with the same bits.
+    """
+    width, span, shared = plan.width, plan.span, plan.shared
+    # R[i, j] = h[..., j, i] for i <= j: raw mode keeps R transposed
+    h = np.linalg.qr(np.concatenate([X[:, :, :span], Y[..., None]], axis=2), mode="raw")[0]
+    if plan.gather is not None:
+        # R's columns and a zero column, as rows, below the shared rows:
+        # [X[r] | Y[r]] = Q R, so any of R's columns give the R of the same
+        # columns of the data
+        cols = np.zeros((len(X), span + 2, span + 1 - shared))
+        cols[:, :span + 1, :X.shape[1] - shared] = np.tril(h[..., :span + 1])[..., shared:]
+        h = np.linalg.qr(cols[:, plan.gather].transpose(0, 1, 3, 2), mode="raw")[0]
+        width -= shared
+    # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
+    tail = np.cumsum(h[..., width, width::-1] ** 2, axis=-1).reshape(len(X), -1)
+    return tail[:, plan.pick]
+
+
+def _settle_ties(y, X, columns, scores: list, kind: str) -> list:
+    """``scores`` with the lists within TIE_RTOL of the smallest criterion
+    re-scored by ``ols``, until the near-best ones are all exact."""
     exact: set[int] = set()
-
-    def refit(i: int) -> None:
-        exact.add(i)
-        try:
-            scores[i] = info_criterion(ols(y, X[:, subsets[i]]), kind)
-        except (ArdlkitError, np.linalg.LinAlgError):
-            scores[i] = None
-
-    if bound >= RANK_TOL * RANK_MARGIN:
-        for i, r in zip(fits, rss):
-            scores[i] = criterion_from_rss(float(r), n, len(subsets[i]), kind)
-    else:
-        for i in fits:
-            refit(i)
     while True:
-        live = [(s, i) for i, s in enumerate(scores) if s is not None]
+        live = [s for s in scores if not math.isnan(s)]
         if not live:
             return scores
-        best = min(live)[0]
+        best = min(live)
         window = TIE_RTOL * max(abs(best), 1.0) if math.isfinite(best) else 0.0
-        near = [i for s, i in live if s == best or s - best <= window]
+        near = [i for i, s in enumerate(scores) if s == best or s - best <= window]
         todo = [i for i in near if i not in exact]
         if len(near) < 2 or not todo:
             return scores
         for i in todo:
-            refit(i)
+            exact.add(i)
+            scores[i] = _exact_criterion(y, X[:, columns[i]], kind)
+
+
+def _exact_criterion(y, X, kind: str) -> float:
+    """``info_criterion`` of ``ols(y, X)``, NaN where ``ols`` rejects X."""
+    try:
+        return info_criterion(ols(y, X), kind)
+    except (ArdlkitError, np.linalg.LinAlgError):
+        return math.nan
 
 
 def first_minimum(scores) -> int:
-    """Index of the lowest of ``scores`` (None: skipped), where a later one
+    """Index of the lowest of ``scores`` (NaN: skipped), where a later one
     must beat the best so far by more than 1e-12; 0 if none is scored."""
     best_i, best = 0, math.inf
     for i, score in enumerate(scores):
-        if score is not None and score < best - 1e-12:
+        if score < best - 1e-12:
             best_i, best = i, score
     return best_i
 
@@ -350,12 +425,16 @@ def criterion_from_rss(rss: float, n: int, k: int, kind: str = "aic") -> float:
     _check_criterion(kind)
     if rss <= 0.0:
         return -math.inf
-    base = n * math.log(rss / n)
+    return n * math.log(rss / n) + _penalty(n, kind) * k
+
+
+def _penalty(n: int, kind: str) -> float:
+    """The criterion's penalty per parameter on n observations."""
     if kind == "aic":
-        return base + 2.0 * k
+        return 2.0
     if kind == "sic":
-        return base + k * math.log(n)
-    return base + 2.0 * k * math.log(math.log(n))
+        return math.log(n)
+    return 2.0 * math.log(math.log(n))
 
 
 def _check_criterion(kind: str) -> None:

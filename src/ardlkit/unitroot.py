@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
 from .regression import (KernelSpec, bartlett_variances, first_minimum, interpolate_in_inverse,
-                         ols_stack, subset_criteria)
+                         ols_stack, prefix_plan, search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -189,19 +189,20 @@ def _df_rows(test: str, Y: np.ndarray, deterministic: str, max_lag: int,
     """ADF, or DF-GLS on the GLS-detrended rows, for ``unit_root_block``.
 
     Each row's lag p minimizes the criterion over lags 0..max_lag, the
-    nested column prefixes of the max-lag design on its common sample,
-    by ``first_minimum``.  The statistic is the Dickey-Fuller t-ratio of
-    the ADF(p) regression on its own sample, so the rows that choose the
-    same p share one fit.  Without deterministic terms the detrending is a
-    no-op and DF-GLS is the no-constant Dickey-Fuller regression, so only
-    its trend case takes the ERS table.
+    nested column prefixes of the max-lag design on its common sample
+    (one cached ``prefix_plan``), by ``first_minimum``.  The statistic is
+    the Dickey-Fuller t-ratio of the ADF(p) regression on its own sample,
+    so the rows that choose the same p share one fit.  Without
+    deterministic terms the detrending is a no-op and DF-GLS is the
+    no-constant Dickey-Fuller regression, so only its trend case takes
+    the ERS table.
     """
     terms = deterministic
     if test == "dfgls":
         Y, terms = _gls_detrend_block(Y, deterministic), "none"
     lhs, X = _df_designs(Y, terms, max_lag)
-    prefixes = [list(range(X.shape[2] - max_lag + p)) for p in range(max_lag + 1)]
-    lags = [first_minimum(scores) for scores in subset_criteria(lhs, X, prefixes, criterion)]
+    plan = prefix_plan(tuple(range(X.shape[2] - max_lag, X.shape[2] + 1)))
+    lags = [first_minimum(scores) for scores in search_criteria(lhs, X, plan, criterion).tolist()]
     outcomes: list = [None] * len(lags)
     for p in sorted(set(lags)):
         rows = [r for r, q in enumerate(lags) if q == p]

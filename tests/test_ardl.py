@@ -12,6 +12,7 @@ from ardlkit.ardl import (
     ArdlSpec,
     _conditional_design,
     _lag_grid,
+    _lag_plan,
     bounds_test,
     decide_bounds,
     fit_conditional_ecm,
@@ -20,10 +21,12 @@ from ardlkit.ardl import (
     select_ardl_lags,
 )
 from ardlkit.frame import ModelSpec, TimeSeriesFrame, load_csv
-from ardlkit.regression import criterion_from_rss, info_criterion, ols, subset_criteria
+from ardlkit.regression import (criterion_from_rss, info_criterion, ols, search_criteria,
+                                search_plan)
 from ardlkit.synthetic import ecm_system, random_walk
 
 from conftest import FIXTURE_CSV, make_frame
+from test_regression import Counted
 
 
 def five_var_frame(T=120, seed=99):
@@ -133,11 +136,11 @@ class TestSelectArdlLags:
         start = 1 + max(spec.max_p - 1, spec.max_q)
         lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)), start=start)
         cands = list(scores)
-        [batched] = subset_criteria(lhs[None], X[None],
-                                    [grid_columns(spec, p, q) for p, q in cands], "hq")
+        plan = search_plan(grid_columns(spec, p, q) for p, q in cands)
+        [batched] = search_criteria(lhs[None], X[None], plan, "hq").tolist()
         for cand, ic in zip(cands, batched):
             if scores[cand] is None:
-                assert ic is None
+                assert math.isnan(ic)
             else:
                 assert ic == pytest.approx(scores[cand], rel=1e-12)
 
@@ -150,22 +153,35 @@ class TestSelectArdlLags:
         cheap = min((c for c in scores if c != best), key=lambda c: (c[0] + sum(c[1]), c))
         assert cheap[0] + sum(cheap[1]) < best[0] + sum(best[1])
         assert scores[cheap] - scores[best] > 1e-6 * abs(scores[best])
-        columns = {grid_columns(spec, p, q): (p, q) for p, q in scores}
-        real_settle = regression._settle_criteria
+        real_rss = regression._chain_rss
 
-        def tied_settle(y, X, subsets, fits, rss, bound, kind):
-            rss = rss.copy()
-            n = X.shape[0]
-            cands = [columns[tuple(subsets[i])] for i in fits]
-            b, j = cands.index(best), cands.index(cheap)
-            ic_best = criterion_from_rss(rss[b], n, len(subsets[fits[b]]))
+        def tied_rss(Y, X, plan):
+            rss = real_rss(Y, X, plan)
+            n = X.shape[1]
+            b, j = (plan.columns.index(grid_columns(spec, *cand)) for cand in (best, cheap))
+            ic_best = criterion_from_rss(rss[0, b], n, plan.widths[b])
             target = ic_best - 0.5 * regression.TIE_RTOL * abs(ic_best)
-            rss[j] = n * math.exp((target - 2.0 * len(subsets[fits[j]])) / n)
-            return real_settle(y, X, subsets, fits, rss, bound, kind)
+            rss[0, j] = n * math.exp((target - 2.0 * plan.widths[j]) / n)
+            return rss
 
-        monkeypatch.setattr(regression, "_settle_criteria", tied_settle)
+        monkeypatch.setattr(regression, "_chain_rss", tied_rss)
         chosen = select_ardl_lags(coint_frame, spec, "aic")
         assert (chosen.p, chosen.q) == best
+
+    def test_exact_ties_break_toward_fewer_lags_then_smaller_orders(self, monkeypatch):
+        # every candidate ties, and ARDL(1; 0, 0) is not scored: of the three
+        # with 2 lags, ARDL(1; 0, 1), ARDL(1; 1, 0) and ARDL(2; 0, 0), the
+        # smallest (p, q) wins
+        frame = five_var_frame(T=60)
+        spec = ModelSpec("Y", ("X1", "X2"), max_p=3, max_q=2)
+
+        def tied(Y, X, plan, kind):
+            scores = np.zeros((1, len(plan.columns)))
+            scores[0, plan.order[0]] = np.nan
+            return scores
+
+        monkeypatch.setattr(ardl, "search_criteria", tied)
+        assert select_ardl_lags(frame, spec) == ArdlSpec(1, (0, 1))
 
     def test_fixture_grid_fits_few_candidates_exactly(self, monkeypatch):
         frame = load_csv(FIXTURE_CSV.read_text())
@@ -197,22 +213,24 @@ class TestSelectArdlLags:
             assert tuple(widest[c] for c in cols) == labels
             assert width == len(cols)
 
-    def test_grid_is_built_once_per_key(self, coint_frame):
-        _lag_grid.cache_clear()
+    def test_grid_is_built_once_per_key(self, coint_frame, monkeypatch):
+        # the plan is cached per (max_p, max_q, k, rows): the criterion is
+        # not part of the key, and a shorter sample is another key
+        _lag_plan.cache_clear()
+        builds = Counted(monkeypatch, "search_plan", ardl)
         spec = ModelSpec("Y", ("X1",), max_p=3, max_q=2)
         first = select_ardl_lags(coint_frame, spec)
         assert select_ardl_lags(coint_frame, spec, "sic") and select_ardl_lags(coint_frame, spec)
-        info = _lag_grid.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        info = _lag_plan.cache_info()
+        assert (info.misses, info.hits, builds.calls) == (1, 2, 1)
         assert select_ardl_lags(coint_frame, spec) == first
+        short = TimeSeriesFrame(coint_frame.years[:60],
+                                {name: col[:60] for name, col in coint_frame.columns.items()})
+        select_ardl_lags(short, spec)
+        assert (_lag_plan.cache_info().misses, builds.calls) == (2, 2)
 
     def test_exact_fallback_lets_only_package_errors_skip(self, coint_frame, monkeypatch):
         # every candidate's rank verdict falls to ols, which fails
-        real_settle = regression._settle_criteria
-
-        def borderline(y, X, subsets, fits, rss, bound, kind):
-            return real_settle(y, X, subsets, fits, rss, regression.RANK_TOL, kind)
-
         def rank_deficient(y, X):
             raise errors.RankDeficient([1])
 
@@ -220,7 +238,7 @@ class TestSelectArdlLags:
             raise RuntimeError("not a numerical failure")
 
         spec = ModelSpec("Y", ("X1",))
-        monkeypatch.setattr(regression, "_settle_criteria", borderline)
+        monkeypatch.setattr(regression, "RANK_MARGIN", math.inf)
         monkeypatch.setattr(regression, "ols", rank_deficient)
         with pytest.raises(errors.NoFeasibleSpec, match="every feasible candidate is rank deficient"):
             select_ardl_lags(coint_frame, spec)
@@ -228,9 +246,24 @@ class TestSelectArdlLags:
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             select_ardl_lags(coint_frame, spec)
 
-    def test_unknown_criterion(self, coint_frame):
+    def test_one_svd_and_two_qrs_per_search(self, monkeypatch):
+        # the rank bound's SVD of X, the QR of [X | y], and one batched QR
+        # of the 162 chains of the k = 5 grid, each past the constant and
+        # the 6 levels every candidate holds: 11 columns and y
+        frame = load_csv(FIXTURE_CSV.read_text())
+        spec = ModelSpec("Y", ("X1", "X2", "X3", "X4", "X5"), max_p=2, max_q=2)
+        svd, qr = Counted(monkeypatch, "svd", np.linalg), Counted(monkeypatch, "qr", np.linalg)
+        select_ardl_lags(frame, spec)
+        assert svd.kwargs == [{"compute_uv": False}] and qr.calls == 2
+        _, plan = _lag_plan(2, 2, 5, frame.n - 3)
+        assert plan.gather.shape == (162, 12) and plan.shared == 7 and len(plan.columns) == 486
+
+    def test_unknown_criterion(self, coint_frame, monkeypatch):
+        # rejected before any factorization
+        svd, qr = Counted(monkeypatch, "svd", np.linalg), Counted(monkeypatch, "qr", np.linalg)
         with pytest.raises(ValueError, match="unknown criterion"):
             select_ardl_lags(coint_frame, ModelSpec("Y", ("X1",)), "bic2")
+        assert svd.calls == qr.calls == 0
 
     def test_infeasible_sample(self):
         frame = make_frame({"Y": np.arange(8.0) + 0.1 * np.sin(np.arange(8)),

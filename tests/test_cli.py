@@ -138,6 +138,40 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_data_path_is_a_directory(self, tmp_path, capsys, command):
+        assert main(command_argv(command, tmp_path, tmp_path / "o")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(tmp_path)]) == EXIT_DATA
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_data_that_is_not_utf8(self, tmp_path, capsys, command):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(FIXTURE_CSV.read_bytes().replace(b"Year", b"Ann\xe9e"))
+        assert main(command_argv(command, data, tmp_path / "o")) == EXIT_DATA
+        assert f"{data} is not UTF-8 text: byte 3" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"data_path": "\xff"}')
+        assert main(["pipeline", "--config", str(config)]) == EXIT_DATA
+        assert f"{config} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS, "mc"])
+    def test_out_names_an_existing_file(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        argv = (["mc", "--test", "adf", "--reps", "100", "--T", "30", "--out", str(out)]
+                if command == "mc" else command_argv(command, FIXTURE_CSV, out))
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+        assert out.read_text() == "keep me\n"
+
     def test_unknown_argument(self, capsys):
         assert main(["bounds", "--data", "x.csv", "--frobnicate"]) == EXIT_USAGE
 

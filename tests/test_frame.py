@@ -107,6 +107,36 @@ class TestTimeSeriesFrame:
             TimeSeriesFrame(years, columns)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("years", [
+        tuple(np.arange(1990, 1994)),
+        tuple(np.arange(1990, 1994, dtype=np.int32)),
+        (1990.0, 1991.0, 1992.0, 1993.0),
+        (np.float64(1990.0), 1991, np.int16(1992), 1993.0),
+        (2**63 - 2, 2**63 - 1, 2**63),  # past int64, exact as Python ints
+        (1990,),
+    ])
+    def test_unit_step_years_of_any_number_type(self, years):
+        frame = TimeSeriesFrame(years, {"A": np.zeros(len(years))})
+        assert frame.years == years and frame.n == len(years)
+
+    @pytest.mark.parametrize("years, error, message", [
+        (tuple(np.arange(1990, 1994))[::-1], errors.NonMonotoneYears,
+         "year index must be strictly increasing: 1993 followed by 1992"),
+        # numpy int64 years whose difference wraps around to 1
+        (tuple(np.array([2**63 - 1, -2**63])), errors.NonMonotoneYears,
+         f"year index must be strictly increasing: {2**63 - 1} followed by {-2**63}"),
+        ((1990.0, 1991.5), errors.NonAnnualIndex,
+         "year index must have unit step (annual data): gap between 1990.0 and 1991.5"),
+        ((1990.0, 1990.0), errors.NonMonotoneYears,
+         "year index must be strictly increasing: 1990.0 followed by 1990.0"),
+        ((1990, 1991.0, 1991.5), errors.NonAnnualIndex,
+         "year index must have unit step (annual data): gap between 1991.0 and 1991.5"),
+    ])
+    def test_bad_years_of_any_number_type(self, years, error, message):
+        with pytest.raises(error) as info:
+            TimeSeriesFrame(years, {"A": np.zeros(len(years))})
+        assert str(info.value) == message
+
 
 class TestNaturalLog:
     def test_log_columns_prefixed(self):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ardlkit import errors, regression, unitroot
+from ardlkit import causality, errors, regression, unitroot
 from ardlkit.regression import (
     RANK_MARGIN,
     RANK_TOL,
+    TIE_RTOL,
     KernelSpec,
     criterion_from_rss,
     first_minimum,
@@ -17,14 +18,17 @@ from ardlkit.regression import (
     long_run_covariance,
     long_run_variance,
     ols,
+    prefix_plan,
+    search_criteria,
+    search_plan,
     singular_value_ratio,
-    subset_criteria,
     tail_probability,
     wald_f,
     wald_f_zero,
 )
 from ardlkit.synthetic import ar1, normals, random_walk
 
+import lag_search_sweep
 import tail_oracle
 from conftest import GOLDEN_DIR
 from tail_oracle import FIXTURE_F_TRIPLES
@@ -180,8 +184,8 @@ class TestInfoCriterion:
 
 
 def criteria(y, X, subsets, kind="aic"):
-    """``subset_criteria`` of one row y on its X."""
-    return subset_criteria(y[None], X[None], subsets, kind)[0]
+    """``search_criteria`` of one row y on its X over the lists ``subsets``."""
+    return search_criteria(y[None], X[None], search_plan(subsets), kind)[0].tolist()
 
 
 def ratio(X) -> float:
@@ -293,14 +297,14 @@ class TestSubsetRss:
                 try:
                     expected = info_criterion(ols(y, X[:, s]), kind)
                 except errors.RankDeficient:
-                    assert ic is None
+                    assert math.isnan(ic)
                 else:
                     assert ic == pytest.approx(expected, rel=1e-12)
 
     def test_too_wide_subset_scores_none(self):
         X, y = self.design(n=6, k=6)
-        assert criteria(y, X, [[0, 1], list(range(6))])[1] is None
-        assert criteria(y, X, [list(range(6))]) == [None]
+        assert math.isnan(criteria(y, X, [[0, 1], list(range(6))])[1])
+        assert np.isnan(criteria(y, X, [list(range(6))])).all()
 
     def test_unknown_kind_when_every_subset_is_rank_deficient(self):
         X, y = self.design()
@@ -315,7 +319,7 @@ class TestSubsetRss:
 
 
 def assert_ols_decisions(y, X, subsets, rejected: bool):
-    """Each criterion of ``subset_criteria`` is ``ols``'s, and None exactly
+    """Each criterion of ``search_criteria`` is ``ols``'s, and NaN exactly
     where ``ols`` raises, which it does for some subset iff ``rejected``."""
     for kind in ("aic", "sic", "hq"):
         scores = criteria(y, X, subsets, kind)
@@ -325,7 +329,7 @@ def assert_ols_decisions(y, X, subsets, rejected: bool):
                 expected = info_criterion(ols(y, X[:, s]), kind)
             except errors.RankDeficient:
                 raised += 1
-                assert ic is None
+                assert math.isnan(ic)
             else:
                 assert ic == pytest.approx(expected, rel=1e-12)
         assert (raised > 0) == rejected
@@ -333,13 +337,13 @@ def assert_ols_decisions(y, X, subsets, rejected: bool):
 
 
 def ols_criteria(y, X, subsets, kind):
-    """The criterion of ``ols`` on each column list, None where it raises."""
+    """The criterion of ``ols`` on each column list, NaN where it raises."""
     scores = []
     for s in subsets:
         try:
             scores.append(info_criterion(ols(y, X[:, s]), kind))
         except errors.ArdlkitError:
-            scores.append(None)
+            scores.append(math.nan)
     return scores
 
 
@@ -362,6 +366,79 @@ def adf_blocks(seeds, deterministic, max_lag=None):
                designs[0][2])
 
 
+class TestSearchPlan:
+    def test_chains_and_rank(self):
+        # two chains, the second padded to the first's width; the rank puts
+        # narrower lists first, in list order among equal widths
+        plan = search_plan([[0, 2], [0, 2, 3], [1], [1, 4]])
+        assert plan.columns == ((0, 2), (0, 2, 3), (1,), (1, 4))
+        assert (plan.width, plan.span, plan.shared) == (3, 5, 0)
+        np.testing.assert_array_equal(plan.gather, [[0, 2, 3, 5], [1, 4, 6, 5]])
+        np.testing.assert_array_equal(plan.order, [2, 0, 3, 1])
+        np.testing.assert_array_equal(plan.pick, [1, 0, 6, 5])
+        assert not plan.widths.flags.writeable
+        # chains that all start with columns 0 and 1 factor only the rest
+        plan = search_plan([[0, 1], [0, 1, 3], [0, 1, 2], [0, 1, 2, 4]])
+        assert (plan.width, plan.span, plan.shared) == (4, 5, 2)
+        np.testing.assert_array_equal(plan.gather, [[3, 6, 5], [2, 4, 5]])
+        np.testing.assert_array_equal(plan.pick, [2, 1, 4, 3])
+        lead = prefix_plan((2, 3, 5))
+        assert lead.gather is None and (lead.width, lead.span) == (5, 5)
+        np.testing.assert_array_equal(lead.pick, [3, 2, 0])
+
+    def test_unit_root_and_granger_plans_are_built_once_per_key(self, monkeypatch):
+        prefix_plan.cache_clear()
+        builds = Counted(monkeypatch, "search_plan", regression)
+        for seed in range(3):
+            unitroot.adf(random_walk(100, seed))
+            unitroot.dfgls(random_walk(100, seed))
+            causality.select_granger_lag(ar1(60, seed, 0.5), random_walk(60, seed))
+        unitroot.adf(random_walk(100, 0), max_lag=2)
+        info = prefix_plan.cache_info()
+        # one plan per tuple of prefix widths: ADF's 2..6 and 2..4, DF-GLS's
+        # 1..5 (no deterministic terms after detrending), Granger's 3, 5, 7, 9
+        assert (info.misses, info.hits, builds.calls) == (4, 6, 4)
+
+    @pytest.mark.parametrize("search", ["adf", "dfgls", "granger"])
+    def test_one_svd_and_one_qr_per_search(self, monkeypatch, search):
+        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
+        y = random_walk(100, 4)
+        if search == "granger":
+            causality.select_granger_lag(ar1(100, 5, 0.5), y)
+        else:
+            getattr(unitroot, search)(y)
+        assert svd.kwargs.count({"compute_uv": False}) == 1 and qr.calls == 1
+
+    def test_near_tie_is_rescored_by_ols(self, monkeypatch):
+        # column 4 repeats column 3 up to 1e-5 of a direction orthogonal to
+        # y and to every other column: the design is sound (ratio ~5e-6),
+        # and the lists [0, 1, 3] and [0, 1, 4], the best two, lie about
+        # 5e-10 (relative) apart, so ols fits both again and only them
+        base, y = TestSubsetRss.design(k=4)
+        z = normals(21, base.shape[0])
+        q = np.linalg.qr(np.column_stack([base, y]))[0]
+        z -= q @ (q.T @ z)
+        z *= 1e-5 * np.linalg.norm(base[:, 3]) / np.linalg.norm(z)
+        X = np.column_stack([base, base[:, 3] + z])
+        subsets = [[0, 1], [0, 1, 3], [0, 1, 4]]
+        assert ratio(X) >= RANK_TOL * RANK_MARGIN
+        exact = ols_criteria(y, X, subsets, "aic")
+        assert abs(exact[1] - exact[2]) <= TIE_RTOL * abs(exact[1]) and exact[1] != exact[2]
+        fits = Counted(monkeypatch, "ols", regression)
+        scores = criteria(y, X, subsets)
+        assert fits.calls == 2
+        assert scores[1:] == exact[1:]
+        assert scores[0] == pytest.approx(exact[0], rel=1e-12)
+
+    def test_first_sweep_specs_match_the_ols_oracle(self):
+        # the ARDL order and the ADF, DF-GLS and Granger lags of the first
+        # 30 of tests/lag_search_sweep.py's 1,350 specs: every shape and
+        # criterion, seeds 0-3
+        specs = lag_search_sweep.SPECS[:30]
+        assert {(k, T) for _, k, T, _ in specs} == set(lag_search_sweep.SHAPES)
+        assert lag_search_sweep.mismatches(specs) == []
+
+
 class TestPrefixRss:
     """The one-chain searches of the unit-root tests: each row of a block
     (the batched path) is scored bitwise as alone, and as ``ols`` scores it."""
@@ -369,9 +446,9 @@ class TestPrefixRss:
     @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
     def test_matches_the_batched_path(self, deterministic):
         for lhs, X, prefixes in adf_blocks(range(40), deterministic, 4):
-            batched = subset_criteria(lhs, X, prefixes)
+            batched = search_criteria(lhs, X, search_plan(prefixes))
             for y, x, scores in zip(lhs, X, batched):
-                assert criteria(y, x, prefixes) == scores
+                np.testing.assert_array_equal(criteria(y, x, prefixes), scores)
                 np.testing.assert_allclose(scores, ols_criteria(y, x, prefixes, "aic"),
                                            rtol=1e-12, atol=0)
 
@@ -380,8 +457,8 @@ class TestPrefixRss:
         for kind in ("aic", "sic", "hq"):
             for deterministic in ("none", "constant", "constant_trend"):
                 for lhs, X, prefixes in adf_blocks(range(112), deterministic):
-                    batched = subset_criteria(lhs, X, prefixes, kind)
-                    for y, x, scores in zip(lhs, X, batched):
+                    batched = search_criteria(lhs, X, search_plan(prefixes), kind)
+                    for y, x, scores in zip(lhs, X, batched.tolist()):
                         exact = first_minimum(ols_criteria(y, x, prefixes, kind))
                         assert first_minimum(scores) == exact, (kind, deterministic)
                         searches += 1
@@ -412,11 +489,11 @@ class TestPrefixRss:
             assert qr.calls == 0
 
     def test_prefix_as_wide_as_the_sample(self):
-        # on 4 rows the prefixes of 4 and 5 columns score None, and the 5
+        # on 4 rows the prefixes of 4 and 5 columns score NaN, and the 5
         # columns of X bound nothing, so ols fits the rest
         lhs, X, prefixes = adf_design(3, 33, "constant", 3)
         scores = criteria(lhs[:4], X[:4], prefixes)
-        assert scores[2:] == [None, None]
+        assert np.isnan(scores[2:]).all()
         assert scores[:2] == [info_criterion(ols(lhs[:4], X[:4, s])) for s in prefixes[:2]]
 
 
