@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import RegressionResult, ols, search_criteria, search_plan, wald_f_zero
+from .regression import (RegressionResult, first_minimum, ols, search_criteria, search_plan,
+                         wald_f_zero)
 
 # The critical-bounds tables bounds_test takes.
 BOUNDS_TABLES = ("embedded", "pesaran")
@@ -115,31 +116,30 @@ def _conditional_design(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: Ardl
     rows = n - t0
     dy = np.diff(y)
     dxs = [np.diff(x) for x in xs]
-    idx = np.arange(t0, n)
 
     labels = ["const"]
     cols = [np.ones(rows)]
     level_idx = []
     labels.append(f"{spec.dependent}(-1)")
-    cols.append(y[idx - 1])
+    cols.append(y[t0 - 1:n - 1])
     level_idx.append(1)
     for j, name in enumerate(spec.regressors):
         labels.append(f"{name}(-1)")
-        cols.append(xs[j][idx - 1])
+        cols.append(xs[j][t0 - 1:n - 1])
         level_idx.append(1 + 1 + j)
 
     diff_idx = []
     for lag in range(1, p):
         labels.append(f"D.{spec.dependent}(-{lag})")
-        cols.append(dy[idx - 1 - lag])
+        cols.append(dy[t0 - 1 - lag:n - 1 - lag])
         diff_idx.append(len(labels) - 1)
     for j, name in enumerate(spec.regressors):
         for lag in range(1, q[j] + 1):
             labels.append(f"D.{name}(-{lag})")
-            cols.append(dxs[j][idx - 1 - lag])
+            cols.append(dxs[j][t0 - 1 - lag:n - 1 - lag])
             diff_idx.append(len(labels) - 1)
 
-    lhs = dy[idx - 1]
+    lhs = dy[t0 - 1:n - 1]
     X = np.column_stack(cols)
     return lhs, X, tuple(labels), tuple(level_idx), tuple(diff_idx)
 
@@ -155,8 +155,8 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     chains (162 of 3 at k = 5 and max_p = max_q = 2).  A candidate needs
     at least 5 more observations than parameters; the feasible candidates
     and their ``SearchPlan`` are built once per (max_p, max_q, k, rows).
-    Ties break toward fewer total lags, then the lexicographically smaller
-    (p, q) tuple: the plan's rank.
+    ``first_minimum`` picks in the plan's rank, as in every lag search:
+    ties break toward fewer total lags, then the smaller (p, q) tuple.
     """
     spec.validate_against(frame)
     common_start = 1 + max(spec.max_p - 1, spec.max_q)
@@ -168,11 +168,10 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
     lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
     ranked = search_criteria(lhs[None], X[None], plan, criterion)[0, plan.order]
-    live = np.flatnonzero(~np.isnan(ranked))
-    if not live.size:
+    if np.isnan(ranked).all():
         raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "
                              f"common sample of {rows} rows")
-    p, *q = candidates[plan.order[live[ranked[live].argmin()]]]
+    p, *q = candidates[plan.order[first_minimum(ranked.tolist())]]
     return ArdlSpec(p, q)
 
 

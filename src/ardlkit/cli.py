@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import causality as causality_mod
 from . import cointreg, diagnostics, synthetic, unitroot
 from .errors import (ArdlkitError, DataError, InvalidParams, NotText, PreconditionError,
                      UnknownVariable)
-from .frame import DETERMINISTICS, ModelSpec, TimeSeriesFrame, load_csv, natural_log
+from .frame import ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, KernelSpec
 from .report import FORMATS, PipelineReport, render
 
@@ -30,6 +31,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
+
+DETERMINISTICS = ("constant", "constant_trend")
+LEVELS = (0.01, 0.025, 0.05, 0.10)
 
 
 class UsageError(Exception):
@@ -57,25 +61,35 @@ class PipelineConfig:
     format: str = "markdown"
 
     def __post_init__(self):
+        for name, kind in (("data_path", str), ("output_dir", str), ("log_transform", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise UsageError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         try:
-            object.__setattr__(self, "level", self.model_spec().level)
+            object.__setattr__(self, "regressors", self.model_spec().regressors)
             KernelSpec(bandwidth=self.bandwidth)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        real = isinstance(self.level, (int, float))
+        level = next((lv for lv in LEVELS if real and math.isclose(self.level, lv)), None)
+        if level is None:
+            raise UsageError(f"level must be one of {LEVELS}, got {self.level!r}")
+        object.__setattr__(self, "level", level)  # lookups keyed by level match exactly
         lag = self.granger_lag
         if lag != "auto" and (type(lag) is not int or lag < 1):
             raise UsageError(f"granger_lag must be 'auto' or a positive integer, got {lag!r}")
-        for name in ("dols_leads", "dols_lags"):
+        for name, least in (("dols_leads", 0), ("dols_lags", 0), ("bg_order", 1)):
             value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
-        for name, allowed in (("criterion", CRITERIA), ("bounds_table", ardl_mod.BOUNDS_TABLES),
-                              ("format", FORMATS)):
+            if type(value) is not int or value < least:
+                raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, allowed in (("criterion", CRITERIA), ("deterministic", DETERMINISTICS),
+                              ("bounds_table", ardl_mod.BOUNDS_TABLES), ("format", FORMATS)):
             if getattr(self, name) not in allowed:
                 raise UsageError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise UsageError("the config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -83,13 +97,10 @@ class PipelineConfig:
         missing = {"data_path", "dependent", "regressors"} - set(raw)
         if missing:
             raise UsageError(f"missing config keys: {', '.join(sorted(missing))}")
-        raw = dict(raw)
-        raw["regressors"] = tuple(raw["regressors"])
         return cls(**raw)
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(self.dependent, self.regressors, self.max_p, self.max_q,
-                         self.deterministic, self.level)
+        return ModelSpec(self.dependent, self.regressors, self.max_p, self.max_q)
 
 
 class StageError(ArdlkitError):

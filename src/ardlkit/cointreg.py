@@ -30,19 +30,15 @@ class CointEstimate:
     pvalues: dict[str, float]
 
 
-def _static_pieces(frame: TimeSeriesFrame, spec: ModelSpec):
-    """y, the static design [x_t, 1], the static OLS slopes beta and
-    residuals u_t, and the regressor innovations v_t = dx_t."""
+def _static_data(frame: TimeSeriesFrame, spec: ModelSpec):
+    """y, the static design [x_t, 1], and the regressor innovations
+    v_t = dx_t.  FMOLS and CCR start from the static OLS of y on the
+    design; DOLS does not."""
     spec.validate_against(frame)
     y = frame.column(spec.dependent)
     xmat = np.column_stack([frame.column(name) for name in spec.regressors])
-    n = frame.n
-    design = np.column_stack([xmat, np.ones(n)])
-    static = ols(y, design)
-    beta = static.coef[: spec.k]
-    u = static.residuals
-    v = np.diff(xmat, axis=0)
-    return y, design, beta, u, v
+    design = np.column_stack([xmat, np.ones(frame.n)])
+    return y, design, np.diff(xmat, axis=0)
 
 
 def _finish(method, names, coef, stderr, r2, width) -> CointEstimate:
@@ -86,7 +82,8 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
 def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
           kernel: KernelSpec = KernelSpec()) -> CointEstimate:
     """Phillips-Hansen fully modified OLS."""
-    y, design, _beta, u, v = _static_pieces(frame, spec)
+    y, design, v = _static_data(frame, spec)
+    u = ols(y, design).residuals
     _eta, bw, lam, _sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
 
     y_plus = y[1:] - v @ gain.ravel()
@@ -110,7 +107,7 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
     regressors; reported coefficients cover the levels and intercept."""
     if leads < 0 or lags < 0:
         raise ValueError("leads and lags must be >= 0")
-    y, design, _beta, _u, v = _static_pieces(frame, spec)
+    y, design, v = _static_data(frame, spec)
     n = frame.n
     k = spec.k
     if n < leads + lags + k + 10:
@@ -140,7 +137,9 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
 def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
         kernel: KernelSpec = KernelSpec()) -> CointEstimate:
     """Park's canonical cointegrating regression."""
-    y, design, beta, u, v = _static_pieces(frame, spec)
+    y, design, v = _static_data(frame, spec)
+    static = ols(y, design)
+    beta, u = static.coef[:spec.k], static.residuals
     eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
     if singular_value_ratio(np.linalg.svd(sigma, compute_uv=False)) < RANK_TOL:
         raise SingularOmega22()

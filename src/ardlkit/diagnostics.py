@@ -192,6 +192,8 @@ def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
     m = w.shape[0]
     if np.ptp(w) == 0 and w[0] == 0:
         sigma = 1.0  # exact fit: the path is identically zero
+    elif m < 2:
+        raise DegenerateResiduals("CUSUM needs two recursive residuals to estimate sigma")
     else:
         sigma = math.sqrt(float(np.sum((w - w.mean()) ** 2)) / (m - 1))
     path = np.cumsum(w) / sigma

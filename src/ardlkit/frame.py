@@ -27,9 +27,6 @@ from .errors import (
     UnknownVariable,
 )
 
-DETERMINISTICS = ("constant", "constant_trend")
-LEVELS = (0.01, 0.025, 0.05, 0.10)
-
 
 @dataclass(frozen=True)
 class TimeSeriesFrame:
@@ -90,31 +87,30 @@ class TimeSeriesFrame:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The single-equation model: one dependent variable, k regressors."""
+    """The single-equation model: one dependent variable, k distinct regressors."""
 
     dependent: str
     regressors: tuple[str, ...]
     max_p: int = 2
     max_q: int = 2
-    deterministic: str = "constant"
-    level: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.regressors, (list, tuple)):
+            raise ValueError(f"regressors must be a list of names, got {self.regressors!r}")
         object.__setattr__(self, "regressors", tuple(self.regressors))
+        for name in (self.dependent, *self.regressors):
+            if type(name) is not str:
+                raise ValueError(f"variable names must be strings, got {name!r}")
         if len(self.regressors) < 1:
             raise ValueError("at least one regressor is required")
         if self.dependent in self.regressors:
             raise ValueError(f"dependent {self.dependent!r} also listed as a regressor")
-        if self.max_p < 1:
-            raise ValueError("max_p must be >= 1")
-        if self.max_q < 0:
-            raise ValueError("max_q must be >= 0")
-        if self.deterministic not in DETERMINISTICS:
-            raise ValueError(f"deterministic must be one of {DETERMINISTICS}")
-        level = next((lv for lv in LEVELS if math.isclose(self.level, lv)), None)
-        if level is None:
-            raise ValueError(f"level must be one of {LEVELS}")
-        object.__setattr__(self, "level", level)  # lookups keyed by level match exactly
+        if len(set(self.regressors)) < len(self.regressors):
+            raise ValueError(f"regressors must be distinct, got {self.regressors}")
+        for name, least in (("max_p", 1), ("max_q", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def validate_against(self, frame: TimeSeriesFrame) -> None:
         for name in (self.dependent, *self.regressors):

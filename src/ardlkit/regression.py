@@ -82,15 +82,12 @@ class KernelSpec:
     the Newey-West rule floor(4 * (n/100)^(2/9)).
     """
 
-    kernel: str = "bartlett"
     bandwidth: int | str = "auto"
 
     def __post_init__(self):
-        if self.kernel != "bartlett":
-            raise ValueError("only the bartlett kernel is supported")
-        if self.bandwidth != "auto":
-            if int(self.bandwidth) != self.bandwidth or self.bandwidth < 0:
-                raise ValueError("bandwidth must be a non-negative integer or 'auto'")
+        bw = self.bandwidth
+        if bw != "auto" and (type(bw) is not int or bw < 0):
+            raise ValueError(f"bandwidth must be a non-negative integer or 'auto', got {bw!r}")
 
     def resolve(self, n: int) -> int:
         if self.bandwidth == "auto":
@@ -312,42 +309,32 @@ def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
     search's one SVD of X, taken without U before any QR; dropping columns
     cannot lower it, so it bounds the ratio of every list.  A row whose
     bound is at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each
-    list, is scored from RSS (``_chain_rss``), and the other rows are
-    fitted by ``ols``.  When two or more lists lie within TIE_RTOL
-    (relative) of a row's smallest criterion, ``ols`` re-scores them, so a
-    choice between near-equal criteria rests on exact values.
+    list, is scored from RSS (``_chain_rss``).  ``_settle_ties`` decides
+    every other row, and every row whose smallest criterion is -inf or has
+    another within TIE_RTOL (relative): it is the one place a search calls
+    ``ols``.  A plan with a list as wide as n, which ``ols`` rejects, takes
+    neither the SVD nor the QR, and ``ols`` scores its rows.
     """
     _check_criterion(kind)
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape[1:]
-    if plan.width >= n:  # the lists as wide as n score NaN
-        fits = plan.widths < n
-        scores = np.full((len(X), len(plan.columns)), np.nan)
-        scores[:, fits] = search_criteria(
-            Y, X, search_plan(s for s, f in zip(plan.columns, fits) if f), kind)
-        return scores
     sound = np.zeros(len(X), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if n >= k:
+        if n >= k and plan.width < n:
             s = np.linalg.svd(X, compute_uv=False)
             sound = s[:, -1] / s[:, 0] >= RANK_TOL * RANK_MARGIN  # NaN for a zero X
-        count = np.count_nonzero(sound)
-        if plan.columns and count:
+        settle = ~sound
+        if plan.columns and np.count_nonzero(sound):
             scores = n * np.log(_chain_rss(Y, X, plan) / n) + _penalty(n, kind) * plan.widths
-            # the rows with two or more lists near their best, and every
-            # row whose best is -inf, go to _settle_ties, which decides
             best = scores.min(axis=1, keepdims=True)
             far = scores - best > TIE_RTOL * np.maximum(np.abs(best), 1.0)
-            ties = sound & (np.add.reduce(far, axis=1) < len(plan.columns) - 1)
+            settle |= np.add.reduce(far, axis=1) < len(plan.columns) - 1
         else:
             scores = np.empty((len(X), len(plan.columns)))
-            ties = np.zeros(len(X), dtype=bool)
-    if count < len(X):
-        for r in (~sound).nonzero()[0]:
-            scores[r] = [_exact_criterion(Y[r], X[r][:, s], kind) for s in plan.columns]
-    for r in ties.nonzero()[0]:
-        scores[r] = _settle_ties(Y[r], X[r], plan.columns, scores[r].tolist(), kind)
+    for r in settle.nonzero()[0]:
+        scores[r] = _settle_ties(Y[r], X[r], plan.columns,
+                                 scores[r].tolist() if sound[r] else None, kind)
     return scores
 
 
@@ -382,9 +369,13 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     return tail[:, plan.pick]
 
 
-def _settle_ties(y, X, columns, scores: list, kind: str) -> list:
-    """``scores`` with the lists within TIE_RTOL of the smallest criterion
+def _settle_ties(y, X, columns, scores: list | None, kind: str) -> list:
+    """A row's criteria over the lists ``columns``, where ``ols`` decides:
+    every list fitted by ``ols`` when the chain QR gave no ``scores``, and
+    otherwise ``scores`` with the lists within TIE_RTOL of the smallest
     re-scored by ``ols``, until the near-best ones are all exact."""
+    if scores is None:
+        return [_exact_criterion(y, X[:, s], kind) for s in columns]
     exact: set[int] = set()
     while True:
         live = [s for s in scores if not math.isnan(s)]
@@ -412,10 +403,10 @@ def _exact_criterion(y, X, kind: str) -> float:
 def first_minimum(scores) -> int:
     """Index of the lowest of ``scores`` (NaN: skipped), where a later one
     must beat the best so far by more than 1e-12; 0 if none is scored."""
-    best_i, best = 0, math.inf
+    best_i, bar = 0, math.inf
     for i, score in enumerate(scores):
-        if score < best - 1e-12:
-            best_i, best = i, score
+        if score < bar:
+            best_i, bar = i, score - 1e-12
     return best_i
 
 

@@ -5,13 +5,16 @@ Run from the repository root:
     PYTHONPATH=src python3 tests/lag_search_sweep.py
 
 A spec is one seeded ``ecm_system`` sample, at each (k, T) of SHAPES for
-every seed of SEEDS, and one information criterion: 150 seeds x 3 shapes
-x aic/sic/hq is 1,350 specs.  For each spec the sweep compares what the
-package chooses with what fitting every candidate by ``ols`` chooses:
+every seed of SEEDS, and one information criterion: 150 seeds x 4 shapes
+x aic/sic/hq is 1,800 specs.  The short shape, k = 1 at T = 12, has
+Granger lag lists as wide as their sample.  For each spec the sweep
+compares what the package chooses with what fitting every candidate by
+``ols`` chooses, by the one rule every search shares: ``first_minimum``
+over the candidates in rank order.
 
 - the ARDL order of ``select_ardl_lags`` (max_p = max_q = 2), where the
-  oracle fits each (p, q) on the common sample and breaks ties toward
-  fewer total lags, then the smaller (p, q);
+  oracle fits each (p, q) on the common sample and ranks the candidates
+  by fewer total lags, then the smaller (p, q);
 - the ADF and DF-GLS lag of every series of the sample, in levels;
 - the Granger lag of both directions of every (regressor, Y) pair.
 
@@ -31,7 +34,7 @@ from ardlkit.frame import ModelSpec
 from ardlkit.regression import CRITERIA, criterion_from_rss, first_minimum, ols
 from ardlkit.synthetic import Dgp, generate
 
-SHAPES = ((5, 80), (2, 50), (3, 33))
+SHAPES = ((5, 80), (2, 50), (3, 33), (1, 12))
 SEEDS = range(150)
 SPECS = [(seed, k, T, kind) for seed in SEEDS for k, T in SHAPES for kind in CRITERIA]
 BETA = (0.5, -0.3, 0.4, -0.2, 0.3)
@@ -65,11 +68,12 @@ def ardl_oracle(frame, spec: ModelSpec, kinds) -> dict:
         lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=start)
         if lhs.shape[0] >= X.shape[1] + 5:
             fits.append(((p, *q), exact_rss(lhs, X), lhs.shape[0], X.shape[1]))
+    fits.sort(key=lambda fit: (sum(fit[0]), fit[0]))
     chosen = {}
     for kind in kinds:
-        ranked = [(criterion(rss, n, width, kind), sum(cand), cand)
-                  for cand, rss, n, width in fits if not math.isnan(rss)]
-        chosen[kind] = min(ranked)[2] if ranked else None
+        scores = [criterion(rss, n, width, kind) for _, rss, n, width in fits]
+        live = not all(math.isnan(score) for score in scores)
+        chosen[kind] = fits[first_minimum(scores)][0] if live else None
     return chosen
 
 

@@ -84,7 +84,7 @@ class TestPipelineConfig:
 
     def test_near_equal_level_is_stored_as_that_level(self):
         config = PipelineConfig("d.csv", "Y", ("X1",), level=0.10000000001)
-        assert config.level == 0.10 and config.model_spec().level == 0.10
+        assert config.level == 0.10
 
     def test_unknown_key_named(self):
         with pytest.raises(UsageError, match="max_lags"):
@@ -110,17 +110,37 @@ class TestPipelineConfig:
         ({"bounds_table": "x"}, "bounds_table"),
         ({"criterion": "x"}, "criterion"),
         ({"format": "x"}, "format"),
+        ({"bg_order": 0}, "bg_order"),
+        ({"bg_order": "x"}, "bg_order"),
+        ({"max_p": 2.5}, "max_p"),
+        ({"max_q": True}, "max_q"),
+        ({"level": "0.05"}, "level"),
+        ({"regressors": "X1"}, "regressors must be a list"),
+        ({"regressors": ["X1", "X1"]}, "distinct"),
+        ({"dependent": 5}, "strings"),
+        ({"log_transform": "no"}, "log_transform must be a bool"),
+        ({"data_path": 5}, "data_path must be a str"),
+        ({"output_dir": None}, "output_dir"),
+        ({"deterministic": "x"}, "deterministic"),
     ], ids=["level", "dependent-as-regressor", "max_p", "bandwidth", "bandwidth-float",
             "granger_lag-0", "granger_lag-text", "dols_leads", "dols_lags-text",
-            "bounds_table", "criterion", "format"])
+            "bounds_table", "criterion", "format", "bg_order-0", "bg_order-text",
+            "max_p-float", "max_q-bool", "level-text", "regressors-text",
+            "regressors-repeated", "dependent-number", "log_transform-text",
+            "data_path-number", "output_dir-null", "deterministic"])
     def test_invalid_values_are_usage_errors(self, bad, message):
         raw = {"data_path": "d", "dependent": "Y", "regressors": ["X"], **bad}
         with pytest.raises(UsageError, match=message):
             PipelineConfig.from_dict(raw)
 
     @pytest.mark.parametrize("bad", [{"dols_leads": -1}, {"bounds_table": "x"},
-                                     {"criterion": "x"}, {"format": "x"}],
-                             ids=["dols_leads", "bounds_table", "criterion", "format"])
+                                     {"criterion": "x"}, {"format": "x"}, {"bg_order": 0},
+                                     {"bg_order": "x"}, {"max_p": 2.5}, {"level": "0.05"},
+                                     {"regressors": "X1"}, {"log_transform": "no"},
+                                     {"max_q": True}],
+                             ids=["dols_leads", "bounds_table", "criterion", "format",
+                                  "bg_order-0", "bg_order-text", "max_p-float", "level-text",
+                                  "regressors-text", "log_transform-text", "max_q-bool"])
     def test_invalid_config_file_exits_usage(self, tmp_path, capsys, bad):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"data_path": str(FIXTURE_CSV), "dependent": "Y",
@@ -129,6 +149,12 @@ class TestPipelineConfig:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('["X1"]')
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -224,6 +250,7 @@ class TestExitCodes:
         ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
          "--level", "0.2"],
         ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1,Y"],
+        ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1,X1"],
         ["robust", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
          "--bandwidth", "abc"],
         ["robust", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
@@ -247,10 +274,10 @@ class TestExitCodes:
         ["mc", "--test", "pp", "--dgp", "ar1", "--rho", "nan", "--reps", "100"],
         ["mc", "--test", "adf", "--drift", "nan", "--reps", "100"],
         ["mc", "--test", "adf", "--drift", "inf", "--reps", "100"],
-    ], ids=["level", "dependent-as-regressor", "bandwidth", "dols-leads", "granger-lag",
-            "granger-lag-0", "unitroot-level", "unitroot-bandwidth", "mc-adf-level",
-            "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho", "mc-granger-level", "mc-rho-nan",
-            "mc-drift-nan", "mc-drift-inf"])
+    ], ids=["level", "dependent-as-regressor", "repeated-regressor", "bandwidth", "dols-leads",
+            "granger-lag", "granger-lag-0", "unitroot-level", "unitroot-bandwidth",
+            "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho", "mc-granger-level",
+            "mc-rho-nan", "mc-drift-nan", "mc-drift-inf"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE

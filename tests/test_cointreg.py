@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ardlkit import errors
+from ardlkit import cointreg, errors
 from ardlkit.cointreg import ccr, dols, fmols
 from ardlkit.frame import ModelSpec, load_csv
 from ardlkit.regression import KernelSpec, ols
@@ -199,6 +199,18 @@ class TestValidation:
     def test_dols_width_report(self, coint_frame):
         result = dols(coint_frame, ModelSpec("Y", ("X1",)), leads=2, lags=1)
         assert result.bandwidth_or_leads == 3
+
+    def test_dols_fits_only_its_own_regression(self, coint_frame, monkeypatch):
+        # DOLS reads no static OLS fit, so it makes none
+        widths = []
+
+        def counted(y, X):
+            widths.append(X.shape[1])
+            return ols(y, X)
+
+        monkeypatch.setattr(cointreg, "ols", counted)
+        dols(coint_frame, ModelSpec("Y", ("X1",)), leads=1, lags=1)
+        assert widths == [5]  # X1, const, and dX1 at lags -1, 0 and +1
 
     def test_fmols_reports_bandwidth(self, coint_frame):
         result = fmols(coint_frame, ModelSpec("Y", ("X1",)), KernelSpec(bandwidth=6))

@@ -275,6 +275,15 @@ class TestCusum:
         with pytest.raises(ValueError):
             cusum(y, X, level=0.07)
 
+    def test_one_recursive_residual(self):
+        # a 4 x 3 design leaves one recursive residual, too few to scale
+        # the path by, unless the fit is exact and the path is zero
+        X = np.column_stack([np.ones(4), np.arange(4.0), [1.0, -2.0, 0.5, 3.0]])
+        with pytest.raises(errors.DegenerateResiduals):
+            cusum(np.array([1.0, 0.5, 2.0, -1.0]), X)
+        path = cusum_path(np.zeros(1), 3)
+        assert path.values.tolist() == [0.0] and path.t_index == (4,)
+
 
 class TestCusumSq:
     def test_terminal_value_exactly_one(self):

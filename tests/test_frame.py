@@ -217,7 +217,6 @@ class TestModelSpec:
         spec = ModelSpec("Y", ("X1", "X2"))
         assert spec.k == 2
         assert spec.max_p == 2 and spec.max_q == 2
-        assert spec.deterministic == "constant"
 
     def test_no_regressors(self):
         with pytest.raises(ValueError):
@@ -228,11 +227,14 @@ class TestModelSpec:
             ModelSpec("Y", ("Y", "X"))
 
     def test_bad_deterministic(self):
-        with pytest.raises(ValueError):
+        # the unit roots take their deterministic terms from PipelineConfig,
+        # which checks them; the model has no such field
+        with pytest.raises(TypeError):
             ModelSpec("Y", ("X",), deterministic="quadratic")
 
     def test_bad_level(self):
-        with pytest.raises(ValueError):
+        # PipelineConfig checks the level; the model has no such field
+        with pytest.raises(TypeError):
             ModelSpec("Y", ("X",), level=0.2)
 
     def test_bad_lag_limits(self):
@@ -240,6 +242,27 @@ class TestModelSpec:
             ModelSpec("Y", ("X",), max_p=0)
         with pytest.raises(ValueError):
             ModelSpec("Y", ("X",), max_q=-1)
+
+    @pytest.mark.parametrize("field, value", [("max_p", 2.5), ("max_p", True), ("max_q", "1"),
+                                              ("max_q", False)])
+    def test_lag_limits_are_ints_not_bools(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelSpec("Y", ("X",), **{field: value})
+
+    def test_regressors_as_one_string(self):
+        # a str is not split into one-letter names
+        with pytest.raises(ValueError, match="list of names"):
+            ModelSpec("Y", "X1")
+
+    def test_repeated_regressor(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ModelSpec("Y", ("X1", "X1"))
+
+    def test_names_are_strings(self):
+        with pytest.raises(ValueError, match="strings"):
+            ModelSpec("Y", ("X1", 2))
+        with pytest.raises(ValueError, match="strings"):
+            ModelSpec(None, ("X1",))
 
     def test_validate_against(self):
         frame = load_csv(CSV_OK)

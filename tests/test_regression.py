@@ -432,8 +432,8 @@ class TestSearchPlan:
 
     def test_first_sweep_specs_match_the_ols_oracle(self):
         # the ARDL order and the ADF, DF-GLS and Granger lags of the first
-        # 30 of tests/lag_search_sweep.py's 1,350 specs: every shape and
-        # criterion, seeds 0-3
+        # 30 of tests/lag_search_sweep.py's 1,800 specs: every shape and
+        # criterion, seeds 0-2
         specs = lag_search_sweep.SPECS[:30]
         assert {(k, T) for _, k, T, _ in specs} == set(lag_search_sweep.SHAPES)
         assert lag_search_sweep.mismatches(specs) == []
@@ -496,6 +496,49 @@ class TestPrefixRss:
         assert np.isnan(scores[2:]).all()
         assert scores[:2] == [info_criterion(ols(lhs[:4], X[:4, s])) for s in prefixes[:2]]
 
+    def test_plan_as_wide_as_the_sample_goes_to_ols(self, monkeypatch):
+        # a Granger search at n = 12 fits lags 1..4 on 8 rows, where lag 4
+        # has 9 columns: ols scores the search, with no SVD bound, no QR and
+        # no second plan, and the lag is the oracle's
+        x, y = ar1(12, 3, 0.5), random_walk(12, 4)
+        prefix_plan((3, 5, 7, 9))
+        builds = Counted(monkeypatch, "search_plan", regression)
+        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
+        for kind in ("aic", "sic", "hq"):
+            lag = causality.select_granger_lag(x, y, criterion=kind)
+            assert lag == lag_search_sweep.granger_oracle(x, y, kind)
+        assert builds.calls == 0 and qr.calls == 0
+        assert {"compute_uv": False} not in svd.kwargs
+
+    def test_mixed_block_rows_match_their_one_row_blocks(self):
+        # blocks of sound rows and rows below the rank margin (a series
+        # 1e-11 from a constant, whose lagged level is nearly the constant
+        # column): each row's outcome, its lag and statistic bits or its
+        # error, is the one it gets alone
+        def outcome(o):
+            if isinstance(o, errors.ArdlkitError):
+                return type(o).__name__, str(o)
+            if isinstance(o, causality.CausalityReport):
+                return o.lag, o.f_stat.hex(), o.p.hex()
+            return o.lag_or_bandwidth, float(o.statistic).hex()
+
+        for seed in range(16):
+            rw, rw2 = random_walk(50, seed), random_walk(50, seed + 10_000)
+            block = np.array([rw, 1 + 1e-11 * rw2, rw2, 3 + 1e-11 * rw])
+            for test in ("adf", "dfgls"):
+                for kind in ("aic", "sic", "hq"):
+                    rows = unitroot.unit_root_block(test, block, criterion=kind)
+                    for row, got in zip(block, rows):
+                        [alone] = unitroot.unit_root_block(test, row[None], criterion=kind)
+                        assert outcome(got) == outcome(alone), (seed, test, kind)
+            x, x2 = ar1(50, seed, 0.5), ar1(50, seed + 20_000, 0.5)
+            causes = np.array([x, 1 + 1e-11 * x2, x2, 3 + 1e-11 * x])
+            effects = np.array([rw, rw2, 1 + 1e-11 * rw, rw])
+            rows = causality.granger_block(causes, effects, [("x", "y")] * 4, "auto")
+            for cause, effect, got in zip(causes, effects, rows):
+                [alone] = causality.granger_block(cause[None], effect[None], [("x", "y")], "auto")
+                assert outcome(got) == outcome(alone), seed
+
 
 class TestKernelSpec:
     def test_auto_bandwidth_rule(self):
@@ -507,10 +550,9 @@ class TestKernelSpec:
         assert KernelSpec(bandwidth=7).resolve(100) == 7
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=-1)
-        with pytest.raises(ValueError):
-            KernelSpec(kernel="parzen")
+        for bad in (-1, 2.5, True, "x", None):
+            with pytest.raises(ValueError, match="bandwidth"):
+                KernelSpec(bandwidth=bad)
 
 
 class TestLongRunVariance:
