@@ -190,12 +190,16 @@ def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
         raise ValueError(f"level must be one of {tuple(CUSUM_CONSTANTS)}")
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
-    if np.ptp(w) == 0 and w[0] == 0:
+    spread = np.ptp(w)
+    if spread == 0 and w[0] == 0:
         sigma = 1.0  # exact fit: the path is identically zero
-    elif m < 2:
-        raise DegenerateResiduals("CUSUM needs two recursive residuals to estimate sigma")
     else:
-        sigma = math.sqrt(float(np.sum((w - w.mean()) ** 2)) / (m - 1))
+        # equal residuals (a single one among them) leave no spread to
+        # scale by, and tiny ones can square to zero
+        sigma = math.sqrt(float(np.sum((w - w.mean()) ** 2)) / (m - 1)) if spread else 0.0
+        if sigma == 0:
+            raise DegenerateResiduals("CUSUM needs recursive residuals that differ to "
+                                      "estimate sigma")
     path = np.cumsum(w) / sigma
     a = CUSUM_CONSTANTS[level]
     steps = np.arange(1, m + 1, dtype=float)

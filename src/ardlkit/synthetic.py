@@ -50,12 +50,72 @@ def uniforms(seed, n: int) -> np.ndarray:
 
 def normals(seed, n: int) -> np.ndarray:
     """Standard normals via inverse-CDF of the uniform stream; ``seed`` as
-    in ``uniforms``.
+    in ``uniforms``."""
+    return _ndtri(uniforms(seed, n))
 
-    scipy is imported here, not at module level, so that only the
-    simulations pay for its import."""
-    from scipy.special import ndtri
-    return ndtri(uniforms(seed, n))
+
+# Cephes' ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), as scipy.special.ndtri computes it.  Each tuple runs
+# from the highest power down; the Q's carry cephes' implied leading 1.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# y - 1/2 for exp(-2) < y < 1 - exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# 1/x, x = sqrt(-2 log y) in [2, 8): exp(-32) < y <= exp(-2)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# 1/x, x in [8, 64): y <= exp(-32), reached by uniforms down to 2^-53
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """The polynomial with ``coefs`` (highest power first) at x, in cephes'
+    order of operations (a leading 1.0 gives its p1evl)."""
+    out = coefs[0] * x
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise libm log: numpy's SIMD log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of u in (0, 1), bitwise scipy.special.ndtri."""
+    flip = u > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - u, u)
+    x = np.empty_like(y)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    c2 = c * c
+    x[central] = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0))) * _SQRT_2PI
+    tail = ~central
+    t = np.sqrt(-2.0 * _log(y[tail]))
+    z = 1.0 / t
+    x1 = np.empty_like(t)
+    for branch, p, q in ((t < 8.0, _P1, _Q1), (t >= 8.0, _P2, _Q2)):
+        zb = z[branch]
+        x1[branch] = zb * _horner(zb, p) / _horner(zb, q)
+    t = t - _log(t) / t - x1
+    x[tail] = np.where(flip[tail], t, -t)
+    return x
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ Run from the repository root:
 
 The fixture is a seeded cointegrated five-regressor system, so every
 byte of it is reproducible from the seed alone (its normal variates
-come from scipy.special.ndtri).  The golden reports are reproducible
+come from synthetic's numpy port of cephes' ndtri, bitwise
+scipy.special.ndtri, whose tail takes libm's log through Python's math
+module).  The golden reports are reproducible
 for a given numpy build and C library: the last bits of p-values come
 from the libm functions (erfc, exp, log1p) behind Python's math module.
 tests/golden/versions.json records the numpy, scipy and BLAS builds

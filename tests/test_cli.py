@@ -533,17 +533,19 @@ class TestRunUnitRoots:
         assert run_unit_roots(frame, (), "constant", "auto", 0.05) == []
 
 
-def modules_after_import(prefix: str) -> list:
-    """Modules under ``prefix`` loaded by ``import ardlkit, ardlkit.cli`` in a
+def modules_after_import(prefix: str, argv=None) -> list:
+    """Modules under ``prefix`` loaded by ``import ardlkit, ardlkit.cli``, then
+    by ``ardlkit.cli.main(argv)`` if argv is given, which must exit 0, in a
     fresh interpreter that imports this ardlkit."""
     src = str(Path(ardlkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import ardlkit, ardlkit.cli, json, sys; print(ardlkit.cli.__file__); "
+    run = f"assert ardlkit.cli.main({argv!r}) == 0; " if argv else ""
+    code = (f"import ardlkit, ardlkit.cli, json, sys; {run}print(ardlkit.cli.__file__); "
             f"print(json.dumps([m for m in sorted(sys.modules) if (m + '.').startswith('{prefix}.')]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout.splitlines()
-    assert Path(out[0]).resolve().parent == Path(ardlkit.__file__).resolve().parent
-    return json.loads(out[1])
+    assert Path(out[-2]).resolve().parent == Path(ardlkit.__file__).resolve().parent
+    return json.loads(out[-1])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -552,6 +554,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the normal, chi2 and F tails come from math; only the t tail and the
-    # simulations import scipy, when first used
+    # the normal, chi2, F and t tails come from math, the normal variates
+    # from synthetic's own inverse normal CDF
     assert modules_after_import("scipy") == []
+
+
+@pytest.mark.parametrize("test", ["adf", "pp", "dfgls", "granger"])
+def test_mc_run_leaves_scipy_unloaded(test, tmp_path):
+    argv = ["mc", "--test", test, "--reps", "100", "--out", str(tmp_path)]
+    assert modules_after_import("scipy", argv) == []
+    assert (tmp_path / "mc.csv").is_file()

@@ -284,6 +284,17 @@ class TestCusum:
         path = cusum_path(np.zeros(1), 3)
         assert path.values.tolist() == [0.0] and path.t_index == (4,)
 
+    def test_equal_recursive_residuals(self):
+        # residuals that are all equal, or so small that their squares
+        # underflow, leave sigma zero, unless the fit is exact and the path
+        # is zero
+        with pytest.raises(errors.DegenerateResiduals):
+            cusum_path(np.full(3, 0.5), 2)
+        with pytest.raises(errors.DegenerateResiduals):
+            cusum_path(np.array([1e-200, 2e-200, 3e-200]), 2)  # squares underflow
+        path = cusum_path(np.zeros(3), 2)
+        assert path.values.tolist() == [0.0, 0.0, 0.0] and path.stable
+
 
 class TestCusumSq:
     def test_terminal_value_exactly_one(self):

@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
+import ndtri_sweep
 from ardlkit import synthetic, unitroot
 from ardlkit.errors import ArdlkitError, DegenerateSeries, InvalidParams
 from ardlkit.synthetic import (
@@ -39,7 +42,7 @@ class TestGenerator:
         np.testing.assert_allclose(uniforms(0, 4), UNIFORMS_SEED0, rtol=0, atol=0)
 
     def test_pinned_normals(self):
-        np.testing.assert_allclose(normals(0, 4), NORMALS_SEED0, rtol=1e-15)
+        assert normals(0, 4).tobytes() == np.array(NORMALS_SEED0).tobytes()
 
     def test_deterministic(self):
         np.testing.assert_array_equal(uniforms(123, 50), uniforms(123, 50))
@@ -70,6 +73,44 @@ class TestGenerator:
         z = normals(42, 100_000)
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+
+def branch_edges() -> np.ndarray:
+    """The extreme uniforms, 1/2, and cephes' branch points exp(-2),
+    1 - exp(-2) and exp(-32), each with its two neighbouring doubles.
+
+    Below exp(-32), as at the smallest uniform 2^-53, cephes switches to
+    its far-tail polynomial."""
+    edges = [2.0**-53, 1.0 - 2.0**-53, 0.5]
+    for point in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
+        edges += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
+    return np.array(edges)
+
+
+class TestInverseNormal:
+    """``normals`` is the inverse normal CDF of the uniforms, bitwise
+    scipy.special.ndtri (cephes), with no scipy at run time."""
+
+    def test_matches_scipy_on_uniforms(self):
+        # 100,000 of tests/ndtri_sweep.py's 4,000,000 draws
+        assert ndtri_sweep.mismatches(ndtri_sweep.SEEDS[:1]) == []
+
+    def test_matches_scipy_at_branch_edges(self):
+        u = branch_edges()
+        assert synthetic._ndtri(u).tobytes() == ndtri(u).tobytes()
+        assert synthetic._ndtri(u[::-1].reshape(3, 4)).tobytes() == ndtri(u[::-1]).tobytes()
+
+    def test_agrees_with_mpmath(self):
+        # cephes documents a peak relative error of 7.2e-16 on 20,000 trials;
+        # the largest found on 21,000 splitmix64 draws is 1.02e-15, at
+        # u = 0.137 (seed 1), near the edge of the central branch
+        u = np.concatenate([uniforms(1, 1000), branch_edges()])
+        u = u[u != 0.5]
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v) - 1))
+                              for v in u.tolist()])
+        np.testing.assert_allclose(synthetic._ndtri(u), exact, rtol=2e-15, atol=0)
+        assert synthetic._ndtri(np.array([0.5]))[0] == 0.0
 
 
 class TestDgps:
