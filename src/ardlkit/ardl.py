@@ -34,6 +34,9 @@ PAPER_BOUNDS_K5 = {
     0.01: (2.98, 3.99),
 }
 
+# The levels of every bounds table, in the report's column order.
+BOUNDS_LEVELS = tuple(PAPER_BOUNDS_K5)
+
 # Pesaran-Shin-Smith (2001), Table CI, Case III (unrestricted intercept,
 # no trend), asymptotic; keyed by number of regressors k.
 PESARAN_CASE3 = {

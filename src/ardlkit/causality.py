@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
 from .frame import TimeSeriesFrame
-from .regression import first_minimum, ols_stack, prefix_plan, search_criteria, wald_f
-
-REPORT_LEVELS = (0.01, 0.05, 0.10)
+from .regression import STARS, first_minimum, ols_stack, prefix_plan, search_criteria, wald_f
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def _fit_rows(causes: np.ndarray, effects: np.ndarray, lag: int, labels) -> list
             continue
         wald = wald_f(float(full.rss[i]), float(restricted.rss[i]), lag, full.df_resid)
         outcomes.append(CausalityReport(cause, effect, lag, lhs.shape[1], wald.f, wald.p,
-                                        {lv: wald.p < lv for lv in REPORT_LEVELS}))
+                                        {lv: wald.p < lv for lv in STARS}))
     return outcomes
 
 
@@ -198,7 +196,7 @@ def causality_matrix(frame: TimeSeriesFrame, variables, dependent: str,
 
 def _errored(cause: str, effect: str, message: str) -> CausalityReport:
     return CausalityReport(cause, effect, 0, 0, math.nan, math.nan,
-                           {lv: False for lv in REPORT_LEVELS}, error=message)
+                           dict.fromkeys(STARS, False), error=message)
 
 
 def classify_direction(forward: CausalityReport, backward: CausalityReport,

@@ -24,7 +24,7 @@ from . import cointreg, diagnostics, synthetic, unitroot
 from .errors import (ArdlkitError, DataError, InvalidParams, NotText, PreconditionError,
                      UnknownVariable)
 from .frame import ModelSpec, TimeSeriesFrame, load_csv, natural_log
-from .regression import CRITERIA, KernelSpec
+from .regression import CRITERIA, STARS, KernelSpec
 from .report import FORMATS, PipelineReport, render
 
 EXIT_USAGE = 1
@@ -33,7 +33,7 @@ EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 
 DETERMINISTICS = ("constant", "constant_trend")
-LEVELS = (0.01, 0.025, 0.05, 0.10)
+LEVELS = tuple(sorted(ardl_mod.BOUNDS_LEVELS))
 
 
 class UsageError(Exception):
@@ -180,8 +180,8 @@ def run_unit_roots(frame: TimeSeriesFrame, names, deterministic: str,
     return rows
 
 
-SECTIONS = ("unit_root", "bounds", "ecm", "ardl_spec", "robustness", "causality",
-            "diagnostics", "stability")
+SECTIONS = ("unit_root", "bounds", "ecm", "robustness", "causality", "diagnostics",
+            "stability")
 
 
 def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
@@ -200,8 +200,8 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
     reads_bounds = bool(wanted & {"bounds", "robustness"})
     report = PipelineReport()
     frame, spec = _stage("load")(_load_frame, config)
-    # the unit-root and CUSUM tables have critical values at 1%, 5% and 10% only
-    table_level = config.level if config.level in unitroot.LEVEL_KEYS else 0.05
+    # the unit-root and CUSUM tables have no 2.5% column: they use 5% there
+    table_level = config.level if config.level in STARS else 0.05
 
     rows = _stage("unit_root")(run_unit_roots, frame, (spec.dependent, *spec.regressors),
                                config.deterministic, config.bandwidth, table_level)
@@ -212,13 +212,12 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
     if reads_fit:
         ardl_spec = ardl(ardl_mod.select_ardl_lags, frame, spec, config.criterion)
         fit = ardl(ardl_mod.fit_conditional_ecm, frame, spec, ardl_spec)
-    if "ardl_spec" in wanted:
-        report.ardl_spec = (ardl_spec.p, ardl_spec.q)
     if reads_bounds:
         bounds = ardl(ardl_mod.bounds_test, fit, config.bounds_table)
         if "bounds" in wanted:
             report.bounds = bounds
     if "ecm" in wanted:
+        report.ardl_spec = (ardl_spec.p, ardl_spec.q)
         long_run = ardl(ardl_mod.long_run_coefficients, fit)
         report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, ardl_spec, long_run)
 
@@ -330,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--vars", type=_names, default=None, help="comma-separated subset")
     p.add_argument("--deterministic", choices=DETERMINISTICS, default="constant")
-    p.add_argument("--level", type=float, choices=tuple(unitroot.LEVEL_KEYS), default=0.05)
+    p.add_argument("--level", type=float, choices=tuple(STARS), default=0.05)
     p.add_argument("--bandwidth", type=_auto_or_count, default="auto")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", choices=FORMATS, default="markdown")
@@ -387,7 +386,7 @@ def _mc_test(args):
 
     key = unitroot.LEVEL_KEYS.get(args.level)
     if key is None:
-        raise UsageError(f"{args.test} has critical values at 1%, 5% and 10% only, "
+        raise UsageError(f"{args.test} has critical values at levels {tuple(STARS)} only, "
                          f"got --level {args.level}")
 
     def run_unit_root(frame, level, seed):
@@ -407,8 +406,7 @@ def _cmd_mc(args) -> int:
         synthetic.check_reps(args.reps)
     except InvalidParams as exc:
         raise UsageError(str(exc)) from None
-    result = synthetic.mc_rejection_rate(_mc_test(args), dgp,
-                                         args.reps, args.level, collect=True)
+    result = synthetic.mc_rejection_rate(_mc_test(args), dgp, args.reps, args.level)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "mc.csv"
@@ -439,7 +437,7 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
             report = run_pipeline(config, {
                 "bounds": ("bounds",),
-                "ardl": ("bounds", "ecm", "ardl_spec"),
+                "ardl": ("bounds", "ecm"),
                 "robust": ("bounds", "robustness"),
                 "granger": ("causality",),
                 "diag": ("diagnostics", "stability"),

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import SeriesTooShort, SingularOmega22, TooFewObservations
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import (KernelSpec, RANK_TOL, long_run_covariance, long_run_variance, ols,
-                         singular_value_ratio, tail_probability)
+from .regression import (KernelSpec, RANK_TOL, long_run_covariance, long_run_variance,
+                         normal_test, ols, singular_value_ratio)
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,8 @@ def _finish(method, names, coef, stderr, r2, width) -> CointEstimate:
     table = {}
     pvals = {}
     for name, c, s in zip(names, coef, stderr):
-        t = c / s if s > 0 else math.inf * np.sign(c)
+        t, pvals[name] = normal_test(c, s)
         table[name] = (float(c), float(s), float(t))
-        pvals[name] = 2.0 * tail_probability("normal", abs(t))
     return CointEstimate(method, table, float(r2), int(width), pvals)
 
 

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroResiduals, DegenerateResiduals, RankDeficient
-from .regression import (RANK_TOL, RegressionResult, interpolate_in_inverse, ols,
+from .regression import (RANK_TOL, STARS, RegressionResult, interpolate_in_inverse, ols,
                          singular_value_ratio, tail_probability)
 
 # Brown-Durbin-Evans CUSUM boundary constants by significance level.
-CUSUM_CONSTANTS = {0.01: 1.143, 0.05: 0.948, 0.10: 0.850}
+CUSUM_CONSTANTS = dict(zip(STARS, (1.143, 0.948, 0.850)))
 
 # CUSUM-SQ crossing critical values c0 for max_t |S_t - E S_t|, indexed
-# by the number of recursive residuals m = T - k; columns 1%, 5%, 10%.
+# by the number of recursive residuals m = T - k; a column per level of STARS.
 # Frozen from a 200k-replication simulation of the null distribution
 # (cumulative normalized chi-square(1) spacings); linear interpolation
 # in 1/m between grid points.
@@ -45,7 +45,6 @@ _CUSUM_SQ_C0 = {
     300: (0.12895, 0.10724, 0.09635),
     500: (0.10059, 0.08374, 0.07520),
 }
-_C0_LEVELS = (0.01, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,9 @@ def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
 
 def _cusum_sq_c0(m: int, level: float) -> float:
     try:
-        col = _C0_LEVELS.index(level)
+        col = tuple(STARS).index(level)
     except ValueError:
-        raise ValueError(f"level must be one of {_C0_LEVELS}") from None
+        raise ValueError(f"level must be one of {tuple(STARS)}") from None
     last = max(_CUSUM_SQ_C0)
     if m >= last:
         # beyond the grid: scale the last entry by sqrt(m_last / m)

@@ -35,6 +35,12 @@ class NonNumericCell(DataError):
         self.column = column
 
 
+class BadColumnName(DataError):
+    def __init__(self, column: int, name: str):
+        super().__init__(f"header, column {column}: "
+                         + (f"name {name!r} repeats an earlier column" if name else "empty name"))
+
+
 class MissingValue(DataError):
     def __init__(self, row: int, column: str):
         super().__init__(f"row {row}, column {column!r}: missing value")

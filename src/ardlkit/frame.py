@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadColumnName,
     EmptyBody,
     MissingValue,
     NonAnnualIndex,
@@ -125,8 +126,8 @@ class ModelSpec:
 def load_csv(text: str) -> TimeSeriesFrame:
     """Parse a CSV document ``year,<name>,...`` into a frame.
 
-    The header is required, the body must be fully numeric, and years
-    must be strictly increasing annual integers.
+    The header is required, its names distinct and non-empty, the body
+    fully numeric, and years strictly increasing annual integers.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -136,6 +137,9 @@ def load_csv(text: str) -> TimeSeriesFrame:
     if len(header) < 2 or header[0].lower() != "year":
         raise NonNumericCell(0, "header", ",".join(header))
     names = header[1:]
+    for j, name in enumerate(names):
+        if not name or name in names[:j]:
+            raise BadColumnName(j + 2, name)
     body = rows[1:]
     if not body:
         raise EmptyBody()

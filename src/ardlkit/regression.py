@@ -43,6 +43,10 @@ RANK_TOL = 1e-10
 RANK_MARGIN = 10.0
 TIE_RTOL = 1e-8
 
+# The significance levels the star, unit-root and CUSUM tables cover, with
+# their stars; the bounds tables' levels are ardl.BOUNDS_LEVELS.
+STARS = {0.01: "***", 0.05: "**", 0.10: "*"}
+
 
 @dataclass(frozen=True)
 class RegressionResult:
@@ -201,6 +205,18 @@ def ols(y, X) -> RegressionResult:
         xtx_inverse=fit.xtx_inverse[0],
         degenerate_r2=degenerate,
     )
+
+
+def stars(p: float) -> str:
+    """The stars of the smallest level in ``STARS`` above p; none for NaN."""
+    return next((mark for level, mark in STARS.items() if p < level), "")
+
+
+def normal_test(coef: float, se: float) -> tuple[float, float]:
+    """t = coef / se and its two-sided normal p-value.  At se = 0, t is
+    +-inf (p = 0) for a non-zero coef and NaN (p NaN, no stars) for zero."""
+    t = coef / se if se > 0 else math.inf * float(np.sign(coef))
+    return t, 2.0 * tail_probability("normal", abs(t))
 
 
 class WaldF(NamedTuple):

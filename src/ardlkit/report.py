@@ -3,7 +3,7 @@
 Every table renders deterministically: same report, same bytes.  The
 JSON form carries full-precision floats (Python repr) and is the
 round-trip format; Markdown and CSV are presentation views with
-significance stars (*** 1%, ** 5%, * 10%) and standard errors in
+significance stars (``regression.STARS``) and standard errors in
 parentheses.
 
 ``report.json`` holds the bytes of ``json.dumps(doc, indent=2)``.
@@ -33,26 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ardl import BoundsResult, EcmResult
+from .ardl import BOUNDS_LEVELS, BoundsResult, EcmResult
 from .causality import CausalityReport
 from .cointreg import CointEstimate
 from .diagnostics import DiagnosticsReport, StabilityPath
-from .regression import tail_probability
+from .regression import normal_test, stars
 from .unitroot import UnitRootReport
 
 FORMATS = ("markdown", "csv", "json")
-
-
-def stars(p: float) -> str:
-    if math.isnan(p):
-        return ""
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.10:
-        return "*"
-    return ""
 
 
 def _fmt(x: float, digits: int = 4) -> str:
@@ -197,19 +185,14 @@ def bounds_rows(b: BoundsResult) -> tuple[list[str], list[list[str]]]:
         ["F statistics", _fmt(b.f_stat), str(b.k), "", ""],
         ["Significance level", "10%", "5%", "2.50%", "1%"],
     ]
-    levels = (0.10, 0.05, 0.025, 0.01)
-    rows.append(["I(0)"] + [_fmt(b.critical_bounds[lv][0], 2) for lv in levels])
-    rows.append(["I(1)"] + [_fmt(b.critical_bounds[lv][1], 2) for lv in levels])
-    rows.append(["Decision"] + [b.decision[lv] for lv in levels])
+    rows.append(["I(0)"] + [_fmt(b.critical_bounds[lv][0], 2) for lv in BOUNDS_LEVELS])
+    rows.append(["I(1)"] + [_fmt(b.critical_bounds[lv][1], 2) for lv in BOUNDS_LEVELS])
+    rows.append(["Decision"] + [b.decision[lv] for lv in BOUNDS_LEVELS])
     return header, rows
 
 
 def _coef_cell(coef: float, se: float) -> str:
-    if se > 0:
-        p = 2.0 * tail_probability("normal", abs(coef / se))
-    else:
-        p = 0.0
-    return f"{_fmt(coef, 3)}{stars(p)}({_fmt(se, 4)})"
+    return f"{_fmt(coef, 3)}{stars(normal_test(coef, se)[1])}({_fmt(se, 4)})"
 
 
 def ardl_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:

@@ -254,8 +254,7 @@ def check_reps(reps: int) -> None:
         raise InvalidParams(f"reps must be >= 100, got {reps}")
 
 
-def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
-                      collect: bool = False) -> McResult:
+def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05) -> McResult:
     """Fraction of replications rejecting at ``level``.
 
     ``test`` maps (frame, level, seed) to (statistic, reject: bool);
@@ -267,7 +266,6 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
     aborts, and any other exception propagates.
     """
     check_reps(reps)
-    rejections = 0
     failures = 0
     rows = []
     for lo in range(0, reps, MC_CHUNK):
@@ -282,8 +280,6 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05,
                         f"more than 1% of replications failed ({failures}/{r + 1})"
                     ) from None
                 continue
-            rejections += bool(reject)
-            if collect:
-                rows.append((r, float(stat), bool(reject)))
-    done = reps - failures
-    return McResult(rejections / done if done else math.nan, reps, failures, tuple(rows))
+            rows.append((r, float(stat), bool(reject)))
+    rejections = sum(reject for _, _, reject in rows)
+    return McResult(rejections / len(rows), reps, failures, tuple(rows))

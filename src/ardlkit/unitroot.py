@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
-from .regression import (KernelSpec, bartlett_variances, first_minimum, interpolate_in_inverse,
-                         ols_stack, prefix_plan, search_criteria)
+from .regression import (STARS, KernelSpec, bartlett_variances, first_minimum,
+                         interpolate_in_inverse, ols_stack, prefix_plan, search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -51,8 +51,8 @@ _ERS_TREND = {
     10**9: (-3.48, -2.89, -2.57),
 }
 
-# Critical-value keys by test level; the tables cover no other level.
-LEVEL_KEYS = {0.01: "1%", 0.05: "5%", 0.10: "10%"}
+# Critical-value keys ("1%", ...) by test level; the tables cover no other level.
+LEVEL_KEYS = {level: f"{level:.0%}" for level in STARS}
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,7 @@ class UnitRootReport:
     reject: dict[str, bool]
 
     def stars(self) -> str:
-        if self.reject["1%"]:
-            return "***"
-        if self.reject["5%"]:
-            return "**"
-        if self.reject["10%"]:
-            return "*"
-        return ""
+        return next((mark for lv, mark in STARS.items() if self.reject[LEVEL_KEYS[lv]]), "")
 
 
 @dataclass(frozen=True)
@@ -311,7 +305,7 @@ def integration_order(level_report: UnitRootReport, diff_report: UnitRootReport,
         raise ValueError("level and difference reports cover different variables")
     key = LEVEL_KEYS.get(level)
     if key is None:
-        raise ValueError(f"integration decision level must be 1%, 5% or 10%, got {level}")
+        raise ValueError(f"integration decision level must be one of {tuple(STARS)}, got {level}")
     if level_report.reject[key]:
         order = "I0"
     elif diff_report.reject[key]:

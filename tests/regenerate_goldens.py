@@ -50,15 +50,19 @@ def environment_versions() -> dict:
     }
 
 
-def write_fixture() -> Path:
-    frame = generate(FIXTURE_DGP, start_year=1941)
+def csv_text(frame) -> str:
+    """``frame`` as CSV text in the frame schema, every float by its repr."""
     lines = ["Year," + ",".join(frame.names)]
     for i, year in enumerate(frame.years):
         cells = ",".join(repr(float(frame.columns[name][i])) for name in frame.names)
         lines.append(f"{year},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def write_fixture() -> Path:
     DATA.mkdir(parents=True, exist_ok=True)
     path = DATA / "fixture.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(generate(FIXTURE_DGP, start_year=1941)))
     return path
 
 

@@ -28,15 +28,11 @@ from ardlkit.frame import TimeSeriesFrame, load_csv
 from ardlkit.synthetic import Dgp, generate, random_walk
 
 from conftest import FIXTURE_CSV
+from regenerate_goldens import csv_text
 
 
 def write_csv(path: Path, dgp: Dgp) -> Path:
-    frame = generate(dgp, start_year=1941)
-    lines = ["Year," + ",".join(frame.names)]
-    for i, year in enumerate(frame.years):
-        cells = ",".join(repr(float(frame.columns[n][i])) for n in frame.names)
-        lines.append(f"{year},{cells}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(generate(dgp, start_year=1941)))
     return path
 
 
@@ -180,6 +176,13 @@ class TestExitCodes:
         data.write_bytes(FIXTURE_CSV.read_bytes().replace(b"Year", b"Ann\xe9e"))
         assert main(command_argv(command, data, tmp_path / "o")) == EXIT_DATA
         assert f"{data} is not UTF-8 text: byte 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_data_with_a_repeated_column_name(self, tmp_path, capsys, command):
+        data = tmp_path / "repeated.csv"
+        data.write_bytes(FIXTURE_CSV.read_bytes().replace(b"X2", b"X1", 1))
+        assert main(command_argv(command, data, tmp_path / "o")) == EXIT_DATA
+        assert "name 'X1' repeats an earlier column" in capsys.readouterr().err
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -434,6 +437,14 @@ class TestPipelineCommand:
         b = run_pipeline(config)
         assert a.bounds.f_stat == b.bounds.f_stat
         assert a.ecm.ect == b.ecm.ect
+
+    def test_ecm_section_carries_the_lag_spec(self):
+        config = PipelineConfig(data_path=str(FIXTURE_CSV), dependent="Y",
+                                regressors=("X1", "X2", "X3", "X4", "X5"))
+        report = run_pipeline(config, ("ecm",))
+        assert report.to_dict()["ardl"]["spec"] == {"p": 1, "q": [0, 0, 0, 0, 0]}
+        with pytest.raises(ValueError, match="ardl_spec"):
+            run_pipeline(config, ("ardl_spec",))
 
     def test_robustness_warning_when_not_cointegrated(self, tmp_path):
         import numpy as np

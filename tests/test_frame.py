@@ -43,6 +43,15 @@ class TestLoadCsv:
         with pytest.raises(errors.NonNumericCell):
             load_csv("Period,A\n1990,1\n")
 
+    def test_repeated_column_name(self):
+        # a dict keyed by name would keep only the last A column
+        with pytest.raises(errors.BadColumnName, match="column 3: name 'A' repeats"):
+            load_csv("year,A,A\n2000,1,5\n2001,2,6\n")
+
+    def test_empty_column_name(self):
+        with pytest.raises(errors.BadColumnName, match="column 3: empty name"):
+            load_csv("year,A,\n2000,1,5\n2001,2,6\n")
+
     def test_ragged_row(self):
         with pytest.raises(errors.RaggedRow):
             load_csv("Year,A,B\n1990,1,2\n1991,3\n")

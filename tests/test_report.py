@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from ardlkit import ardl, causality, cli, diagnostics, unitroot
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.diagnostics import StabilityPath
-from ardlkit.report import dumps_indented, stability_csv, stability_svg
+from ardlkit.regression import STARS, normal_test, stars
+from ardlkit.report import _coef_cell, dumps_indented, stability_csv, stability_svg
+from ardlkit.synthetic import random_walk
 
 from conftest import FIXTURE_CSV
 
@@ -16,6 +20,40 @@ from conftest import FIXTURE_CSV
 def fixture_report():
     return run_pipeline(PipelineConfig(data_path=str(FIXTURE_CSV), dependent="Y",
                                        regressors=("X1", "X2", "X3", "X4", "X5")))
+
+
+def test_every_level_table_covers_the_one_level_list():
+    levels = tuple(STARS)
+    assert levels == (0.01, 0.05, 0.10)
+    assert tuple(diagnostics.CUSUM_CONSTANTS) == levels
+    assert {len(row) for row in diagnostics._CUSUM_SQ_C0.values()} == {len(levels)}
+    assert tuple(unitroot.LEVEL_KEYS) == levels
+    assert tuple(unitroot.LEVEL_KEYS.values()) == ("1%", "5%", "10%")
+    assert {len(rows) for rows in unitroot._MACKINNON_2010.values()} == {len(levels)}
+    assert {len(row) for row in unitroot._ERS_TREND.values()} == {len(levels)}
+    granger = causality.granger_pair(random_walk(60, 1), random_walk(60, 2), 1)
+    assert tuple(granger.reject_at) == levels
+    assert tuple(causality._errored("X", "Y", "failed").reject_at) == levels
+    # the bounds tables add 2.5%, and the pipeline's level is one of theirs
+    for table in (ardl.PAPER_BOUNDS_K5, *ardl.PESARAN_CASE3.values()):
+        assert tuple(table) == ardl.BOUNDS_LEVELS
+    assert cli.LEVELS == (0.01, 0.025, 0.05, 0.10) == tuple(sorted(ardl.BOUNDS_LEVELS))
+    assert set(levels) < set(cli.LEVELS)
+
+
+@pytest.mark.parametrize("p, mark", [(0.0, "***"), (0.0099, "***"), (0.01, "**"), (0.049, "**"),
+                                     (0.05, "*"), (0.0999, "*"), (0.10, ""), (1.0, ""),
+                                     (math.nan, "")])
+def test_stars(p, mark):
+    assert stars(p) == mark
+
+
+def test_coef_cell_at_zero_standard_error():
+    assert normal_test(-0.5, 0.0) == (-math.inf, 0.0)
+    assert _coef_cell(-0.5, 0.0) == "-0.500***(0.0000)"
+    t, p = normal_test(0.0, 0.0)
+    assert math.isnan(t) and math.isnan(p)
+    assert _coef_cell(0.0, 0.0) == "0.000(0.0000)"
 
 
 ADVERSARIAL = {

@@ -21,6 +21,9 @@ from ardlkit.synthetic import (
     uniforms,
 )
 
+from conftest import FIXTURE_CSV
+from regenerate_goldens import FIXTURE_DGP, csv_text
+
 # First four splitmix64 uniforms for seed 0, pinned so any change to the
 # generator is caught immediately.
 UNIFORMS_SEED0 = (
@@ -200,6 +203,10 @@ class TestGenerate:
         frame = generate(Dgp("ecm_system", 30, 4, {"beta": (1.0, 2.0, 3.0)}))
         assert frame.names == ("Y", "X1", "X2", "X3")
 
+    def test_fixture_regenerates_from_its_seed(self):
+        text = csv_text(generate(FIXTURE_DGP, start_year=1941))
+        assert text.encode() == FIXTURE_CSV.read_bytes()
+
 
 class TestMcRejectionRate:
     def test_rate_with_deterministic_test(self):
@@ -224,8 +231,7 @@ class TestMcRejectionRate:
         def test_fn(frame, level, seed):
             return float(seed), False
 
-        result = mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 100,
-                                   collect=True)
+        result = mc_rejection_rate(test_fn, Dgp("random_walk", 20, 0), 100)
         assert len(result.rows) == 100
         assert result.rows[3] == (3, 3.0, False)
 
@@ -329,7 +335,7 @@ class TestBatchedDraws:
             return rep.statistic, rep.reject["5%"]
 
         reps = MC_CHUNK + 44
-        result = mc_rejection_rate(test, dgp, reps, collect=True)
+        result = mc_rejection_rate(test, dgp, reps)
         rows, rejections, failures = per_replication(test, dgp, reps)
         assert failures == result.failures == 1
         assert result.rows == tuple(rows)
