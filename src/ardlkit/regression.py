@@ -5,8 +5,10 @@ This is the shared numerical engine.  Fits go through one SVD engine,
 ``ols_stack``, which fits a stack of designs by one batched SVD; ``ols``
 is its one-row case, and a row fitted in a stack gets the bits it gets
 alone.  Rank detection, the solution, and (X'X)^-1 all come from that
-one rank-revealing factorization; severe collinearity among lagged logs
-is the expected failure mode and is reported with the offending columns.
+one rank-revealing factorization, ``factor_stack``, on which
+``solve_stack`` solves; a caller that fits many blocks on one design can
+keep its factorization.  Severe collinearity among lagged logs is the
+expected failure mode and is reported with the offending columns.
 Every lag search (ARDL, unit-root, Granger) is scored by one function,
 ``search_criteria``, which returns every row's criteria as one (R, C)
 array.  What a search needs besides the data (its chains of nested column
@@ -103,7 +105,13 @@ def singular_value_ratio(s: np.ndarray) -> float:
     """s_min/s_max of a matrix's singular values ``s`` (largest first, as
     numpy returns them), 0 for a zero matrix.  This is the one rank rule:
     a matrix whose ratio is below RANK_TOL is singular."""
-    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    return singular_value_ratios(np.asarray(s)[None])[0]
+
+
+def singular_value_ratios(s: np.ndarray) -> list[float]:
+    """``singular_value_ratio`` of each row of a stack's singular values s."""
+    return [s_min / s_max if s_max > 0 else 0.0
+            for s_min, s_max in zip(s[:, -1].tolist(), s[:, 0].tolist())]
 
 
 def _dependent_columns(vt: np.ndarray, s: np.ndarray) -> list[int]:
@@ -130,36 +138,70 @@ class StackedFit(NamedTuple):
     singular: dict[int, RankDeficient]
 
 
+class SvdFactor(NamedTuple):
+    """The SVD of a stack of designs X, all that ``solve_stack`` needs
+    besides the left-hand sides.  It depends on X alone, so a caller that
+    fits many blocks on one design may cache it (``factor_stack``)."""
+
+    X: np.ndarray            # (R, n, k), or (1, n, k) for a shared design
+    ut: np.ndarray           # (R, k, n) U transposed
+    s: np.ndarray            # (R, k, 1) singular values, 1.0 for a singular design's
+    v: np.ndarray            # (R, k, k)
+    xtx_inverse: np.ndarray  # (R, k, k)
+    singular: dict[int, RankDeficient]
+
+    def coefficients(self, Y) -> np.ndarray:
+        """The (R, k) least-squares coefficients of Y (R, n) on X."""
+        return (self.v @ ((self.ut @ Y[..., None]) / self.s))[..., 0]
+
+
+def factor_stack(X) -> SvdFactor:
+    """The ``SvdFactor`` of X (R, n, k): one batched SVD, and each design
+    whose ``singular_value_ratio`` is below RANK_TOL flagged with its
+    ``RankDeficient``.  Raises ``TooFewObservations`` when n <= k."""
+    n, k = X.shape[1:]
+    if n <= k:
+        raise TooFewObservations(n, k)
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    singular = {i: RankDeficient(_dependent_columns(vt[i], s[i]))
+                for i, ratio in enumerate(singular_value_ratios(s)) if ratio < RANK_TOL}
+    if singular:
+        s = s.copy()
+        s[list(singular)] = 1.0  # keeps the singular rows' arithmetic finite
+    v = vt.transpose(0, 2, 1)
+    return SvdFactor(X, u.transpose(0, 2, 1), s[..., None], v, (v / s[:, None, :] ** 2) @ vt,
+                     singular)
+
+
+def solve_stack(Y, factor: SvdFactor) -> StackedFit:
+    """Minimize ||Y[r] - X[r] b||^2 for every row r of Y (R, n) on the
+    designs ``factor`` holds, one per row or one shared by every row."""
+    X = factor.X
+    coef = factor.coefficients(Y)
+    residuals = Y - (X @ coef[..., None])[..., 0]
+    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
+    df_resid = X.shape[1] - X.shape[2]
+    s2 = rss / df_resid
+    stderr = np.sqrt(np.maximum(s2[:, None] * factor.xtx_inverse.diagonal(axis1=1, axis2=2), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
+    singular = factor.singular
+    if singular and len(X) == 1:
+        singular = dict.fromkeys(range(len(Y)), singular[0])
+    return StackedFit(coef, residuals, rss, factor.xtx_inverse, stderr, tstats, df_resid,
+                      singular)
+
+
 def ols_stack(Y, X) -> StackedFit:
-    """Minimize ||Y[r] - X[r] b||^2 for every row r through one batched SVD.
+    """Minimize ||Y[r] - X[r] b||^2 for every row r through one batched SVD:
+    ``solve_stack`` on ``factor_stack(X)``.
 
     Y is (R, n); X is (R, n, k), or (1, n, k) for one design shared by every
     row.  Every product is a stacked matmul, which makes the same BLAS call
     for each row as for a lone one, so a row's numbers are bitwise those of
     fitting it alone.  Raises ``TooFewObservations`` when n <= k.
     """
-    n, k = X.shape[1:]
-    if n <= k:
-        raise TooFewObservations(n, k)
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    singular = {i: RankDeficient(_dependent_columns(vt[i], row))
-                for i, row in enumerate(s) if singular_value_ratio(row) < RANK_TOL}
-    if singular:
-        s = s.copy()
-        s[list(singular)] = 1.0  # keeps the singular rows' arithmetic finite
-        if X.shape[0] == 1:
-            singular = dict.fromkeys(range(Y.shape[0]), singular[0])
-    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
-    coef = (v @ ((ut @ Y[..., None]) / s[..., None]))[..., 0]
-    residuals = Y - (X @ coef[..., None])[..., 0]
-    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
-    xtx_inv = (v / s[:, None, :] ** 2) @ vt
-    df_resid = n - k
-    s2 = rss / df_resid
-    stderr = np.sqrt(np.maximum(s2[:, None] * xtx_inv.diagonal(axis1=1, axis2=2), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
-    return StackedFit(coef, residuals, rss, xtx_inv, stderr, tstats, df_resid, singular)
+    return solve_stack(Y, factor_stack(X))
 
 
 def ols(y, X) -> RegressionResult:
@@ -335,22 +377,23 @@ def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape[1:]
-    sound = np.zeros(len(X), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if n >= k and plan.width < n:
-            s = np.linalg.svd(X, compute_uv=False)
-            sound = s[:, -1] / s[:, 0] >= RANK_TOL * RANK_MARGIN  # NaN for a zero X
-        settle = ~sound
-        if plan.columns and np.count_nonzero(sound):
+    sound = [False] * len(X)
+    if n >= k and plan.width < n:
+        s = np.linalg.svd(X, compute_uv=False)
+        sound = [ratio >= RANK_TOL * RANK_MARGIN for ratio in singular_value_ratios(s)]
+    if plan.columns and any(sound):
+        with np.errstate(divide="ignore", invalid="ignore"):
             scores = n * np.log(_chain_rss(Y, X, plan) / n) + _penalty(n, kind) * plan.widths
             best = scores.min(axis=1, keepdims=True)
             far = scores - best > TIE_RTOL * np.maximum(np.abs(best), 1.0)
-            settle |= np.add.reduce(far, axis=1) < len(plan.columns) - 1
-        else:
-            scores = np.empty((len(X), len(plan.columns)))
-    for r in settle.nonzero()[0]:
-        scores[r] = _settle_ties(Y[r], X[r], plan.columns,
-                                 scores[r].tolist() if sound[r] else None, kind)
+        tied = (np.add.reduce(far, axis=1) < len(plan.columns) - 1).tolist()
+    else:
+        scores = np.empty((len(X), len(plan.columns)))
+        tied = [False] * len(X)
+    for r, (ok, tie) in enumerate(zip(sound, tied)):
+        if tie or not ok:
+            scores[r] = _settle_ties(Y[r], X[r], plan.columns, scores[r].tolist() if ok else None,
+                                     kind)
     return scores
 
 
@@ -381,7 +424,7 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
         h = np.linalg.qr(cols[:, plan.gather].transpose(0, 1, 3, 2), mode="raw")[0]
         width -= shared
     # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
-    tail = np.cumsum(h[..., width, width::-1] ** 2, axis=-1).reshape(len(X), -1)
+    tail = (h[..., width, width::-1] ** 2).cumsum(axis=-1).reshape(len(X), -1)
     return tail[:, plan.pick]
 
 
@@ -461,13 +504,17 @@ def info_criterion(fit: RegressionResult, kind: str = "aic") -> float:
 def _autocovariances(u: np.ndarray, upto: int) -> np.ndarray:
     """gamma_0..gamma_upto of the demeaned series, divisor n."""
     n = u.shape[0]
-    v = u - u.mean()
+    v = u - u.sum() / n  # the mean's bits, without np.mean's overhead
     return np.asarray([v[j:] @ v[: n - j] / n for j in range(upto + 1)])
 
 
+@functools.lru_cache(maxsize=None)
 def _bartlett_weights(bw: int) -> np.ndarray:
-    """The Bartlett kernel's lag weights 1 - j/(bw+1), j = 1..bw."""
-    return 1.0 - np.arange(1, bw + 1) / (bw + 1.0)
+    """The Bartlett kernel's lag weights 1 - j/(bw+1), j = 1..bw, computed
+    once per bandwidth and read-only."""
+    weights = 1.0 - np.arange(1, bw + 1) / (bw + 1.0)
+    weights.flags.writeable = False
+    return weights
 
 
 def bartlett_variances(u, bw: int) -> tuple[float, float]:
@@ -482,7 +529,7 @@ def bartlett_variances(u, bw: int) -> tuple[float, float]:
     if bw >= n:
         raise BandwidthTooLarge(bw, n)
     gamma = _autocovariances(u, bw)
-    return float(gamma[0]), float(gamma[0] + 2.0 * np.sum(_bartlett_weights(bw) * gamma[1:]))
+    return float(gamma[0]), float(gamma[0] + 2.0 * (_bartlett_weights(bw) * gamma[1:]).sum())
 
 
 def long_run_variance(u, spec: KernelSpec = KernelSpec()) -> float:

@@ -263,21 +263,25 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05) -> McResul
     equals ``generate(dgp.with_seed(seed))``; the frames are drawn
     MC_CHUNK replications at a time.  A replication fails when the test
     raises an ``ArdlkitError`` or ``LinAlgError``; more than 1% failures
-    aborts, and any other exception propagates.
+    aborts with ``InvalidParams``, whose message ends with the first
+    failure's, and any other exception propagates.
     """
     check_reps(reps)
     failures = 0
+    first = None
     rows = []
     for lo in range(0, reps, MC_CHUNK):
         seeds = [dgp.seed + r for r in range(lo, min(lo + MC_CHUNK, reps))]
         for r, seed, frame in zip(range(lo, reps), seeds, _frames(dgp, seeds)):
             try:
                 stat, reject = test(frame, level, seed)
-            except (ArdlkitError, np.linalg.LinAlgError):
+            except (ArdlkitError, np.linalg.LinAlgError) as exc:
                 failures += 1
+                first = first or exc
                 if failures > max(1, reps // 100):
                     raise InvalidParams(
-                        f"more than 1% of replications failed ({failures}/{r + 1})"
+                        f"more than 1% of replications failed ({failures}/{r + 1}); "
+                        f"the first: {first}"
                     ) from None
                 continue
             rows.append((r, float(stat), bool(reject)))

@@ -10,6 +10,7 @@ Each test runs on a block of equal-length series through one kernel,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,9 @@ import numpy as np
 
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
-from .regression import (STARS, KernelSpec, bartlett_variances, first_minimum,
-                         interpolate_in_inverse, ols_stack, prefix_plan, search_criteria)
+from .regression import (STARS, KernelSpec, SvdFactor, bartlett_variances, factor_stack,
+                         first_minimum, interpolate_in_inverse, ols_stack, prefix_plan,
+                         search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -89,29 +91,51 @@ def ers_critical_values(nobs: int) -> dict[str, float]:
     return dict(zip(LEVEL_KEYS.values(), interpolate_in_inverse(_ERS_TREND, nobs)))
 
 
-def _report(variable, test, deterministic, lag_or_bw, stat, cvs) -> UnitRootReport:
-    reject = {key: bool(stat < cvs[key]) for key in LEVEL_KEYS.values()}
-    return UnitRootReport(variable, test, deterministic, lag_or_bw, float(stat), cvs, reject)
+@functools.lru_cache(maxsize=None)
+def _critical_values(test: str, deterministic: str, nobs: int) -> tuple[tuple[str, float], ...]:
+    """The (level key, critical value) pairs of ``test``'s statistic with
+    ``deterministic`` terms on nobs observations, computed once per shape:
+    ERS for the detrended DF-GLS, MacKinnon otherwise (DF-GLS's demeaned
+    case at its no-constant surface)."""
+    if test == "dfgls":
+        if deterministic == "constant_trend":
+            return tuple(ers_critical_values(nobs).items())
+        deterministic = "none"
+    return tuple(mackinnon_critical_values(deterministic, nobs).items())
 
 
+def _report(test, deterministic, lag_or_bw, stat, nobs) -> UnitRootReport:
+    """The report of ``stat``, with its own dicts of critical values and
+    decisions."""
+    stat = float(stat)
+    cvs = _critical_values(test, deterministic, nobs)
+    return UnitRootReport("", test, deterministic, lag_or_bw, stat, dict(cvs),
+                          {key: stat < cv for key, cv in cvs})
+
+
+@functools.lru_cache(maxsize=None)
 def _deterministic_block(deterministic: str, n: int) -> np.ndarray:
+    """The (n, d) deterministic columns, built once per shape and read-only."""
     if deterministic == "none":
-        return np.empty((n, 0))
-    if deterministic == "constant":
-        return np.ones((n, 1))
-    if deterministic == "constant_trend":
-        return np.column_stack([np.ones(n), np.arange(1, n + 1, dtype=float)])
-    raise ValueError(f"unknown deterministic {deterministic!r}")
+        z = np.empty((n, 0))
+    elif deterministic == "constant":
+        z = np.ones((n, 1))
+    elif deterministic == "constant_trend":
+        z = np.column_stack([np.ones(n), np.arange(1, n + 1, dtype=float)])
+    else:
+        raise ValueError(f"unknown deterministic {deterministic!r}")
+    z.flags.writeable = False
+    return z
 
 
-def _df_designs(Y: np.ndarray, deterministic: str, p: int):
+def _df_designs(Y: np.ndarray, dY: np.ndarray, deterministic: str, p: int):
     """Designs of the ADF regression with p augmentation lags, one per row
-    of Y (R, n): the (R, n-1-p) left-hand sides and the stacked designs.
+    of Y (R, n), from its differences dY (R, n-1): the (R, n-1-p)
+    left-hand sides and the stacked designs.
 
     Rows are aligned to t = p+1 .. n-1 (0-based).  Columns: y_{t-1},
     deterministic terms, then the p lagged differences.
     """
-    dY = np.diff(Y, axis=1)
     m = dY.shape[1]
     terms = _deterministic_block(deterministic, m - p)
     base = 1 + terms.shape[1]
@@ -141,12 +165,18 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
     report, or the ``ArdlkitError`` that row raised.
 
     ``max_lag`` and ``criterion`` set the ADF and DF-GLS lag search,
-    ``bandwidth`` the PP long-run variance.  The rows share every
+    ``bandwidth`` the PP long-run variance.  A row whose differences hold
+    a NaN or an infinity, or are all equal, fails alone with
+    ``DegenerateSeries``, found from one max/min pair over the block's one
+    ``np.diff``.  That difference feeds every design at every lag (DF-GLS
+    differences its detrended block once).  The rows share every
     factorization they can: one batched QR scores the lag search of all
     rows, the rows that choose the same lag are fitted by one
-    ``ols_stack``, and so are the GLS detrending and PP's ADF(0)
-    regressions.  Each row's numbers are bitwise those of its one-row
-    block.
+    ``ols_stack``, and so are PP's ADF(0) regressions.  What depends only
+    on the shape is built once and cached: the deterministic columns, the
+    critical values per (deterministic, nobs), and the SVD of the GLS
+    quasi-differenced design per (deterministic, n).  Each row's numbers
+    are bitwise those of its one-row block.
     """
     Y = np.asarray(block, dtype=float)
     if Y.ndim != 2:
@@ -165,20 +195,27 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
         raise ValueError(f"unknown unit-root test {test!r}")
     if too_short is not None:
         return [SeriesTooShort(too_short) for _ in Y]
-    flat = np.ptp(np.diff(Y, axis=1), axis=1) == 0
-    outcomes: list = [DegenerateSeries() if f else None for f in flat]
-    live = np.flatnonzero(~flat)
-    if live.size:
-        if test == "pp":
-            done = _pp_rows(Y[live], deterministic, bandwidth)
+    dY = Y[:, 1:] - Y[:, :-1]
+    outcomes: list = []
+    for hi, lo in zip(dY.max(axis=1).tolist(), dY.min(axis=1).tolist()):
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            outcomes.append(DegenerateSeries("series has a non-finite value"))
         else:
-            done = _df_rows(test, Y[live], deterministic, max_lag, criterion)
+            outcomes.append(DegenerateSeries() if hi == lo else None)
+    live = [r for r, outcome in enumerate(outcomes) if outcome is None]
+    if len(live) < len(outcomes):
+        Y, dY = Y[live], dY[live]
+    if live:
+        if test == "pp":
+            done = _pp_rows(Y, dY, deterministic, bandwidth)
+        else:
+            done = _df_rows(test, Y, dY, deterministic, max_lag, criterion)
         for r, outcome in zip(live, done):
             outcomes[r] = outcome
     return outcomes
 
 
-def _df_rows(test: str, Y: np.ndarray, deterministic: str, max_lag: int,
+def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_lag: int,
              criterion: str) -> list:
     """ADF, or DF-GLS on the GLS-detrended rows, for ``unit_root_block``.
 
@@ -194,26 +231,26 @@ def _df_rows(test: str, Y: np.ndarray, deterministic: str, max_lag: int,
     terms = deterministic
     if test == "dfgls":
         Y, terms = _gls_detrend_block(Y, deterministic), "none"
-    lhs, X = _df_designs(Y, terms, max_lag)
+        dY = Y[:, 1:] - Y[:, :-1]
+    lhs, X = _df_designs(Y, dY, terms, max_lag)
     plan = prefix_plan(tuple(range(X.shape[2] - max_lag, X.shape[2] + 1)))
     lags = [first_minimum(scores) for scores in search_criteria(lhs, X, plan, criterion).tolist()]
+    groups: dict[int, list[int]] = {}
+    for r, p in enumerate(lags):
+        groups.setdefault(p, []).append(r)
     outcomes: list = [None] * len(lags)
-    for p in sorted(set(lags)):
-        rows = [r for r, q in enumerate(lags) if q == p]
-        lhs, X = _df_designs(Y[rows], terms, p)
+    for p in sorted(groups):
+        rows = groups[p]
+        lhs, X = (_df_designs(Y, dY, terms, p) if len(rows) == len(lags)
+                  else _df_designs(Y[rows], dY[rows], terms, p))
         fit = ols_stack(lhs, X)
         nobs = lhs.shape[1]
-        if test == "dfgls" and deterministic == "constant_trend":
-            cvs = ers_critical_values(nobs)
-        else:
-            cvs = mackinnon_critical_values(terms, nobs)
-        for i, r in enumerate(rows):
-            outcomes[r] = fit.singular.get(i) or _report("", test, deterministic, p,
-                                                         fit.tstats[i, 0], dict(cvs))
+        for i, (r, tau) in enumerate(zip(rows, fit.tstats[:, 0].tolist())):
+            outcomes[r] = fit.singular.get(i) or _report(test, deterministic, p, tau, nobs)
     return outcomes
 
 
-def _pp_rows(Y: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
+def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
     """Phillips-Perron Z_t for ``unit_root_block``.
 
     The Dickey-Fuller regression is run without augmentation lags and
@@ -221,48 +258,58 @@ def _pp_rows(Y: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
     variance of the residuals.
     """
     spec = KernelSpec(bandwidth=bandwidth)
-    lhs, X = _df_designs(Y, deterministic, 0)
+    lhs, X = _df_designs(Y, dY, deterministic, 0)
     fit = ols_stack(lhs, X)
     nobs = lhs.shape[1]
     bw = spec.resolve(nobs)
-    cvs = mackinnon_critical_values(deterministic, nobs)
     outcomes: list = []
-    for i, u in enumerate(fit.residuals):
+    for i, (u, rss, tau, se) in enumerate(zip(fit.residuals, fit.rss.tolist(),
+                                              fit.tstats[:, 0].tolist(),
+                                              fit.stderr[:, 0].tolist())):
         try:
             if i in fit.singular:
                 raise fit.singular[i]
             gamma0, lam2 = bartlett_variances(u, bw)
-            s2 = float(fit.rss[i]) / fit.df_resid
+            s2 = rss / fit.df_resid
             if min(gamma0, lam2, s2) <= 0.0:  # an exact fit, or a zero long-run variance
                 raise DegenerateResiduals()
         except ArdlkitError as exc:
             outcomes.append(exc)
             continue
-        tau = fit.tstats[i, 0]
         z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
-            nobs * fit.stderr[i, 0] / math.sqrt(s2)
+            nobs * se / math.sqrt(s2)
         )
-        outcomes.append(_report("", "pp", deterministic, bw, z_tau, dict(cvs)))
+        outcomes.append(_report("pp", deterministic, bw, z_tau, nobs))
     return outcomes
+
+
+@functools.lru_cache(maxsize=None)
+def _gls_factor(deterministic: str, n: int) -> tuple[float, SvdFactor]:
+    """abar = 1 + cbar/n and the SVD of the quasi-differenced deterministic
+    design, once per (deterministic, n)."""
+    a = 1.0 + (-7.0 if deterministic == "constant" else -13.5) / n
+    z = _deterministic_block(deterministic, n)
+    zq = z.copy()
+    zq[1:] = z[1:] - a * z[:-1]
+    factor = factor_stack(zq[None])
+    for array in (factor.X, factor.ut, factor.s, factor.v, factor.xtx_inverse):
+        array.flags.writeable = False
+    return a, factor
 
 
 def _gls_detrend_block(Y: np.ndarray, deterministic: str) -> np.ndarray:
     """``gls_detrend`` of every row of Y (R, n): the rows share one
-    quasi-differenced design, so one ``ols_stack`` fits them all."""
+    quasi-differenced design, whose cached SVD fits them all."""
     n = Y.shape[1]
-    cbar = -7.0 if deterministic == "constant" else -13.5
-    a = 1.0 + cbar / n
     z = _deterministic_block(deterministic, n)
     if z.shape[1] == 0:  # nothing to detrend
         return Y.copy()
-    zq = z.copy()
-    zq[1:] = z[1:] - a * z[:-1]
+    a, factor = _gls_factor(deterministic, n)
+    if factor.singular:
+        raise factor.singular[0]
     Yq = Y.copy()
     Yq[:, 1:] = Y[:, 1:] - a * Y[:, :-1]
-    fit = ols_stack(Yq, zq[None])
-    if fit.singular:
-        raise fit.singular[0]
-    return Y - (z @ fit.coef[..., None])[..., 0]
+    return Y - (z @ factor.coefficients(Yq)[..., None])[..., 0]
 
 
 def _single(test: str, series, deterministic: str, **options) -> UnitRootReport:

@@ -28,6 +28,8 @@ import itertools
 import math
 import sys
 
+import numpy as np
+
 from ardlkit import causality, errors, unitroot
 from ardlkit.ardl import ArdlSpec, _conditional_design, select_ardl_lags
 from ardlkit.frame import ModelSpec
@@ -90,7 +92,7 @@ def unit_root_oracle(test: str, y, kind: str) -> int:
     terms = "constant"
     if test == "dfgls":
         y, terms = unitroot.gls_detrend(y), "none"
-    lhs, X = unitroot._df_designs(y[None], terms, max_lag)
+    lhs, X = unitroot._df_designs(y[None], np.diff(y)[None], terms, max_lag)
     base = X.shape[2] - max_lag
     return prefix_oracle(lhs[0], X[0], range(base, base + max_lag + 1), kind)
 

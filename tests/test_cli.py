@@ -294,6 +294,14 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "more than 1% of replications failed" in capsys.readouterr().err
 
+    def test_mc_abort_names_the_first_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["mc", "--test", "pp", "--T", "12", "--reps", "100", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "more than 1% of replications failed (2/2)" in err
+        assert "PP needs n >= 15, got 12" in err
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("Year,Y,X1\n1990,1,2\n1991,3\n")

@@ -349,7 +349,8 @@ def ols_criteria(y, X, subsets, kind):
 
 def adf_design(seed, T, deterministic, max_lag):
     """The max-lag ADF design of a seeded random walk and its lag prefixes."""
-    lhs, X = unitroot._df_designs(random_walk(T, seed)[None], deterministic, max_lag)
+    y = random_walk(T, seed)
+    lhs, X = unitroot._df_designs(y[None], np.diff(y)[None], deterministic, max_lag)
     lhs, X = lhs[0], X[0]
     base = X.shape[1] - max_lag
     return lhs, X, [list(range(base + p)) for p in range(max_lag + 1)]

@@ -21,6 +21,7 @@ from ardlkit.unitroot import (
     unit_root_block,
 )
 
+import unit_root_sweep
 from conftest import FIXTURE_CSV
 
 # Statistics frozen from an independent augmented-Dickey-Fuller
@@ -211,7 +212,7 @@ class TestPp:
         frame = load_csv(FIXTURE_CSV.read_text())
         for name in frame.names:
             for y in (frame.column(name), np.diff(frame.column(name))):
-                lhs, X = _df_designs(y[None], deterministic, 0)
+                lhs, X = _df_designs(y[None], np.diff(y)[None], deterministic, 0)
                 fit = ols(lhs[0], X[0])
                 nobs = fit.residuals.shape[0]
                 bw = KernelSpec(bandwidth=bandwidth).resolve(nobs)
@@ -355,12 +356,39 @@ class TestUnitRootBlock:
         Y = block_rows(60)
         Y[1] = np.arange(60.0)  # constant differences
         Y[4, :-1] = 2.0  # a constant level but for the last value: y_{t-1} repeats the constant
+        Y[5, 17] = np.nan
+        Y[6, 40] = np.inf
         for test in ("adf", "pp", "dfgls"):
             rows = unit_root_block(test, Y, "constant")
             assert isinstance(rows[1], errors.DegenerateSeries)
+            for r in (5, 6):
+                assert isinstance(rows[r], errors.DegenerateSeries)
+                assert "non-finite value" in str(rows[r])
             assert_same_outcomes(rows, [one_row(test, y, "constant") for y in Y])
-            assert sum(isinstance(row, errors.ArdlkitError) for row in rows) <= 2
+            assert sum(isinstance(row, errors.ArdlkitError) for row in rows) <= 4
         assert isinstance(unit_root_block("adf", Y, "constant")[4], errors.RankDeficient)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_series_is_degenerate(self, bad):
+        y = RW.copy()
+        y[0] = bad
+        for test in (adf, pp, dfgls):
+            with pytest.raises(errors.DegenerateSeries, match="non-finite value"):
+                test(y)
+
+    def test_each_report_has_its_own_dicts(self):
+        # the critical values are cached per shape; a report's dicts are its own
+        first, second = unit_root_block("adf", block_rows(50)[:2])
+        first.critical_values["5%"] = 0.0
+        first.reject["5%"] = True
+        third = adf(block_rows(50)[0])
+        assert third.critical_values == second.critical_values != first.critical_values
+        assert third.reject == second.reject
+
+    def test_first_sweep_chunk_keeps_its_bits(self):
+        # one of tests/unit_root_sweep.py's 15 chunks: every test, deterministic
+        # case and criterion at T = 33, 50, 100, one row at a time and as blocks
+        assert unit_root_sweep.mismatches([0]) == []
 
     def test_a_too_large_max_lag_is_an_outcome_of_every_row(self):
         Y = block_rows(40)
