@@ -1,7 +1,8 @@
 """ARDL bounds-cointegration toolkit.
 
 Data ingestion and transforms (``frame``), a least-squares engine
-(``regression``), unit-root tests (``unitroot``), the ARDL/ECM stack
+(``regression``), every null table behind one lookup (``critical``),
+unit-root tests (``unitroot``), the ARDL/ECM stack
 (``ardl``), cointegrating-regression robustness estimators
 (``cointreg``), Granger causality (``causality``), residual and
 stability diagnostics (``diagnostics``), seeded synthetic DGPs

@@ -13,39 +13,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .critical import BOUNDS_LEVELS, TABLES, critical_values
 from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import (RegressionResult, first_minimum, ols, search_criteria, search_plan,
                          wald_f_zero)
 
 # The critical-bounds tables bounds_test takes.
-BOUNDS_TABLES = ("embedded", "pesaran")
-
-# Critical bounds for k = 5 regressors as embedded defaults; per level,
-# (I0 lower bound, I1 upper bound).
-PAPER_BOUNDS_K5 = {
-    0.10: (1.98, 3.01),
-    0.05: (2.29, 3.24),
-    0.025: (2.60, 3.71),
-    0.01: (2.98, 3.99),
-}
-
-# The levels of every bounds table, in the report's column order.
-BOUNDS_LEVELS = tuple(PAPER_BOUNDS_K5)
-
-# Pesaran-Shin-Smith (2001), Table CI, Case III (unrestricted intercept,
-# no trend), asymptotic; keyed by number of regressors k.
-PESARAN_CASE3 = {
-    1: {0.10: (4.04, 4.78), 0.05: (4.94, 5.73), 0.025: (5.77, 6.68), 0.01: (6.84, 7.84)},
-    2: {0.10: (3.17, 4.14), 0.05: (3.79, 4.85), 0.025: (4.41, 5.52), 0.01: (5.15, 6.36)},
-    3: {0.10: (2.72, 3.77), 0.05: (3.23, 4.35), 0.025: (3.69, 4.89), 0.01: (4.29, 5.61)},
-    4: {0.10: (2.45, 3.52), 0.05: (2.86, 4.01), 0.025: (3.25, 4.49), 0.01: (3.74, 5.06)},
-    5: {0.10: (2.26, 3.35), 0.05: (2.62, 3.79), 0.025: (2.96, 4.18), 0.01: (3.41, 4.68)},
-}
+BOUNDS_TABLES = tuple(family for family, case in TABLES if case == "III")
 
 
 @dataclass(frozen=True)
@@ -222,10 +202,11 @@ def fit_conditional_ecm(frame: TimeSeriesFrame, spec: ModelSpec,
 def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
     """Wald F on joint nullity of the level terms versus critical bounds.
 
-    ``table`` selects the embedded default bounds (k = 5) or the
-    published Pesaran Case-III asymptotic table ("pesaran").  The
-    reported F p-value is a standard F reference only; the decision uses
-    the bound comparison.
+    ``table`` selects the Case-III bounds in ``critical``: "pesaran", the
+    published asymptotic table for k = 1..5, or "embedded", the same
+    table with small-sample bounds at k = 5.  Beyond k = 5 both raise
+    ``NoCriticalValues``.  The reported F p-value is a standard F
+    reference only; the decision uses the bound comparison.
     """
     reg = fit.regression
     level_idx = set(fit.level_indices)
@@ -242,8 +223,9 @@ def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
 
 
 def decide_bounds(f_stat: float, k: int, table: str = "embedded") -> BoundsResult:
-    """Classify an externally supplied F statistic against the bounds."""
-    bounds = _bounds_table(k, table)
+    """Classify an externally supplied F statistic against ``table``'s
+    Case-III bounds for k regressors; k must be an integer."""
+    bounds = critical_values(table, "III", operator.index(k))
     decision = {}
     for level, (lo, hi) in bounds.items():
         if f_stat > hi:
@@ -253,18 +235,6 @@ def decide_bounds(f_stat: float, k: int, table: str = "embedded") -> BoundsResul
         else:
             decision[level] = "inconclusive"
     return BoundsResult(f_stat, k, bounds, decision, math.nan)
-
-
-def _bounds_table(k: int, table: str) -> dict[float, tuple[float, float]]:
-    if table == "embedded":
-        if k == 5:
-            return dict(PAPER_BOUNDS_K5)
-        table = "pesaran"  # the embedded default only covers k = 5
-    if table == "pesaran":
-        if k not in PESARAN_CASE3:
-            raise ValueError(f"no Pesaran Case-III bounds for k={k}")
-        return dict(PESARAN_CASE3[k])
-    raise ValueError(f"unknown bounds table {table!r}")
 
 
 def long_run_coefficients(fit: ArdlFit) -> dict[str, tuple[float, float]]:

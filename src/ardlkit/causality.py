@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
 from .frame import TimeSeriesFrame
-from .regression import STARS, first_minimum, ols_stack, prefix_plan, search_criteria, wald_f
+from .regression import (STARS, first_minimum, ols_stack, prefix_plan, row_ranges,
+                         search_criteria, wald_f)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,11 @@ def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityRepo
     ``ArdlkitError`` that row raised.
 
     ``lag`` is a fixed lag, or "auto" for each pair's lag as
-    ``select_granger_lag`` picks it with its defaults (AIC over 1..4).  One
-    ``search_criteria`` call scores the lag search of every pair, and the
-    pairs that use the same lag share one ``ols_stack`` of the
+    ``select_granger_lag`` picks it with its defaults (AIC over 1..4).  A
+    pair whose cause or effect holds a NaN or an infinity fails alone
+    with ``DegenerateSeries`` before any factorization.  One
+    ``search_criteria`` call scores the lag search of every other pair,
+    and the pairs that use the same lag share one ``ols_stack`` of the
     unrestricted model and one of the restricted.  Each row's numbers are
     bitwise those of its one-row block.
     """
@@ -71,22 +74,34 @@ def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityRepo
     effects = np.asarray(effects, dtype=float)
     if not len(effects):
         return []
+    outcomes = _nonfinite(causes, effects)
+    live = [r for r, outcome in enumerate(outcomes) if outcome is None]
     if lag == "auto":
         try:
-            lags = _search_lags(causes, effects, 4, "aic")
+            lags = _search_lags(causes[live], effects[live], 4, "aic") if live else []
         except SeriesTooShort as exc:  # the rows share n, so they fail alike
-            return [exc] * len(effects)
+            return [outcome or exc for outcome in outcomes]
     elif int(lag) < 1:
         raise ValueError("lag must be >= 1")
     else:
-        lags = [int(lag)] * len(effects)
-    outcomes: list = [None] * len(lags)
+        lags = [int(lag)] * len(live)
     for use in sorted(set(lags)):
-        rows = [r for r, q in enumerate(lags) if q == use]
+        rows = [r for r, q in zip(live, lags) if q == use]
         done = _fit_rows(causes[rows], effects[rows], use, [labels[r] for r in rows])
         for r, outcome in zip(rows, done):
             outcomes[r] = outcome
     return outcomes
+
+
+def _nonfinite(causes: np.ndarray, effects: np.ndarray) -> list:
+    """``DegenerateSeries`` for each pair whose cause or effect holds a NaN
+    or an infinity, None for the others: ``regression.row_ranges`` over
+    the differences of both series.  A pair too short to difference has
+    nothing to screen; the lag checks reject it."""
+    if effects.shape[1] < 2:
+        return [None] * len(effects)
+    spans = row_ranges(np.diff(np.stack([causes, effects], axis=1), axis=2))
+    return [None if isinstance(span, tuple) else span for span in spans]
 
 
 def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
@@ -159,8 +174,13 @@ def granger_pair(x, y, lag: int, cause: str = "x", effect: str = "y") -> Causali
 def select_granger_lag(x, y, max_lag: int = 4, criterion: str = "aic") -> int:
     """Minimize the criterion of the unrestricted model on a common sample:
     the one-pair lag search of ``granger_block``.  Series of unequal
-    length are trimmed to their common tail, as in ``granger_pair``."""
-    [lag] = _search_lags(*_one_pair(x, y), max_lag, criterion)
+    length are trimmed to their common tail, as in ``granger_pair``; a
+    NaN or an infinity in either raises ``DegenerateSeries``."""
+    causes, effects = _one_pair(x, y)
+    [error] = _nonfinite(causes, effects)
+    if error is not None:
+        raise error
+    [lag] = _search_lags(causes, effects, max_lag, criterion)
     return lag
 
 

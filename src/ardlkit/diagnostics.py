@@ -2,9 +2,9 @@
 
 Jarque-Bera (normality), Breusch-Godfrey LM (serial correlation) and
 Breusch-Pagan-Godfrey (heteroscedasticity) on a fitted regression, plus
-CUSUM and CUSUM-of-squares paths built from recursive residuals.  For
-the three residual tests the null is the desirable state, so a verdict
-of "pass" means p > level.
+CUSUM and CUSUM-of-squares paths built from recursive residuals, with
+their bounds from ``critical``.  For the three residual tests the null
+is the desirable state, so a verdict of "pass" means p > level.
 """
 
 from __future__ import annotations
@@ -14,37 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical import critical_values
 from .errors import AllZeroResiduals, DegenerateResiduals, RankDeficient
-from .regression import (RANK_TOL, STARS, RegressionResult, interpolate_in_inverse, ols,
-                         singular_value_ratio, tail_probability)
-
-# Brown-Durbin-Evans CUSUM boundary constants by significance level.
-CUSUM_CONSTANTS = dict(zip(STARS, (1.143, 0.948, 0.850)))
-
-# CUSUM-SQ crossing critical values c0 for max_t |S_t - E S_t|, indexed
-# by the number of recursive residuals m = T - k; a column per level of STARS.
-# Frozen from a 200k-replication simulation of the null distribution
-# (cumulative normalized chi-square(1) spacings); linear interpolation
-# in 1/m between grid points.
-_CUSUM_SQ_C0 = {
-    6: (0.65650, 0.55318, 0.48843),
-    8: (0.61092, 0.50826, 0.45387),
-    10: (0.56905, 0.47188, 0.42128),
-    12: (0.53899, 0.44632, 0.39708),
-    15: (0.49752, 0.41028, 0.36511),
-    20: (0.44353, 0.36584, 0.32664),
-    25: (0.40613, 0.33454, 0.29888),
-    30: (0.37663, 0.31018, 0.27715),
-    40: (0.33020, 0.27375, 0.24482),
-    50: (0.29942, 0.24796, 0.22163),
-    60: (0.27589, 0.22834, 0.20436),
-    80: (0.24273, 0.20017, 0.17947),
-    100: (0.21795, 0.18054, 0.16183),
-    150: (0.18051, 0.14888, 0.13359),
-    200: (0.15688, 0.13035, 0.11689),
-    300: (0.12895, 0.10724, 0.09635),
-    500: (0.10059, 0.08374, 0.07520),
-}
+from .regression import (RANK_TOL, STARS, RegressionResult, ols, singular_value_ratio,
+                         tail_probability)
 
 
 @dataclass(frozen=True)
@@ -185,10 +158,9 @@ def cusum(y, X, level: float = 0.05) -> StabilityPath:
 def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
     """CUSUM path of the recursive residuals w_{k+1}..w_T of a k-column
     design, as returned by ``recursive_residuals``."""
-    if level not in CUSUM_CONSTANTS:
-        raise ValueError(f"level must be one of {tuple(CUSUM_CONSTANTS)}")
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
+    a = _bound("cusum", m, level)
     spread = np.ptp(w)
     if spread == 0 and w[0] == 0:
         sigma = 1.0  # exact fit: the path is identically zero
@@ -200,23 +172,17 @@ def cusum_path(w, k: int, level: float = 0.05) -> StabilityPath:
             raise DegenerateResiduals("CUSUM needs recursive residuals that differ to "
                                       "estimate sigma")
     path = np.cumsum(w) / sigma
-    a = CUSUM_CONSTANTS[level]
     steps = np.arange(1, m + 1, dtype=float)
     bound = a * math.sqrt(m) + 2.0 * a * steps / math.sqrt(m)
     stable = bool(np.all(np.abs(path) <= bound))
     return StabilityPath("cusum", tuple(range(k + 1, k + m + 1)), path, -bound, bound, stable)
 
 
-def _cusum_sq_c0(m: int, level: float) -> float:
-    try:
-        col = tuple(STARS).index(level)
-    except ValueError:
-        raise ValueError(f"level must be one of {tuple(STARS)}") from None
-    last = max(_CUSUM_SQ_C0)
-    if m >= last:
-        # beyond the grid: scale the last entry by sqrt(m_last / m)
-        return _CUSUM_SQ_C0[last][col] * math.sqrt(last / m)
-    return interpolate_in_inverse(_CUSUM_SQ_C0, m)[col]
+def _bound(statistic: str, m: int, level: float) -> float:
+    """The ``statistic``'s critical value for m recursive residuals."""
+    if level not in STARS:
+        raise ValueError(f"level must be one of {tuple(STARS)}")
+    return critical_values("stability", statistic, m)[level]
 
 
 def cusum_sq(y, X, level: float = 0.05) -> StabilityPath:
@@ -238,7 +204,7 @@ def cusum_sq_path(w, k: int, level: float = 0.05) -> StabilityPath:
     # value exactly 1.0 in floating point
     path = cumulative / total
     center = np.arange(1, m + 1, dtype=float) / m
-    c0 = _cusum_sq_c0(m, level)
+    c0 = _bound("cusum_sq", m, level)
     lower = center - c0
     upper = center + c0
     stable = bool(np.all((path >= lower) & (path <= upper)))

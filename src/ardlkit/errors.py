@@ -156,3 +156,7 @@ class PossibleI2(PreconditionError):
             "root; the series may be I(2), which invalidates the ARDL bounds approach"
         )
         self.variable = variable
+
+
+class NoCriticalValues(PreconditionError):
+    """A table of critical values has none where it is read."""

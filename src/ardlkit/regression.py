@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ArdlkitError, BandwidthTooLarge, InvalidDf, NumericalError, RankDeficient,
-                     TooFewObservations)
+from .errors import (ArdlkitError, BandwidthTooLarge, DegenerateSeries, InvalidDf,
+                     NumericalError, RankDeficient, TooFewObservations)
 
 # The information criteria criterion_from_rss knows.
 CRITERIA = ("aic", "sic", "hq")
@@ -46,7 +46,7 @@ RANK_MARGIN = 10.0
 TIE_RTOL = 1e-8
 
 # The significance levels the star, unit-root and CUSUM tables cover, with
-# their stars; the bounds tables' levels are ardl.BOUNDS_LEVELS.
+# their stars; the bounds tables' levels are critical.BOUNDS_LEVELS.
 STARS = {0.01: "***", 0.05: "**", 0.10: "*"}
 
 
@@ -565,16 +565,15 @@ def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
     return omega, one_sided, g0
 
 
-def interpolate_in_inverse(table: dict, t: float) -> tuple[float, ...]:
-    """The row of ``table`` (sample size -> critical values) at size t,
-    linear in 1/t between neighbouring sizes, as finite-sample critical
-    values move like 1/T; clamped to the first and last rows outside the
-    table's sizes."""
-    sizes = sorted(table)
-    t = min(max(t, sizes[0]), sizes[-1])
-    lo, hi = next((lo, hi) for lo, hi in zip(sizes, sizes[1:]) if t <= hi)
-    w = (1.0 / t - 1.0 / lo) / (1.0 / hi - 1.0 / lo)
-    return tuple((1 - w) * a + w * b for a, b in zip(table[lo], table[hi]))
+def row_ranges(d: np.ndarray) -> list[tuple[float, float] | DegenerateSeries]:
+    """The (max, min) of each row of ``d`` (R, ...), from one max and one
+    min over the block, or ``DegenerateSeries`` for a row holding a NaN or
+    an infinity: the screen the unit-root and Granger blocks run on their
+    rows' differences before any factorization."""
+    axes = tuple(range(1, d.ndim))
+    return [(hi, lo) if math.isfinite(hi) and math.isfinite(lo)
+            else DegenerateSeries("series has a non-finite value")
+            for hi, lo in zip(d.max(axis=axes).tolist(), d.min(axis=axes).tolist())]
 
 
 def tail_probability(dist: str, stat: float, df=None) -> float:

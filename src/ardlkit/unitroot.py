@@ -1,8 +1,8 @@
 """ADF, Phillips-Perron, and DF-GLS unit-root tests.
 
 All three are left-tail tests of the unit-root null.  Critical values
-come from the MacKinnon (2010) response surface (ADF, PP, and the
-demeaned and no-deterministic DF-GLS cases) and the
+come from ``critical``: the MacKinnon (2010) response surface (ADF, PP,
+and the demeaned and no-deterministic DF-GLS cases) and the
 Elliott-Rothenberg-Stock (1996) table for the detrended DF-GLS case.
 Each test runs on a block of equal-length series through one kernel,
 ``unit_root_block``; ``adf``, ``pp`` and ``dfgls`` are its one-series case.
@@ -16,45 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
 from .regression import (STARS, KernelSpec, SvdFactor, bartlett_variances, factor_stack,
-                         first_minimum, interpolate_in_inverse, ols_stack, prefix_plan,
+                         first_minimum, ols_stack, prefix_plan, row_ranges,
                          search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
-
-# MacKinnon (2010) response-surface coefficients, single series:
-# cv = b0 + b1/T + b2/T^2 + b3/T^3 at 1%, 5%, 10%.
-_MACKINNON_2010 = {
-    "none": (
-        (-2.56574, -2.2358, -3.627, 0.0),
-        (-1.94100, -0.2686, -3.365, 31.223),
-        (-1.61682, 0.2656, -2.714, 25.364),
-    ),
-    "constant": (
-        (-3.43035, -6.5393, -16.786, -79.433),
-        (-2.86154, -2.8903, -4.234, -40.040),
-        (-2.56677, -1.5384, -2.809, 0.0),
-    ),
-    "constant_trend": (
-        (-3.95877, -9.0531, -28.428, -134.155),
-        (-3.41049, -4.3904, -9.036, -45.374),
-        (-3.12705, -2.5856, -3.925, -22.380),
-    ),
-}
-
-# Elliott-Rothenberg-Stock (1996), Table 1, detrended case; rows are
-# sample sizes, columns 1%, 5%, 10%.  Interpolated linearly in 1/T.
-_ERS_TREND = {
-    50: (-3.77, -3.19, -2.89),
-    100: (-3.58, -3.03, -2.74),
-    200: (-3.46, -2.93, -2.64),
-    10**9: (-3.48, -2.89, -2.57),
-}
-
-# Critical-value keys ("1%", ...) by test level; the tables cover no other level.
-LEVEL_KEYS = {level: f"{level:.0%}" for level in STARS}
 
 
 @dataclass(frozen=True)
@@ -78,39 +47,13 @@ class IntegrationDecision:
     evidence: tuple[UnitRootReport, UnitRootReport]
 
 
-def mackinnon_critical_values(deterministic: str, nobs: int) -> dict[str, float]:
-    coeffs = _MACKINNON_2010[deterministic]
-    return {
-        key: b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
-        for key, (b0, b1, b2, b3) in zip(LEVEL_KEYS.values(), coeffs)
-    }
-
-
-def ers_critical_values(nobs: int) -> dict[str, float]:
-    """The ERS trend table at nobs, clamped to its first and last rows."""
-    return dict(zip(LEVEL_KEYS.values(), interpolate_in_inverse(_ERS_TREND, nobs)))
-
-
-@functools.lru_cache(maxsize=None)
-def _critical_values(test: str, deterministic: str, nobs: int) -> tuple[tuple[str, float], ...]:
-    """The (level key, critical value) pairs of ``test``'s statistic with
-    ``deterministic`` terms on nobs observations, computed once per shape:
-    ERS for the detrended DF-GLS, MacKinnon otherwise (DF-GLS's demeaned
-    case at its no-constant surface)."""
-    if test == "dfgls":
-        if deterministic == "constant_trend":
-            return tuple(ers_critical_values(nobs).items())
-        deterministic = "none"
-    return tuple(mackinnon_critical_values(deterministic, nobs).items())
-
-
 def _report(test, deterministic, lag_or_bw, stat, nobs) -> UnitRootReport:
     """The report of ``stat``, with its own dicts of critical values and
     decisions."""
     stat = float(stat)
-    cvs = _critical_values(test, deterministic, nobs)
-    return UnitRootReport("", test, deterministic, lag_or_bw, stat, dict(cvs),
-                          {key: stat < cv for key, cv in cvs})
+    cvs = critical_values(test, deterministic, nobs)
+    return UnitRootReport("", test, deterministic, lag_or_bw, stat, cvs,
+                          {key: stat < cv for key, cv in cvs.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,16 +110,17 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
     ``max_lag`` and ``criterion`` set the ADF and DF-GLS lag search,
     ``bandwidth`` the PP long-run variance.  A row whose differences hold
     a NaN or an infinity, or are all equal, fails alone with
-    ``DegenerateSeries``, found from one max/min pair over the block's one
-    ``np.diff``.  That difference feeds every design at every lag (DF-GLS
-    differences its detrended block once).  The rows share every
-    factorization they can: one batched QR scores the lag search of all
-    rows, the rows that choose the same lag are fitted by one
-    ``ols_stack``, and so are PP's ADF(0) regressions.  What depends only
-    on the shape is built once and cached: the deterministic columns, the
-    critical values per (deterministic, nobs), and the SVD of the GLS
-    quasi-differenced design per (deterministic, n).  Each row's numbers
-    are bitwise those of its one-row block.
+    ``DegenerateSeries``, found by ``regression.row_ranges`` from one
+    max/min pair over the block's one ``np.diff``.  That difference feeds
+    every design at every lag (DF-GLS differences its detrended block
+    once).  The rows share every factorization they can: one batched QR
+    scores the lag search of all rows, the rows that choose the same lag
+    are fitted by one ``ols_stack``, and so are PP's ADF(0) regressions.
+    What depends only on the shape is built once and cached: the
+    deterministic columns, the critical values per (table, nobs) in
+    ``critical``, and the SVD of the GLS quasi-differenced design per
+    (deterministic, n).  Each row's numbers are bitwise those of its
+    one-row block.
     """
     Y = np.asarray(block, dtype=float)
     if Y.ndim != 2:
@@ -197,11 +141,10 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
         return [SeriesTooShort(too_short) for _ in Y]
     dY = Y[:, 1:] - Y[:, :-1]
     outcomes: list = []
-    for hi, lo in zip(dY.max(axis=1).tolist(), dY.min(axis=1).tolist()):
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            outcomes.append(DegenerateSeries("series has a non-finite value"))
-        else:
-            outcomes.append(DegenerateSeries() if hi == lo else None)
+    for span in row_ranges(dY):
+        if isinstance(span, tuple):
+            span = DegenerateSeries() if span[0] == span[1] else None
+        outcomes.append(span)
     live = [r for r, outcome in enumerate(outcomes) if outcome is None]
     if len(live) < len(outcomes):
         Y, dY = Y[live], dY[live]

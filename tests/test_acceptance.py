@@ -24,6 +24,7 @@ from ardlkit.ardl import (
 from ardlkit.causality import CausalityReport, classify_direction, granger_pair
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.cointreg import ccr, dols, fmols
+from ardlkit.critical import critical_values
 from ardlkit.diagnostics import cusum, cusum_sq, jarque_bera, verdict
 from ardlkit.frame import ModelSpec
 from ardlkit.regression import KernelSpec, ols
@@ -33,7 +34,6 @@ from ardlkit.unitroot import (
     UnitRootReport,
     adf,
     integration_order,
-    mackinnon_critical_values,
     pp,
 )
 
@@ -258,7 +258,7 @@ def test_10_determinism_and_goldens(tmp_path):
 def test_11_published_decision_fixtures():
     # Unit-root decision column: statistics as printed, constant case,
     # n = 33 annual observations
-    cvs = mackinnon_critical_values("constant", 33)
+    cvs = critical_values("adf", "constant", 33)
 
     def report(var, stat):
         return UnitRootReport(var, "adf", "constant", 0, stat, cvs,

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ardlkit import ardl, errors, regression
 from ardlkit.ardl import (
-    PAPER_BOUNDS_K5,
-    PESARAN_CASE3,
+    BOUNDS_LEVELS,
     ArdlSpec,
     _conditional_design,
     _lag_grid,
@@ -20,6 +19,7 @@ from ardlkit.ardl import (
     long_run_coefficients,
     select_ardl_lags,
 )
+from ardlkit.critical import PAPER_BOUNDS_K5, critical_values
 from ardlkit.frame import ModelSpec, TimeSeriesFrame, load_csv
 from ardlkit.regression import (criterion_from_rss, info_criterion, ols, search_criteria,
                                 search_plan)
@@ -302,13 +302,13 @@ class TestBoundsTest:
 class TestDecideBounds:
     def test_embedded_table_fixture(self):
         result = decide_bounds(5.0348, 5)
-        assert result.critical_bounds == PAPER_BOUNDS_K5
+        assert result.critical_bounds == dict(zip(BOUNDS_LEVELS, PAPER_BOUNDS_K5))
         for level in (0.01, 0.025, 0.05, 0.10):
             assert result.decision[level] == "cointegrated"
 
     def test_pesaran_fallback_for_other_k(self):
         result = decide_bounds(6.0, 1)
-        assert result.critical_bounds == PESARAN_CASE3[1]
+        assert result.critical_bounds == critical_values("pesaran", "III", 1)
         assert result.decision[0.05] == "cointegrated"
 
     def test_below_lower_bound(self):
@@ -321,8 +321,13 @@ class TestDecideBounds:
         assert result.decision[0.05] == "inconclusive"
 
     def test_unknown_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.NoCriticalValues, match="k = 9"):
             decide_bounds(3.0, 9, table="pesaran")
+
+    @pytest.mark.parametrize("k", [2.5, 5.0])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(TypeError):
+            decide_bounds(3.0, k)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):

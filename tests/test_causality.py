@@ -281,6 +281,27 @@ class TestCausalityMatrix:
         assert fits.calls == 2 * len({r.lag for r in reports})
 
 
+class TestGrangerBlock:
+    @pytest.mark.parametrize("lag", [1, "auto"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["cause", "effect"])
+    def test_non_finite_row_fails_alone(self, lag, bad, side):
+        causes = np.array([ar1(40, 2, 0.5), ar1(40, 4, 0.5)])
+        effects = 0.6 * np.roll(causes, 1, axis=1) + np.array([ar1(40, 3, 0.3), ar1(40, 5, 0.3)])
+        labels = [("x1", "y1"), ("x2", "y2")]
+        [alone] = causality.granger_block(causes[1:], effects[1:], labels[1:], lag)
+        (causes if side == "cause" else effects)[0, 17] = bad
+        failed, kept = causality.granger_block(causes, effects, labels, lag)
+        assert isinstance(failed, errors.DegenerateSeries)
+        assert str(failed) == "series has a non-finite value"
+        assert repr(kept) == repr(alone)
+        with pytest.raises(errors.DegenerateSeries, match="non-finite"):
+            if lag == "auto":
+                select_granger_lag(causes[0], effects[0])
+            else:
+                granger_pair(causes[0], effects[0], lag)
+
+
 class TestClassifyDirection:
     def make(self, p, error=None):
         return CausalityReport("a", "b", 1, 50, 1.0, p,

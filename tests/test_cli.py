@@ -10,7 +10,6 @@ import pytest
 
 import ardlkit
 from ardlkit import errors, unitroot
-from ardlkit.ardl import PESARAN_CASE3
 from ardlkit.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -24,6 +23,7 @@ from ardlkit.cli import (
     run_pipeline,
     run_unit_roots,
 )
+from ardlkit.critical import critical_values
 from ardlkit.frame import TimeSeriesFrame, load_csv
 from ardlkit.synthetic import Dgp, generate, random_walk
 
@@ -249,6 +249,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("error in robustness" in err) == (code != 0)
 
+    @pytest.mark.parametrize("command, code", [
+        ("bounds", EXIT_PRECONDITION), ("ardl", EXIT_PRECONDITION),
+        ("robust", EXIT_PRECONDITION), ("pipeline", EXIT_PRECONDITION),
+        ("granger", 0), ("diag", 0),
+    ])
+    def test_six_regressors_fail_only_where_bounds_are_read(self, tmp_path, capsys, command,
+                                                            code):
+        # the Case-III bounds tables stop at k = 5: the subcommands that read
+        # them fail with one line, the others run
+        names = ("Y", *(f"X{j}" for j in range(1, 7)))
+        columns = [random_walk(60, seed) for seed in range(len(names))]
+        lines = [",".join(("Year", *names))]
+        lines += [",".join((str(1941 + t), *(repr(float(c[t])) for c in columns)))
+                  for t in range(60)]
+        data = tmp_path / "k6.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(command_argv(command, data, tmp_path / "o", names[1:])) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error in ardl: no critical values at k = 6: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--data", str(FIXTURE_CSV), "--dependent", "Y", "--regressors", "X1",
          "--level", "0.2"],
@@ -366,7 +390,8 @@ class TestSubcommands:
         argv = [command, *fixture_args(out), "--bounds-table", "pesaran", "--format", "json"]
         assert main(argv) == 0
         bounds = json.loads((out / "report.json").read_text())["bounds"]["critical_bounds"]
-        assert bounds == {str(level): list(pair) for level, pair in PESARAN_CASE3[5].items()}
+        assert bounds == {str(level): list(pair)
+                          for level, pair in critical_values("pesaran", "III", 5).items()}
 
     @pytest.mark.parametrize("fmt", ["markdown", "json"])
     @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])

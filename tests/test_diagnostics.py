@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ardlkit import errors
 from ardlkit.ardl import fit_conditional_ecm, select_ardl_lags
+from ardlkit.critical import critical_values
 from ardlkit.diagnostics import (
-    CUSUM_CONSTANTS,
     breusch_godfrey,
     breusch_pagan_godfrey,
     cusum,
@@ -245,8 +245,8 @@ class TestCusum:
     def test_bound_formula(self):
         _, X, y = seeded_fit()
         path = cusum(y, X, level=0.05)
-        a = CUSUM_CONSTANTS[0.05]
         m = len(path.values)
+        a = critical_values("stability", "cusum", m)[0.05]
         steps = np.arange(1, m + 1)
         np.testing.assert_allclose(
             path.upper, a * np.sqrt(m) + 2 * a * steps / np.sqrt(m), rtol=1e-12
@@ -332,9 +332,8 @@ class TestCusumSq:
             cusum_sq(np.zeros(20), X)
 
     def test_critical_value_interpolation_monotone(self):
-        from ardlkit.diagnostics import _cusum_sq_c0
-
-        values = [_cusum_sq_c0(m, 0.05) for m in range(6, 400, 7)]
+        values = [critical_values("stability", "cusum_sq", m)[0.05] for m in range(6, 400, 7)]
         assert all(a > b for a, b in zip(values, values[1:]))
         # tighter bound at stricter level
-        assert _cusum_sq_c0(100, 0.01) > _cusum_sq_c0(100, 0.05) > _cusum_sq_c0(100, 0.10)
+        c0 = critical_values("stability", "cusum_sq", 100)
+        assert c0[0.01] > c0[0.05] > c0[0.10]

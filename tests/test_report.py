@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ardlkit import ardl, causality, cli, diagnostics, unitroot
+from ardlkit import ardl, causality, cli, critical, unitroot
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.diagnostics import StabilityPath
 from ardlkit.regression import STARS, normal_test, stars
@@ -25,18 +25,18 @@ def fixture_report():
 def test_every_level_table_covers_the_one_level_list():
     levels = tuple(STARS)
     assert levels == (0.01, 0.05, 0.10)
-    assert tuple(diagnostics.CUSUM_CONSTANTS) == levels
-    assert {len(row) for row in diagnostics._CUSUM_SQ_C0.values()} == {len(levels)}
     assert tuple(unitroot.LEVEL_KEYS) == levels
     assert tuple(unitroot.LEVEL_KEYS.values()) == ("1%", "5%", "10%")
-    assert {len(rows) for rows in unitroot._MACKINNON_2010.values()} == {len(levels)}
-    assert {len(row) for row in unitroot._ERS_TREND.values()} == {len(levels)}
+    # the bounds tables add 2.5%, and the pipeline's level is one of theirs
+    keys = {**dict.fromkeys(unitroot.TESTS, ("1%", "5%", "10%")), "stability": levels,
+            **dict.fromkeys(ardl.BOUNDS_TABLES, ardl.BOUNDS_LEVELS)}
+    for (family, case), table in critical.TABLES.items():
+        rows = table.rows.values() if isinstance(table.rows, dict) else [table.rows]
+        assert {len(row) for row in rows} == {len(keys[family])}
+        assert tuple(critical.critical_values(family, case, 5)) == keys[family]
     granger = causality.granger_pair(random_walk(60, 1), random_walk(60, 2), 1)
     assert tuple(granger.reject_at) == levels
     assert tuple(causality._errored("X", "Y", "failed").reject_at) == levels
-    # the bounds tables add 2.5%, and the pipeline's level is one of theirs
-    for table in (ardl.PAPER_BOUNDS_K5, *ardl.PESARAN_CASE3.values()):
-        assert tuple(table) == ardl.BOUNDS_LEVELS
     assert cli.LEVELS == (0.01, 0.025, 0.05, 0.10) == tuple(sorted(ardl.BOUNDS_LEVELS))
     assert set(levels) < set(cli.LEVELS)
 

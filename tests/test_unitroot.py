@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ardlkit import errors
+from ardlkit.critical import critical_values
 from ardlkit.frame import load_csv
 from ardlkit.regression import CRITERIA, KernelSpec, info_criterion, long_run_variance, ols
 from ardlkit.synthetic import ar1, normals, random_walk
@@ -13,10 +14,8 @@ from ardlkit.unitroot import (
     adf,
     default_max_lag,
     dfgls,
-    ers_critical_values,
     gls_detrend,
     integration_order,
-    mackinnon_critical_values,
     pp,
     unit_root_block,
 )
@@ -89,7 +88,7 @@ class TestAdf:
     def test_critical_values_from_response_surface(self):
         rep = adf(RW, max_lag=0)
         nobs = 119
-        assert rep.critical_values == mackinnon_critical_values("constant", nobs)
+        assert rep.critical_values == critical_values("adf", "constant", nobs)
 
     def test_degenerate_series(self):
         with pytest.raises(errors.DegenerateSeries):
@@ -147,18 +146,18 @@ class TestMackinnonCriticalValues:
     def test_response_surface_values(self):
         # cv = b0 + b1/T + b2/T^2 + b3/T^3 cross-checked against the
         # published MacKinnon (2010) N=1 surface at T=119
-        cvs = mackinnon_critical_values("constant", 119)
+        cvs = critical_values("adf", "constant", 119)
         assert cvs["1%"] == pytest.approx(-3.4865346059036564, abs=1e-12)
         assert cvs["5%"] == pytest.approx(-2.8861509858476264, abs=1e-12)
         assert cvs["10%"] == pytest.approx(-2.579896092790057, abs=1e-12)
 
     def test_ordering(self):
         for det in ("none", "constant", "constant_trend"):
-            cvs = mackinnon_critical_values(det, 100)
+            cvs = critical_values("adf", det, 100)
             assert cvs["1%"] < cvs["5%"] < cvs["10%"]
 
     def test_asymptote(self):
-        cvs = mackinnon_critical_values("constant", 10**9)
+        cvs = critical_values("adf", "constant", 10**9)
         assert cvs["5%"] == pytest.approx(-2.86154, abs=1e-5)
 
 
@@ -250,15 +249,16 @@ class TestDfgls:
 
     def test_trend_case_uses_ers_table(self):
         rep = dfgls(RW, "constant_trend")
-        assert rep.critical_values == ers_critical_values(
-            119 - rep.lag_or_bandwidth
+        assert rep.critical_values == critical_values(
+            "dfgls", "constant_trend", 119 - rep.lag_or_bandwidth
         )
 
     def test_no_deterministic_case_is_the_no_constant_df_test(self):
         # nothing to detrend, so the statistic and the MacKinnon "none"
         # surface are those of the no-constant ADF regression
         rep = dfgls(RW, "none")
-        assert rep.critical_values == mackinnon_critical_values("none", 119 - rep.lag_or_bandwidth)
+        assert rep.critical_values == critical_values("adf", "none",
+                                                      119 - rep.lag_or_bandwidth)
         assert rep.critical_values["5%"] == pytest.approx(-1.94, abs=0.01)
         ref = adf(RW, "none")
         assert (rep.statistic, rep.lag_or_bandwidth) == (ref.statistic, ref.lag_or_bandwidth)
@@ -297,20 +297,24 @@ class TestDfgls:
 
 
 class TestErsCriticalValues:
+    @staticmethod
+    def ers(nobs):
+        return critical_values("dfgls", "constant_trend", nobs)
+
     def test_table_rows(self):
-        assert ers_critical_values(50) == {"1%": -3.77, "5%": -3.19, "10%": -2.89}
-        assert ers_critical_values(100) == {"1%": -3.58, "5%": -3.03, "10%": -2.74}
-        assert ers_critical_values(200) == {"1%": -3.46, "5%": -2.93, "10%": -2.64}
+        assert self.ers(50) == {"1%": -3.77, "5%": -3.19, "10%": -2.89}
+        assert self.ers(100) == {"1%": -3.58, "5%": -3.03, "10%": -2.74}
+        assert self.ers(200) == {"1%": -3.46, "5%": -2.93, "10%": -2.64}
 
     def test_interpolation_between_rows(self):
-        cvs = ers_critical_values(150)
+        cvs = self.ers(150)
         assert -3.03 < cvs["5%"] < -2.93
 
     def test_clamped_below_grid(self):
-        assert ers_critical_values(20) == ers_critical_values(50)
+        assert self.ers(20) == self.ers(50)
 
     def test_large_sample_near_asymptote(self):
-        assert ers_critical_values(10**8)["5%"] == pytest.approx(-2.89, abs=1e-4)
+        assert self.ers(10**8)["5%"] == pytest.approx(-2.89, abs=1e-4)
 
 
 def block_rows(T):
