@@ -36,7 +36,6 @@ from .diagnostics import (
 )
 from .frame import ModelSpec, TimeSeriesFrame, difference, lag_matrix, load_csv, natural_log
 from .regression import (
-    KernelSpec,
     RegressionResult,
     info_criterion,
     long_run_covariance,
@@ -52,8 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArdlFit", "ArdlSpec", "BoundsResult", "CausalityReport", "CointEstimate",
-    "DiagnosticsReport", "Dgp", "EcmResult", "IntegrationDecision", "KernelSpec",
-    "ModelSpec", "RegressionResult", "StabilityPath", "TimeSeriesFrame",
+    "DiagnosticsReport", "Dgp", "EcmResult", "IntegrationDecision", "ModelSpec",
+    "RegressionResult", "StabilityPath", "TimeSeriesFrame",
     "UnitRootReport", "adf", "bounds_test", "breusch_godfrey",
     "breusch_pagan_godfrey", "causality_matrix", "ccr", "classify_direction",
     "cusum", "cusum_sq", "decide_bounds", "dfgls", "diagnostics_report",

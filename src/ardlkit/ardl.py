@@ -68,6 +68,7 @@ class BoundsResult:
 
 @dataclass(frozen=True)
 class EcmResult:
+    spec: ArdlSpec
     long_run: dict[str, tuple[float, float]]
     short_run: dict[str, tuple[float, float]]
     ect: tuple[float, float]
@@ -289,6 +290,7 @@ def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
     }
     warn = not (-2.0 < theta < 0.0)
     return EcmResult(
+        spec=ardl_spec,
         long_run=dict(long_run),
         short_run=short_run,
         ect=(theta, theta_se),

@@ -24,7 +24,7 @@ from . import cointreg, diagnostics, synthetic, unitroot
 from .errors import (ArdlkitError, DataError, InvalidParams, NotText, PreconditionError,
                      UnknownVariable)
 from .frame import ModelSpec, TimeSeriesFrame, load_csv, natural_log
-from .regression import CRITERIA, STARS, KernelSpec
+from .regression import CRITERIA, STARS, resolve_bandwidth
 from .report import FORMATS, PipelineReport, render
 
 EXIT_USAGE = 1
@@ -66,7 +66,7 @@ class PipelineConfig:
                 raise UsageError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         try:
             object.__setattr__(self, "regressors", self.model_spec().regressors)
-            KernelSpec(bandwidth=self.bandwidth)
+            resolve_bandwidth(self.bandwidth, 0)  # raises ValueError on a bad bandwidth
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         real = isinstance(self.level, (int, float))
@@ -111,10 +111,11 @@ class StageError(ArdlkitError):
 
 
 def _read_text(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; ``NotText`` if it does not
-    decode.  An ``OSError`` (no such file, a directory) propagates."""
+    """The text of the UTF-8 file at ``path``, less a leading byte-order
+    mark; ``NotText`` if it does not decode.  An ``OSError`` (no such
+    file, a directory) propagates."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise NotText(path, exc) from None
 
@@ -217,7 +218,6 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
         if "bounds" in wanted:
             report.bounds = bounds
     if "ecm" in wanted:
-        report.ardl_spec = (ardl_spec.p, ardl_spec.q)
         long_run = ardl(ardl_mod.long_run_coefficients, fit)
         report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, ardl_spec, long_run)
 
@@ -246,11 +246,10 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
 
 
 def _robustness(frame: TimeSeriesFrame, spec: ModelSpec, config: PipelineConfig):
-    kernel = KernelSpec(bandwidth=config.bandwidth)
     return [
-        cointreg.fmols(frame, spec, kernel),
+        cointreg.fmols(frame, spec, config.bandwidth),
         cointreg.dols(frame, spec, config.dols_leads, config.dols_lags),
-        cointreg.ccr(frame, spec, kernel),
+        cointreg.ccr(frame, spec, config.bandwidth),
     ]
 
 
@@ -354,14 +353,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mc", help="Monte-Carlo rejection rates")
     p.add_argument("--test", choices=("adf", "pp", "dfgls", "granger"), required=True)
-    p.add_argument("--dgp", choices=("random_walk", "ar1", "ecm_system"),
-                   default="random_walk")
+    p.add_argument("--dgp", choices=tuple(synthetic.GENERATORS), default="random_walk")
     p.add_argument("--T", type=int, default=100)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--drift", type=float, default=0.0)
+    p.add_argument("--rho", type=float, help="ar1 only")
+    p.add_argument("--drift", type=float, help="random_walk only")
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("pipeline", help="full analysis from a JSON config")
@@ -396,11 +394,8 @@ def _mc_test(args):
 
 
 def _cmd_mc(args) -> int:
-    params = {}
-    if args.dgp == "ar1":
-        params = {"rho": args.rho}
-    elif args.dgp == "random_walk":
-        params = {"drift": args.drift}
+    params = {name: getattr(args, name) for name in ("rho", "drift")
+              if getattr(args, name) is not None}
     try:
         dgp = synthetic.Dgp(args.dgp, args.T, args.seed, params)
         synthetic.check_reps(args.reps)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import SeriesTooShort, SingularOmega22, TooFewObservations
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import (KernelSpec, RANK_TOL, long_run_covariance, long_run_variance,
-                         normal_test, ols, singular_value_ratio)
+from .regression import (RANK_TOL, long_run_covariance, long_run_variance, normal_test, ols,
+                         resolve_bandwidth, singular_value_ratio)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def _r2(y: np.ndarray, resid: np.ndarray) -> float:
     return 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
 
 
-def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
+def _long_run_partition(u: np.ndarray, v: np.ndarray, bandwidth: int | str):
     """The block FMOLS and CCR share: the Bartlett long-run covariance of
     eta_t = (u_t, dx_t') and the partition of Omega around the regressors.
 
@@ -67,8 +67,8 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
     if n < 20:
         raise TooFewObservations(n, 20)
     eta = np.column_stack([u[1:], v])
-    bw = kernel.resolve(eta.shape[0])
-    omega, lam, sigma = long_run_covariance(eta, KernelSpec(bandwidth=bw))
+    bw = resolve_bandwidth(bandwidth, eta.shape[0])
+    omega, lam, sigma = long_run_covariance(eta, bw)
     omega_12 = omega[:1, 1:]
     omega_22 = omega[1:, 1:]
     if singular_value_ratio(np.linalg.svd(omega_22, compute_uv=False)) < RANK_TOL:
@@ -79,11 +79,11 @@ def _long_run_partition(u: np.ndarray, v: np.ndarray, kernel: KernelSpec):
 
 
 def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
-          kernel: KernelSpec = KernelSpec()) -> CointEstimate:
-    """Phillips-Hansen fully modified OLS."""
+          bandwidth: int | str = "auto") -> CointEstimate:
+    """Phillips-Hansen fully modified OLS at Bartlett ``bandwidth``."""
     y, design, v = _static_data(frame, spec)
     u = ols(y, design).residuals
-    _eta, bw, lam, _sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
+    _eta, bw, lam, _sigma, gain, omega_112 = _long_run_partition(u, v, bandwidth)
 
     y_plus = y[1:] - v @ gain.ravel()
     lam_12_plus = lam[:1, 1:] - gain.T @ lam[1:, 1:]
@@ -125,7 +125,7 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
     fit = ols(y[t], X)
 
     # rescale conventional standard errors by the residual long-run variance
-    lrv = long_run_variance(fit.residuals, KernelSpec(bandwidth="auto"))
+    lrv = long_run_variance(fit.residuals)
     scale = lrv / fit.s2 if fit.s2 > 0 else 1.0
     stderr = fit.stderr * math.sqrt(max(scale, 0.0))
     width = k + 1
@@ -134,12 +134,12 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
 
 
 def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
-        kernel: KernelSpec = KernelSpec()) -> CointEstimate:
-    """Park's canonical cointegrating regression."""
+        bandwidth: int | str = "auto") -> CointEstimate:
+    """Park's canonical cointegrating regression at Bartlett ``bandwidth``."""
     y, design, v = _static_data(frame, spec)
     static = ols(y, design)
     beta, u = static.coef[:spec.k], static.residuals
-    eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, kernel)
+    eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, bandwidth)
     if singular_value_ratio(np.linalg.svd(sigma, compute_uv=False)) < RANK_TOL:
         raise SingularOmega22()
     shift = np.linalg.solve(sigma, lam[:, 1:])  # Sigma^-1 Lambda_2

@@ -80,25 +80,15 @@ class RegressionResult:
         return self.s2 * self.xtx_inverse
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Bartlett-kernel long-run variance settings.
-
-    ``bandwidth`` is a non-negative integer or "auto", which resolves to
-    the Newey-West rule floor(4 * (n/100)^(2/9)).
-    """
-
-    bandwidth: int | str = "auto"
-
-    def __post_init__(self):
-        bw = self.bandwidth
-        if bw != "auto" and (type(bw) is not int or bw < 0):
-            raise ValueError(f"bandwidth must be a non-negative integer or 'auto', got {bw!r}")
-
-    def resolve(self, n: int) -> int:
-        if self.bandwidth == "auto":
-            return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
-        return int(self.bandwidth)
+def resolve_bandwidth(bandwidth: int | str, n: int) -> int:
+    """The Bartlett-kernel bandwidth for a series of length n: a
+    non-negative integer as given, or for "auto" the Newey-West rule
+    floor(4 * (n/100)^(2/9)).  Any other value raises ``ValueError``."""
+    if bandwidth == "auto":
+        return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
+    if type(bandwidth) is not int or bandwidth < 0:
+        raise ValueError(f"bandwidth must be a non-negative integer or 'auto', got {bandwidth!r}")
+    return bandwidth
 
 
 def singular_value_ratio(s: np.ndarray) -> float:
@@ -532,14 +522,14 @@ def bartlett_variances(u, bw: int) -> tuple[float, float]:
     return float(gamma[0]), float(gamma[0] + 2.0 * (_bartlett_weights(bw) * gamma[1:]).sum())
 
 
-def long_run_variance(u, spec: KernelSpec = KernelSpec()) -> float:
+def long_run_variance(u, bandwidth: int | str = "auto") -> float:
     """Bartlett-kernel long-run variance of a scalar series: lambda^2 of
-    ``bartlett_variances`` at the bandwidth ``spec`` resolves."""
+    ``bartlett_variances`` at ``resolve_bandwidth(bandwidth, n)``."""
     u = np.asarray(u, dtype=float).ravel()
-    return bartlett_variances(u, spec.resolve(u.shape[0]))[1]
+    return bartlett_variances(u, resolve_bandwidth(bandwidth, u.shape[0]))[1]
 
 
-def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
+def long_run_covariance(eta, bandwidth: int | str = "auto"):
     """Matrix analogue: returns (omega, one_sided, short_run).
 
     omega     = G0 + sum w_j (G_j + G_j'),
@@ -551,7 +541,7 @@ def long_run_covariance(eta, spec: KernelSpec = KernelSpec()):
     n, m = eta.shape
     if n < 2:
         raise TooFewObservations(n, 2)
-    bw = spec.resolve(n)
+    bw = resolve_bandwidth(bandwidth, n)
     if bw >= n:
         raise BandwidthTooLarge(bw, n)
     v = eta - eta.mean(axis=0)

@@ -54,7 +54,6 @@ class PipelineReport:
     unit_root: list[tuple[str, dict[str, tuple[UnitRootReport, UnitRootReport]], str]] = field(default_factory=list)
     bounds: BoundsResult | None = None
     ecm: EcmResult | None = None
-    ardl_spec: tuple[int, tuple[int, ...]] | None = None
     robustness: list[CointEstimate] = field(default_factory=list)
     robustness_warning: str | None = None
     causality: list[CausalityReport] = field(default_factory=list)
@@ -90,7 +89,7 @@ class PipelineReport:
         if self.ecm is not None:
             e = self.ecm
             out["ardl"] = {
-                "spec": {"p": self.ardl_spec[0], "q": list(self.ardl_spec[1])} if self.ardl_spec else None,
+                "spec": {"p": e.spec.p, "q": list(e.spec.q)},
                 "long_run": {k: list(v) for k, v in e.long_run.items()},
                 "short_run": {k: list(v) for k, v in e.short_run.items()},
                 "ect": list(e.ect),

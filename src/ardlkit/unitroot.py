@@ -19,8 +19,8 @@ import numpy as np
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
-from .regression import (STARS, KernelSpec, SvdFactor, bartlett_variances, factor_stack,
-                         first_minimum, ols_stack, prefix_plan, row_ranges,
+from .regression import (STARS, SvdFactor, bartlett_variances, factor_stack, first_minimum,
+                         ols_stack, prefix_plan, resolve_bandwidth, row_ranges,
                          search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
@@ -200,11 +200,10 @@ def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int |
     serial correlation is absorbed through the Bartlett long-run
     variance of the residuals.
     """
-    spec = KernelSpec(bandwidth=bandwidth)
     lhs, X = _df_designs(Y, dY, deterministic, 0)
     fit = ols_stack(lhs, X)
     nobs = lhs.shape[1]
-    bw = spec.resolve(nobs)
+    bw = resolve_bandwidth(bandwidth, nobs)
     outcomes: list = []
     for i, (u, rss, tau, se) in enumerate(zip(fit.residuals, fit.rss.tolist(),
                                               fit.tstats[:, 0].tolist(),

@@ -27,7 +27,7 @@ from ardlkit.cointreg import ccr, dols, fmols
 from ardlkit.critical import critical_values
 from ardlkit.diagnostics import cusum, cusum_sq, jarque_bera, verdict
 from ardlkit.frame import ModelSpec
-from ardlkit.regression import KernelSpec, ols
+from ardlkit.regression import ols
 from ardlkit.report import render
 from ardlkit.synthetic import ar1, ecm_system, normals, random_walk
 from ardlkit.unitroot import (
@@ -173,10 +173,9 @@ def test_07_robustness_collapse_to_ols():
     X = np.column_stack([frame.column("X1"), frame.column("X2"),
                          np.ones(frame.n)])
     theta = ols(y, X).coef
-    kernel = KernelSpec(bandwidth=0)
     worst = 0.0
-    for est in (fmols(frame, spec, kernel), dols(frame, spec, leads=0, lags=0),
-                ccr(frame, spec, kernel)):
+    for est in (fmols(frame, spec, 0), dols(frame, spec, leads=0, lags=0),
+                ccr(frame, spec, 0)):
         got = np.array([est.coef[n][0] for n in ("X1", "X2", "const")])
         worst = max(worst, float(np.max(np.abs(got - theta))))
     ok = worst < 1e-10

@@ -391,6 +391,7 @@ class TestFitEcm:
         ardl_spec = ArdlSpec(2, (1,))
         fit = fit_conditional_ecm(coint_frame, spec, ardl_spec)
         ecm = fit_ecm(coint_frame, spec, ardl_spec, long_run_coefficients(fit))
+        assert ecm.spec == ardl_spec
         assert set(ecm.short_run) == {"D.Y(-1)", "D.X1(-1)"}
         assert ecm.names[0] == "const" and ecm.names[-1] == "ECT(-1)"
 

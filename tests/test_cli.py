@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import ardlkit
 from ardlkit import errors, unitroot
+from ardlkit.ardl import ArdlSpec
 from ardlkit.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -184,6 +186,30 @@ class TestExitCodes:
         assert main(command_argv(command, data, tmp_path / "o")) == EXIT_DATA
         assert "name 'X1' repeats an earlier column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
+    def test_data_with_a_byte_order_mark(self, tmp_path, command):
+        # spreadsheets' "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + FIXTURE_CSV.read_bytes())
+        written = []
+        for name, path in (("plain", FIXTURE_CSV), ("bom", data)):
+            out = tmp_path / name
+            assert main(command_argv(command, path, out)) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        written = []
+        for name in ("plain", "bom"):
+            out = tmp_path / name
+            argv = command_argv("pipeline", FIXTURE_CSV, out)
+            if name == "bom":
+                config = Path(argv[2])
+                config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+            assert main(argv) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_bytes(b'{"data_path": "\xff"}')
@@ -301,10 +327,14 @@ class TestExitCodes:
         ["mc", "--test", "pp", "--dgp", "ar1", "--rho", "nan", "--reps", "100"],
         ["mc", "--test", "adf", "--drift", "nan", "--reps", "100"],
         ["mc", "--test", "adf", "--drift", "inf", "--reps", "100"],
+        # each DGP flag belongs to one DGP: --rho to ar1, --drift to random_walk
+        ["mc", "--test", "adf", "--dgp", "random_walk", "--rho", "0.99", "--reps", "100"],
+        ["mc", "--test", "adf", "--dgp", "ecm_system", "--drift", "5", "--reps", "100"],
     ], ids=["level", "dependent-as-regressor", "repeated-regressor", "bandwidth", "dols-leads",
             "granger-lag", "granger-lag-0", "unitroot-level", "unitroot-bandwidth",
             "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho", "mc-granger-level",
-            "mc-rho-nan", "mc-drift-nan", "mc-drift-inf"])
+            "mc-rho-nan", "mc-drift-nan", "mc-drift-inf", "mc-rho-random-walk",
+            "mc-drift-ecm-system"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
@@ -437,6 +467,35 @@ class TestSubcommands:
         assert len(lines) == 101
         assert "rejection rate at 5%" in capsys.readouterr().out
 
+    # sha256 of mc.csv at --T 30 --reps 100 --seed 0, recorded before the DGP
+    # parameters were bound to their generators' signatures
+    MC_DIGESTS = {
+        ("adf", "random_walk"): "78efc679dc826eefbc0411558d474bc4b9e6419c9a3778dab32d640fe122437e",
+        ("adf", "ar1"): "bde68860d9e36b6ef18289262bb9ea441229440415fbd981abb33b49050720f4",
+        ("adf", "ecm_system"): "b4c409da17760a9b609f0330fd675bcfabb25427a49e661e3bb2463e34d856df",
+        ("pp", "random_walk"): "e2156af840c33de67d5bf7f7da929c2c4d02c212b5899dbb989635990b5d4473",
+        ("pp", "ar1"): "38ea6a0e3077a34ea0565a0ae25ba3a2f208e3ba107209191e5eedbfacb7b1b8",
+        ("pp", "ecm_system"): "47b7c4a6584da99432ac48b89e6393f6e0e23f83e70e792f34782ea12b4e890e",
+        ("dfgls", "random_walk"): "0889976790b81af27baaffc7f1cb2317d6c38c98700ccf4bc94f0828749c28f2",
+        ("dfgls", "ar1"): "63a9c7fc9a6f6b5ee57519f20875487d786cf7bc3ebbe170eec767e248c254a2",
+        ("dfgls", "ecm_system"): "47b450940b71a20fb688423e4540a41b8bc6013ce5085e48c032a03ea114ee90",
+        ("granger", "random_walk"): "74a5717a76719b540e97e157efc795476705a2eeec3bad01795bfca28784fa1b",
+        ("granger", "ar1"): "11ce0e445affded618206c2ddec8f071cb2e0dda0fe0aa3c496e3daf73cacf2f",
+        ("granger", "ecm_system"): "8943ea81150708cabaedaaa6c2b335dae5ed1ac0ee37926da50e1f5faf029c99",
+        ("adf", "ar1", "--rho", "0.9"):
+            "f9cd2cee69693885df079bbed7b1e01437c3c0b964bda7ac7802e8ac3ea6747a",
+        ("adf", "random_walk", "--drift", "0.1"):
+            "35a9e7dd32c01749ae06505eae5118de15dc0958c35a0c82b98dc03eb8151576",
+    }
+
+    @pytest.mark.parametrize("case", MC_DIGESTS, ids=" ".join)
+    def test_mc_csv_bits_are_pinned(self, tmp_path, case):
+        test, dgp, *flags = case
+        out = tmp_path / "o"
+        assert main(["mc", "--test", test, "--dgp", dgp, *flags, "--T", "30",
+                     "--reps", "100", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "mc.csv").read_bytes()).hexdigest() == self.MC_DIGESTS[case]
+
     def test_mc_granger_takes_any_level(self, tmp_path, capsys):
         # the Granger test compares p-values, so it needs no critical-value table
         rc = main(["mc", "--test", "granger", "--dgp", "ar1", "--T", "50",
@@ -475,6 +534,7 @@ class TestPipelineCommand:
         config = PipelineConfig(data_path=str(FIXTURE_CSV), dependent="Y",
                                 regressors=("X1", "X2", "X3", "X4", "X5"))
         report = run_pipeline(config, ("ecm",))
+        assert report.ecm.spec == ArdlSpec(1, (0, 0, 0, 0, 0))
         assert report.to_dict()["ardl"]["spec"] == {"p": 1, "q": [0, 0, 0, 0, 0]}
         with pytest.raises(ValueError, match="ardl_spec"):
             run_pipeline(config, ("ardl_spec",))

@@ -4,7 +4,7 @@ import pytest
 from ardlkit import cointreg, errors
 from ardlkit.cointreg import ccr, dols, fmols
 from ardlkit.frame import ModelSpec, load_csv
-from ardlkit.regression import KernelSpec, ols
+from ardlkit.regression import ols, resolve_bandwidth
 from ardlkit.synthetic import ecm_system, normals, random_walk
 
 from conftest import FIXTURE_CSV, make_frame
@@ -118,10 +118,10 @@ class TestFixtureOracle:
         mpmath = pytest.importorskip("mpmath")
         frame = load_csv(FIXTURE_CSV.read_text())
         spec = ModelSpec("Y", ("X1", "X2", "X3", "X4", "X5"))
-        kernel = KernelSpec(bandwidth=bandwidth)
         with mpmath.workdps(50):
-            expected = oracle_fmols_ccr(mpmath, frame, spec, kernel.resolve(frame.n - 1))
-        for est in (fmols(frame, spec, kernel), ccr(frame, spec, kernel)):
+            expected = oracle_fmols_ccr(mpmath, frame, spec,
+                                        resolve_bandwidth(bandwidth, frame.n - 1))
+        for est in (fmols(frame, spec, bandwidth), ccr(frame, spec, bandwidth)):
             coef, stderr = expected[est.method]
             names = (*spec.regressors, "const")
             np.testing.assert_allclose([est.coef[n][0] for n in names], coef, rtol=2e-14,
@@ -136,11 +136,10 @@ class TestCollapseToOls:
         spec = ModelSpec("Y", ("X1", "X2"))
         theta = static_ols_theta(frame, spec)
         np.testing.assert_allclose(theta, [*beta, const], atol=1e-8)
-        kernel = KernelSpec(bandwidth=0)
         for est in (
-            fmols(frame, spec, kernel),
+            fmols(frame, spec, 0),
             dols(frame, spec, leads=0, lags=0),
-            ccr(frame, spec, kernel),
+            ccr(frame, spec, 0),
         ):
             got = [est.coef[n][0] for n in ("X1", "X2", "const")]
             np.testing.assert_allclose(got, theta, atol=1e-10,
@@ -213,5 +212,5 @@ class TestValidation:
         assert widths == [5]  # X1, const, and dX1 at lags -1, 0 and +1
 
     def test_fmols_reports_bandwidth(self, coint_frame):
-        result = fmols(coint_frame, ModelSpec("Y", ("X1",)), KernelSpec(bandwidth=6))
+        result = fmols(coint_frame, ModelSpec("Y", ("X1",)), 6)
         assert result.bandwidth_or_leads == 6

@@ -11,7 +11,6 @@ from ardlkit.regression import (
     RANK_MARGIN,
     RANK_TOL,
     TIE_RTOL,
-    KernelSpec,
     criterion_from_rss,
     first_minimum,
     info_criterion,
@@ -19,6 +18,7 @@ from ardlkit.regression import (
     long_run_variance,
     ols,
     prefix_plan,
+    resolve_bandwidth,
     search_criteria,
     search_plan,
     singular_value_ratio,
@@ -541,26 +541,29 @@ class TestPrefixRss:
                 assert outcome(got) == outcome(alone), seed
 
 
-class TestKernelSpec:
+class TestResolveBandwidth:
     def test_auto_bandwidth_rule(self):
-        assert KernelSpec().resolve(100) == 4
-        assert KernelSpec().resolve(50) == 3
-        assert KernelSpec().resolve(500) == 5
+        assert resolve_bandwidth("auto", 100) == 4
+        assert resolve_bandwidth("auto", 50) == 3
+        assert resolve_bandwidth("auto", 500) == 5
 
     def test_fixed_bandwidth(self):
-        assert KernelSpec(bandwidth=7).resolve(100) == 7
+        assert resolve_bandwidth(7, 100) == 7
 
     def test_invalid(self):
         for bad in (-1, 2.5, True, "x", None):
             with pytest.raises(ValueError, match="bandwidth"):
-                KernelSpec(bandwidth=bad)
+                resolve_bandwidth(bad, 100)
+            for call in (long_run_variance, long_run_covariance):
+                with pytest.raises(ValueError, match="bandwidth"):
+                    call(normals(1, 50)[:, None], bad)
 
 
 class TestLongRunVariance:
     def test_bandwidth_zero_is_variance(self):
         u = normals(2, 300)
         v = u - u.mean()
-        assert long_run_variance(u, KernelSpec(bandwidth=0)) == pytest.approx(
+        assert long_run_variance(u, 0) == pytest.approx(
             float(v @ v) / 300, rel=1e-12
         )
 
@@ -572,13 +575,13 @@ class TestLongRunVariance:
         expected = gamma[0] + 2 * sum(
             (1 - j / (bw + 1)) * gamma[j] for j in range(1, bw + 1)
         )
-        assert long_run_variance(u, KernelSpec(bandwidth=bw)) == pytest.approx(
+        assert long_run_variance(u, bw) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_bandwidth_too_large(self):
         with pytest.raises(errors.BandwidthTooLarge):
-            long_run_variance(np.arange(5.0), KernelSpec(bandwidth=5))
+            long_run_variance(np.arange(5.0), 5)
 
     def test_too_few_observations(self):
         with pytest.raises(errors.TooFewObservations):
@@ -588,26 +591,26 @@ class TestLongRunVariance:
     @settings(max_examples=30, deadline=None)
     def test_nonnegative(self, seed, bw):
         u = normals(seed, 64)
-        assert long_run_variance(u, KernelSpec(bandwidth=bw)) >= 0.0
+        assert long_run_variance(u, bw) >= 0.0
 
 
 class TestLongRunCovariance:
     def test_scalar_case_matches_variance(self):
         u = ar1(150, 9, 0.4)
-        omega, one_sided, g0 = long_run_covariance(u[:, None], KernelSpec(bandwidth=3))
+        omega, one_sided, g0 = long_run_covariance(u[:, None], 3)
         assert omega[0, 0] == pytest.approx(
-            long_run_variance(u, KernelSpec(bandwidth=3)), rel=1e-12
+            long_run_variance(u, 3), rel=1e-12
         )
 
     def test_decomposition_identity(self):
         eta = np.column_stack([ar1(120, 1, 0.5), ar1(120, 2, 0.3)])
-        omega, one_sided, g0 = long_run_covariance(eta, KernelSpec(bandwidth=4))
+        omega, one_sided, g0 = long_run_covariance(eta, 4)
         np.testing.assert_allclose(omega, one_sided + one_sided.T - g0, rtol=1e-10)
         np.testing.assert_allclose(omega, omega.T, rtol=1e-12)
 
     def test_short_run_is_sample_covariance(self):
         eta = np.column_stack([normals(1, 80), normals(2, 80)])
-        _, _, g0 = long_run_covariance(eta, KernelSpec(bandwidth=2))
+        _, _, g0 = long_run_covariance(eta, 2)
         v = eta - eta.mean(axis=0)
         np.testing.assert_allclose(g0, v.T @ v / 80, rtol=1e-12)
 

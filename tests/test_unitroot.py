@@ -6,7 +6,8 @@ import pytest
 from ardlkit import errors
 from ardlkit.critical import critical_values
 from ardlkit.frame import load_csv
-from ardlkit.regression import CRITERIA, KernelSpec, info_criterion, long_run_variance, ols
+from ardlkit.regression import (CRITERIA, info_criterion, long_run_variance, ols,
+                                resolve_bandwidth)
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
@@ -214,9 +215,9 @@ class TestPp:
                 lhs, X = _df_designs(y[None], np.diff(y)[None], deterministic, 0)
                 fit = ols(lhs[0], X[0])
                 nobs = fit.residuals.shape[0]
-                bw = KernelSpec(bandwidth=bandwidth).resolve(nobs)
-                lam2 = long_run_variance(fit.residuals, KernelSpec(bandwidth=bw))
-                gamma0 = long_run_variance(fit.residuals, KernelSpec(bandwidth=0))
+                bw = resolve_bandwidth(bandwidth, nobs)
+                lam2 = long_run_variance(fit.residuals, bw)
+                gamma0 = long_run_variance(fit.residuals, 0)
                 z_tau = (math.sqrt(gamma0 / lam2) * fit.tstats[0]
                          - 0.5 * (lam2 - gamma0) / math.sqrt(lam2)
                          * (nobs * fit.stderr[0] / math.sqrt(fit.s2)))
