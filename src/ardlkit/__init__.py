@@ -42,7 +42,7 @@ from .regression import (
     long_run_variance,
     ols,
     tail_probability,
-    wald_f_zero,
+    wald_f,
 )
 from .synthetic import Dgp, generate, mc_rejection_rate
 from .unitroot import IntegrationDecision, UnitRootReport, adf, dfgls, integration_order, pp
@@ -60,5 +60,5 @@ __all__ = [
     "granger_pair", "info_criterion", "integration_order", "jarque_bera",
     "lag_matrix", "load_csv", "long_run_coefficients", "long_run_covariance",
     "long_run_variance", "mc_rejection_rate", "natural_log", "ols", "pp",
-    "recursive_residuals", "select_ardl_lags", "tail_probability", "wald_f_zero",
+    "recursive_residuals", "select_ardl_lags", "tail_probability", "wald_f",
 ]

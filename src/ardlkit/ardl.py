@@ -22,7 +22,7 @@ from .critical import BOUNDS_LEVELS, TABLES, critical_values
 from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import (RegressionResult, first_minimum, ols, search_criteria, search_plan,
-                         wald_f_zero)
+                         wald_f)
 
 # The critical-bounds tables bounds_test takes.
 BOUNDS_TABLES = tuple(family for family, case in TABLES if case == "III")
@@ -34,11 +34,11 @@ class ArdlSpec:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if any(v < 0 for v in self.q):
-            raise ValueError("every q must be >= 0")
+        object.__setattr__(self, "q", tuple(self.q))
+        if type(self.p) is not int or self.p < 1:
+            raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
+        if any(type(v) is not int or v < 0 for v in self.q):
+            raise ValueError(f"every q must be an integer >= 0, got {self.q!r}")
 
     @property
     def total_lags(self) -> int:
@@ -52,7 +52,7 @@ class ArdlFit:
     names: tuple[str, ...]          # column labels of the design
     level_indices: tuple[int, ...]  # lagged-level terms, dependent first
     diff_indices: tuple[int, ...]
-    lhs: np.ndarray                 # retained for the restricted bounds fit
+    lhs: np.ndarray                 # retained for the restricted bounds fit and the ECM
     design: np.ndarray
 
 
@@ -79,17 +79,32 @@ class EcmResult:
     names: tuple[str, ...]
 
 
+def _layout(k: int, p: int, q) -> tuple[tuple[str, int, int], ...]:
+    """The conditional regression's columns in order, each (kind, variable,
+    lag) with variable 0 the dependent and j the j-th regressor: the
+    constant; the k + 1 levels at t-1, dependent first; the dependent's
+    differences at lags 1..p-1; then regressor j's differences at lags
+    1..q_j."""
+    return (("const", 0, 0),
+            *(("level", j, 1) for j in range(k + 1)),
+            *(("diff", 0, lag) for lag in range(1, p)),
+            *(("diff", j, lag) for j in range(1, k + 1) for lag in range(1, q[j - 1] + 1)))
+
+
 def _conditional_design(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
                         start: int | None = None):
-    """Build (lhs, design, labels, level_idx, diff_idx).
+    """Build (lhs, design, labels, level_idx, diff_idx), the design's
+    columns in ``_layout``'s order.
 
     Row t covers observations from ``start`` (0-based index into the
     frame, defaults to the smallest feasible) through n-1.
     """
-    y = frame.column(spec.dependent)
-    xs = [frame.column(name) for name in spec.regressors]
-    n = frame.n
     p, q = ardl_spec.p, ardl_spec.q
+    if len(q) != spec.k:
+        raise ValueError(f"q has {len(q)} orders for the {spec.k} regressors {spec.regressors}")
+    names = (spec.dependent, *spec.regressors)
+    levels = [frame.column(name) for name in names]
+    n = frame.n
     min_start = 1 + max([p - 1, *q, 0])
     t0 = min_start if start is None else start
     if t0 < min_start:
@@ -97,35 +112,22 @@ def _conditional_design(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: Ardl
     if t0 >= n:
         raise NoFeasibleSpec(f"sample exhausted for p={p}, q={q} with n={n}")
 
-    rows = n - t0
-    dy = np.diff(y)
-    dxs = [np.diff(x) for x in xs]
-
-    labels = ["const"]
-    cols = [np.ones(rows)]
-    level_idx = []
-    labels.append(f"{spec.dependent}(-1)")
-    cols.append(y[t0 - 1:n - 1])
-    level_idx.append(1)
-    for j, name in enumerate(spec.regressors):
-        labels.append(f"{name}(-1)")
-        cols.append(xs[j][t0 - 1:n - 1])
-        level_idx.append(1 + 1 + j)
-
-    diff_idx = []
-    for lag in range(1, p):
-        labels.append(f"D.{spec.dependent}(-{lag})")
-        cols.append(dy[t0 - 1 - lag:n - 1 - lag])
-        diff_idx.append(len(labels) - 1)
-    for j, name in enumerate(spec.regressors):
-        for lag in range(1, q[j] + 1):
-            labels.append(f"D.{name}(-{lag})")
-            cols.append(dxs[j][t0 - 1 - lag:n - 1 - lag])
-            diff_idx.append(len(labels) - 1)
-
-    lhs = dy[t0 - 1:n - 1]
-    X = np.column_stack(cols)
-    return lhs, X, tuple(labels), tuple(level_idx), tuple(diff_idx)
+    diffs = [np.diff(x) for x in levels]
+    layout = _layout(spec.k, p, q)
+    labels, cols = [], []
+    for kind, j, lag in layout:
+        if kind == "const":
+            labels.append("const")
+            cols.append(np.ones(n - t0))
+        elif kind == "level":
+            labels.append(f"{names[j]}(-1)")
+            cols.append(levels[j][t0 - 1:n - 1])
+        else:
+            labels.append(f"D.{names[j]}(-{lag})")
+            cols.append(diffs[j][t0 - 1 - lag:n - 1 - lag])
+    level_idx = tuple(i for i, (kind, _, _) in enumerate(layout) if kind == "level")
+    diff_idx = tuple(i for i, (kind, _, _) in enumerate(layout) if kind == "diff")
+    return diffs[0][t0 - 1:n - 1], np.column_stack(cols), tuple(labels), level_idx, diff_idx
 
 
 def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
@@ -173,18 +175,14 @@ def _lag_plan(max_p: int, max_q: int, k: int, rows: int):
 def _lag_grid(max_p: int, max_q: int, k: int):
     """The (max_p, max_q) grid of ARDL(p, q_1..q_k) for k regressors, as
     three tuples in the grid's order: each candidate (p, q_1, .., q_k); the
-    columns of the widest design that form its design, in
-    ``_conditional_design``'s order; and their count."""
-    own = 2 + k  # const and the k + 1 levels precede the lagged differences
-    first = own + max_p - 1
+    positions of its ``_layout`` in the widest layout, which are the
+    columns of the widest design that form its design; and their count."""
+    position = {column: i for i, column in enumerate(_layout(k, max_p, (max_q,) * k))}
     candidates, columns = [], []
     for p, q in itertools.product(range(1, max_p + 1),
                                   itertools.product(range(max_q + 1), repeat=k)):
-        cols = list(range(own + p - 1))
-        for j, qj in enumerate(q):
-            cols += range(first + j * max_q, first + j * max_q + qj)
         candidates.append((p, *q))
-        columns.append(tuple(cols))
+        columns.append(tuple(position[column] for column in _layout(k, p, q)))
     return tuple(candidates), tuple(columns), tuple(len(cols) for cols in columns)
 
 
@@ -210,15 +208,9 @@ def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
     reference only; the decision uses the bound comparison.
     """
     reg = fit.regression
-    level_idx = set(fit.level_indices)
-    if not level_idx:
-        raise ValueError("no level terms to test")
-    keep = [i for i in range(reg.nparams) if i not in level_idx]
-    if keep:
-        rss_r = ols(fit.lhs, fit.design[:, keep]).rss
-    else:
-        rss_r = float(fit.lhs @ fit.lhs)
-    wald = wald_f_zero(reg, fit.level_indices, rss_r)
+    keep = [i for i in range(reg.nparams) if i not in fit.level_indices]
+    rss_r = ols(fit.lhs, fit.design[:, keep]).rss
+    wald = wald_f(reg.rss, rss_r, len(fit.level_indices), reg.df_resid)
     result = decide_bounds(wald.f, len(fit.level_indices) - 1, table)
     return replace(result, reference_p=wald.p, negative_numerator=wald.negative_numerator)
 
@@ -255,19 +247,19 @@ def long_run_coefficients(fit: ArdlFit) -> dict[str, tuple[float, float]]:
         grad[idx] = -1.0 / tau1
         grad[dep_idx] = taui / tau1**2
         var = float(grad @ cov @ grad)
-        name = fit.names[idx]
-        base = name[:-4] if name.endswith("(-1)") else name
-        out[base] = (float(lr), math.sqrt(max(var, 0.0)))
+        out[fit.names[idx].removesuffix("(-1)")] = (float(lr), math.sqrt(max(var, 0.0)))
     return out
 
 
-def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
+def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, fit: ArdlFit,
             long_run: dict[str, tuple[float, float]]) -> EcmResult:
     """Two-step ECM: lagged long-run residual plus short-run dynamics.
 
     The error-correction term is ECT_{t-1} = y_{t-1} - c' - sum LR_i
     x_{i,t-1}, with c' the intercept of the static long-run relation
-    evaluated at the supplied long-run slopes.
+    evaluated at the supplied long-run slopes.  The ECM is fitted on the
+    conditional fit's sample: its lhs, and its design's constant and
+    lagged differences next to the ECT.
     """
     spec.validate_against(frame)
     y = frame.column(spec.dependent)
@@ -277,11 +269,10 @@ def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
     intercept = float(ect_level.mean())
     ect = ect_level - intercept
 
-    lhs, X, labels, _level_idx, diff_idx = _conditional_design(frame, spec, ardl_spec)
-    keep = [0, *diff_idx]  # the constant and the lagged differences
-    t0 = frame.n - lhs.shape[0]
-    labels = [*(labels[i] for i in keep), "ECT(-1)"]
-    reg = ols(lhs, np.column_stack([X[:, keep], ect[t0 - 1:-1]]))
+    keep = [0, *fit.diff_indices]  # the constant and the lagged differences
+    t0 = frame.n - fit.lhs.shape[0]
+    labels = [*(fit.names[i] for i in keep), "ECT(-1)"]
+    reg = ols(fit.lhs, np.column_stack([fit.design[:, keep], ect[t0 - 1:-1]]))
     theta = float(reg.coef[-1])
     theta_se = float(reg.stderr[-1])
     short_run = {
@@ -290,7 +281,7 @@ def fit_ecm(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
     }
     warn = not (-2.0 < theta < 0.0)
     return EcmResult(
-        spec=ardl_spec,
+        spec=fit.spec,
         long_run=dict(long_run),
         short_run=short_run,
         ect=(theta, theta_se),

@@ -219,7 +219,7 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
             report.bounds = bounds
     if "ecm" in wanted:
         long_run = ardl(ardl_mod.long_run_coefficients, fit)
-        report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, ardl_spec, long_run)
+        report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, fit, long_run)
 
     if "robustness" in wanted:
         report.robustness = _stage("robustness")(_robustness, frame, spec, config)

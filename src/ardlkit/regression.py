@@ -257,23 +257,13 @@ class WaldF(NamedTuple):
     negative_numerator: bool
 
 
-def wald_f_zero(fit: RegressionResult, subset, restricted_rss: float) -> WaldF:
-    """F-test that the coefficients indexed by ``subset`` are jointly zero.
-
-    ``restricted_rss`` comes from the nested model with those columns
-    dropped; ``wald_f`` takes the test, negative numerators included.
-    """
-    m = len(tuple(subset))
-    if m == 0:
-        raise ValueError("subset must be nonempty")
-    return wald_f(fit.rss, restricted_rss, m, fit.df_resid)
-
-
 def wald_f(rss: float, restricted_rss: float, m: int, df_resid: int) -> WaldF:
     """F-test of m zero restrictions from the unrestricted fit's ``rss`` and
     ``df_resid`` and the nested fit's ``restricted_rss``.  A numerator
     below -1e-10 * max(rss, 1) (nesting violated) is reported as F = 0
     with a flag rather than raised."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     num = restricted_rss - rss
     if num < -1e-10 * max(rss, 1.0):
         return WaldF(0.0, 1.0, True)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,15 +128,17 @@ class Dgp:
 
     ``kind`` names a generator of ``GENERATORS``, and ``params`` are that
     generator's keyword arguments after T and seed; a parameter left out
-    takes the generator's default.
+    takes the generator's default.  ``params`` is kept as a read-only copy,
+    so the values checked here are the values drawn with.
     """
 
     kind: str
     T: int
     seed: int
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         for name in ("T", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise InvalidParams(f"{name} must be an integer, got {getattr(self, name)!r}")

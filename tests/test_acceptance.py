@@ -123,7 +123,7 @@ def test_05_long_run_recovery():
         ardl_spec = select_ardl_lags(frame, spec)
         fit = fit_conditional_ecm(frame, spec, ardl_spec)
         long_run = long_run_coefficients(fit)
-        ecm = fit_ecm(frame, spec, ardl_spec, long_run)
+        ecm = fit_ecm(frame, spec, fit, long_run)
         lrs.append(long_run["X1"][0])
         ects.append(ecm.ect[0])
         negative += ecm.ect[0] < 0

@@ -75,6 +75,18 @@ class TestArdlSpec:
         with pytest.raises(ValueError):
             ArdlSpec(1, (-1,))
 
+    @pytest.mark.parametrize("p, q", [(2, (0.5,)), (1.5, (0,)), (True, (1,)), (1, (0, False))])
+    def test_lags_must_be_integers(self, p, q):
+        # int() used to truncate a q of 0.5 to 0, and a bool passed as 1
+        with pytest.raises(ValueError, match="integer"):
+            ArdlSpec(p, q)
+
+    @pytest.mark.parametrize("regressors, q", [(("X1",), (0, 3)), (("X1", "X2"), (1,))])
+    def test_q_must_give_one_order_per_regressor(self, regressors, q):
+        frame = five_var_frame(T=60)
+        with pytest.raises(ValueError, match=f"q has {len(q)} orders"):
+            fit_conditional_ecm(frame, ModelSpec("Y", regressors), ArdlSpec(1, q))
+
 
 class TestConditionalDesign:
     def test_column_count(self, coint_frame):
@@ -100,6 +112,15 @@ class TestConditionalDesign:
     def test_lhs_is_differenced_dependent(self, coint_frame):
         fit = fit_conditional_ecm(coint_frame, ModelSpec("Y", ("X1",)), ArdlSpec(1, (0,)))
         np.testing.assert_allclose(fit.lhs, np.diff(coint_frame.column("Y")))
+
+    def test_rank_deficiency_named_by_label(self, coint_frame):
+        # ols reports design positions; the fit names them
+        x1 = coint_frame.column("X1")
+        frame = make_frame({"Y": coint_frame.column("Y"), "X1": x1, "X2": 2.0 * x1})
+        with pytest.raises(errors.RankDeficient) as info:
+            fit_conditional_ecm(frame, ModelSpec("Y", ("X1", "X2")), ArdlSpec(1, (0, 0)))
+        assert info.value.columns == ("X1(-1)", "X2(-1)")
+        assert "[X1(-1), X2(-1)]" in str(info.value)
 
 
 class TestSelectArdlLags:
@@ -380,7 +401,7 @@ class TestFitEcm:
         spec = ModelSpec("Y", ("X1",))
         ardl_spec = ArdlSpec(2, (1,))
         fit = fit_conditional_ecm(coint_frame, spec, ardl_spec)
-        ecm = fit_ecm(coint_frame, spec, ardl_spec, long_run_coefficients(fit))
+        ecm = fit_ecm(coint_frame, spec, fit, long_run_coefficients(fit))
         theta, se = ecm.ect
         assert theta == pytest.approx(-0.3, abs=0.12)
         assert se > 0
@@ -390,7 +411,7 @@ class TestFitEcm:
         spec = ModelSpec("Y", ("X1",))
         ardl_spec = ArdlSpec(2, (1,))
         fit = fit_conditional_ecm(coint_frame, spec, ardl_spec)
-        ecm = fit_ecm(coint_frame, spec, ardl_spec, long_run_coefficients(fit))
+        ecm = fit_ecm(coint_frame, spec, fit, long_run_coefficients(fit))
         assert ecm.spec == ardl_spec
         assert set(ecm.short_run) == {"D.Y(-1)", "D.X1(-1)"}
         assert ecm.names[0] == "const" and ecm.names[-1] == "ECT(-1)"
@@ -402,7 +423,8 @@ class TestFitEcm:
         frame = make_frame({"Y": np.cumsum(np.ones(60)) + 0.01 * random_walk(60, 1),
                             "X1": random_walk(60, 2)})
         spec = ModelSpec("Y", ("X1",))
-        ecm = fit_ecm(frame, spec, ArdlSpec(1, (0,)), {"X1": (0.0, 0.0)})
+        fit = fit_conditional_ecm(frame, spec, ArdlSpec(1, (0,)))
+        ecm = fit_ecm(frame, spec, fit, {"X1": (0.0, 0.0)})
         # trending dependent with zero long-run slope: ECT trends with Y,
         # and the fit cannot produce a stabilizing negative theta
         assert ecm.convergence_warning == (not (-2.0 < ecm.ect[0] < 0.0))

@@ -12,7 +12,7 @@ from ardlkit.causality import (
     select_granger_lag,
 )
 from ardlkit.frame import lag_matrix
-from ardlkit.regression import info_criterion, ols, wald_f_zero
+from ardlkit.regression import info_criterion, ols, wald_f
 from ardlkit.synthetic import ar1, ecm_system, normals
 
 from conftest import make_frame
@@ -106,7 +106,7 @@ class TestGrangerPair:
                 for lag in range(1, 5):
                     X = np.column_stack([np.ones(T - lag), lag_matrix(y, lag), lag_matrix(x, lag)])
                     full = ols(y[lag:], X)
-                    wald = wald_f_zero(full, range(lag), ols(y[lag:], X[:, :1 + lag]).rss)
+                    wald = wald_f(full.rss, ols(y[lag:], X[:, :1 + lag]).rss, lag, full.df_resid)
                     report = granger_pair(x, y, lag)
                     assert (report.f_stat, report.p, report.nobs) == (wald.f, wald.p, T - lag)
 

@@ -520,6 +520,28 @@ class TestPipelineCommand:
                                "causality", "diagnostics", "stability"}
         assert report["bounds"]["k"] == 5
 
+    def test_log_transform_fits_the_logs(self, tmp_path):
+        # the paper's L-prefixed variables: log_transform on exp(fixture)
+        # writes the report of the logs read as LY, LX1, ...
+        names = ("Y", "X1", "X2", "X3", "X4", "X5")
+        fixture = load_csv(FIXTURE_CSV.read_text())
+        raw = TimeSeriesFrame(fixture.years, {n: np.exp(fixture.column(n)) for n in names})
+        logs = TimeSeriesFrame(fixture.years, {f"L{n}": np.log(raw.column(n)) for n in names})
+        reports = []
+        for frame, prefix, log_transform in ((raw, "", True), (logs, "L", False)):
+            data = tmp_path / f"{prefix or 'exp'}.csv"
+            data.write_text(csv_text(frame))
+            config = tmp_path / f"{prefix or 'exp'}.json"
+            config.write_text(json.dumps({"data_path": str(data), "dependent": f"{prefix}Y",
+                                          "regressors": [f"{prefix}{n}" for n in names[1:]],
+                                          "log_transform": log_transform}))
+            out = tmp_path / f"{prefix or 'exp'}_out"
+            assert main(["pipeline", "--config", str(config), "--out", str(out),
+                         "--format", "json"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert set(json.loads(reports[0])["ardl"]["long_run"]) == {f"L{n}" for n in names[1:]}
+
     def test_runs_are_deterministic(self, tmp_path):
         config = PipelineConfig(
             data_path=str(FIXTURE_CSV), dependent="Y",

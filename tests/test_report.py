@@ -10,10 +10,11 @@ from ardlkit import ardl, causality, cli, critical, unitroot
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.diagnostics import StabilityPath
 from ardlkit.regression import STARS, normal_test, stars
-from ardlkit.report import _coef_cell, dumps_indented, stability_csv, stability_svg
+from ardlkit.report import (PipelineReport, _coef_cell, dumps_indented, render, stability_csv,
+                            stability_svg)
 from ardlkit.synthetic import random_walk
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, make_frame
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,24 @@ def test_coef_cell_at_zero_standard_error():
     t, p = normal_test(0.0, 0.0)
     assert math.isnan(t) and math.isnan(p)
     assert _coef_cell(0.0, 0.0) == "0.000(0.0000)"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_errored_causality_rows_carry_their_error(tmp_path, fmt):
+    # a failed pair is a row with its error in the Prob. column and no numbers
+    frame = make_frame({"Y": random_walk(40, 1), "X1": random_walk(40, 2)})
+    rows = causality.causality_matrix(frame, ("X1", "Y"), "Y", 1)
+    [path] = render(PipelineReport(causality=rows), fmt, tmp_path)
+    assert path.name == ("causality.md" if fmt == "markdown" else "causality.csv")
+    fitted = [[f"{r.cause} does not Granger-cause {r.effect}", str(r.nobs), f"{r.f_stat:.5f}",
+               f"{r.p:.4f}"] for r in rows[:2]]
+    failed = ["Y does not Granger-cause Y", "", "", "error: variable equals the dependent"]
+    if fmt == "csv":
+        table = list(csv.reader(io.StringIO(path.read_text())))
+    else:
+        table = [line[2:-2].split(" | ") for line in path.read_text().splitlines()]
+        del table[1]  # the |---| rule
+    assert table == [["Null Hypothesis", "Obs", "F-Statistic", "Prob."], *fitted, failed, failed]
 
 
 ADVERSARIAL = {

@@ -232,6 +232,17 @@ class TestDgpValidation:
         assert dgp.with_seed(9).seed == 9
         assert dgp.with_seed(9).params == dgp.params
 
+    def test_params_cannot_change_after_the_check(self):
+        # an explosive rho assigned after validation used to be drawn with
+        params = {"rho": 0.5}
+        dgp = Dgp("ar1", 50, 3, params)
+        with pytest.raises(TypeError):
+            dgp.params["rho"] = 7.0
+        params["rho"] = 7.0
+        assert dgp.params == {"rho": 0.5}
+        assert dgp == Dgp("ar1", 50, 3, {"rho": 0.5})
+        assert generate(dgp).column("Y").tobytes() == ar1(50, 3, 0.5).tobytes()
+
 
 class TestGenerate:
     def test_annual_index(self):
