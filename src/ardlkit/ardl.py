@@ -14,7 +14,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class ArdlSpec:
         return self.p + sum(self.q)
 
 
-@dataclass(frozen=True)
-class ArdlFit:
+class ArdlFit(NamedTuple):
     spec: ArdlSpec
     regression: RegressionResult
     names: tuple[str, ...]          # column labels of the design
@@ -56,8 +56,7 @@ class ArdlFit:
     design: np.ndarray
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(NamedTuple):
     f_stat: float
     k: int
     critical_bounds: dict[float, tuple[float, float]]
@@ -66,8 +65,7 @@ class BoundsResult:
     negative_numerator: bool = False
 
 
-@dataclass(frozen=True)
-class EcmResult:
+class EcmResult(NamedTuple):
     spec: ArdlSpec
     long_run: dict[str, tuple[float, float]]
     short_run: dict[str, tuple[float, float]]
@@ -212,7 +210,7 @@ def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
     rss_r = ols(fit.lhs, fit.design[:, keep]).rss
     wald = wald_f(reg.rss, rss_r, len(fit.level_indices), reg.df_resid)
     result = decide_bounds(wald.f, len(fit.level_indices) - 1, table)
-    return replace(result, reference_p=wald.p, negative_numerator=wald.negative_numerator)
+    return result._replace(reference_p=wald.p, negative_numerator=wald.negative_numerator)
 
 
 def decide_bounds(f_stat: float, k: int, table: str = "embedded") -> BoundsResult:

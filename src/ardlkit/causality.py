@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .regression import (STARS, first_minimum, ols_stack, prefix_plan, row_range
                          search_criteria, wald_f)
 
 
-@dataclass(frozen=True)
-class CausalityReport:
+class CausalityReport(NamedTuple):
     cause: str
     effect: str
     lag: int

@@ -173,7 +173,7 @@ def run_unit_roots(frame: TimeSeriesFrame, names, deterministic: str,
             for outcome in pair:
                 if isinstance(outcome, ArdlkitError):
                     raise outcome
-            tests[test] = tuple(replace(outcome, variable=var) for outcome in pair)
+            tests[test] = tuple(outcome._replace(variable=var) for outcome in pair)
         decision = unitroot.integration_order(*tests["adf"], level=level)
         rows.append((var, tests, decision.order))
     if missing is not None:
@@ -199,50 +199,58 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
         raise ValueError(f"unknown report sections: {sorted(wanted - set(SECTIONS))}")
     reads_fit = bool(wanted - {"unit_root", "causality"})
     reads_bounds = bool(wanted & {"bounds", "robustness"})
-    report = PipelineReport()
     frame, spec = _stage("load")(_load_frame, config)
     # the unit-root and CUSUM tables have no 2.5% column: they use 5% there
     table_level = config.level if config.level in STARS else 0.05
 
-    rows = _stage("unit_root")(run_unit_roots, frame, (spec.dependent, *spec.regressors),
-                               config.deterministic, config.bandwidth, table_level)
-    if "unit_root" in wanted:
-        report.unit_root = rows
+    unit_root = _stage("unit_root")(run_unit_roots, frame, (spec.dependent, *spec.regressors),
+                                    config.deterministic, config.bandwidth, table_level)
 
     ardl = _stage("ardl")
+    bounds = ecm = None
     if reads_fit:
         ardl_spec = ardl(ardl_mod.select_ardl_lags, frame, spec, config.criterion)
         fit = ardl(ardl_mod.fit_conditional_ecm, frame, spec, ardl_spec)
     if reads_bounds:
         bounds = ardl(ardl_mod.bounds_test, fit, config.bounds_table)
-        if "bounds" in wanted:
-            report.bounds = bounds
     if "ecm" in wanted:
         long_run = ardl(ardl_mod.long_run_coefficients, fit)
-        report.ecm = ardl(ardl_mod.fit_ecm, frame, spec, fit, long_run)
+        ecm = ardl(ardl_mod.fit_ecm, frame, spec, fit, long_run)
 
+    robustness, warning = (), None
     if "robustness" in wanted:
-        report.robustness = _stage("robustness")(_robustness, frame, spec, config)
+        robustness = _stage("robustness")(_robustness, frame, spec, config)
         if bounds.decision.get(config.level) != "cointegrated":
-            report.robustness_warning = (
+            warning = (
                 f"bounds test did not find cointegration at the {config.level * 100:g}% level; "
                 "FMOLS/DOLS/CCR estimates assume a cointegrating relation"
             )
 
+    causality = ()
     if "causality" in wanted:
-        report.causality = _stage("causality")(
+        causality = _stage("causality")(
             causality_mod.causality_matrix, frame, spec.regressors, spec.dependent,
             config.granger_lag,
         )
 
+    diagnostics_report, stability = None, ()
     if "diagnostics" in wanted:
-        report.diagnostics = _stage("diagnostics")(
+        diagnostics_report = _stage("diagnostics")(
             diagnostics.diagnostics_report, fit.regression, fit.design, config.bg_order,
             config.level,
         )
     if "stability" in wanted:
-        report.stability = _stage("diagnostics")(_stability, fit, table_level)
-    return report
+        stability = _stage("diagnostics")(_stability, fit, table_level)
+    return PipelineReport(
+        unit_root=unit_root if "unit_root" in wanted else (),
+        bounds=bounds if "bounds" in wanted else None,
+        ecm=ecm,
+        robustness=robustness,
+        robustness_warning=warning,
+        causality=causality,
+        diagnostics=diagnostics_report,
+        stability=stability,
+    )
 
 
 def _robustness(frame: TimeSeriesFrame, spec: ModelSpec, config: PipelineConfig):
@@ -423,6 +431,8 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         if args.command == "unitroot":
+            if args.vars and len(set(args.vars)) < len(args.vars):
+                raise UsageError(f"--vars must name each variable once, got {','.join(args.vars)}")
             frame = _stage("load")(load_csv, _read_text(args.data))
             report = PipelineReport(unit_root=_stage("unit_root")(
                 run_unit_roots, frame, args.vars or frame.names, args.deterministic,

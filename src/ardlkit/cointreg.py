@@ -11,7 +11,7 @@ correction vanishes and each estimator reduces to OLS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .regression import (RANK_TOL, long_run_covariance, long_run_variance, norma
                          resolve_bandwidth, singular_value_ratio)
 
 
-@dataclass(frozen=True)
-class CointEstimate:
+class CointEstimate(NamedTuple):
     method: str
     coef: dict[str, tuple[float, float, float]]  # name -> (coef, stderr, tstat)
     r2: float

@@ -12,7 +12,7 @@ returns its own dict.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoCriticalValues
 from .regression import STARS
@@ -21,8 +21,7 @@ from .regression import STARS
 LEVEL_KEYS = {level: f"{level:.0%}" for level in STARS}
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """Critical values from ``source``, one entry per level of ``levels``.
     ``rows`` is a response surface, per level (b0, b1, b2, b3) of
     cv = b0 + b1/T + b2/T^2 + b3/T^3, or a dict from t (named ``axis``) to

@@ -10,7 +10,7 @@ is the desirable state, so a verdict of "pass" means p > level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .regression import (RANK_TOL, STARS, RegressionResult, ols, singular_value_
                          tail_probability)
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(NamedTuple):
     jb: tuple[float, float]
     lm: tuple[float, float, int]
     bpg: tuple[float, float]
@@ -29,8 +28,7 @@ class DiagnosticsReport:
     level: float
 
 
-@dataclass(frozen=True)
-class StabilityPath:
+class StabilityPath(NamedTuple):
     statistic: str  # "cusum" or "cusum_sq"
     t_index: tuple[int, ...]
     values: np.ndarray

@@ -11,7 +11,9 @@ import csv
 import io
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,13 +35,16 @@ from .errors import (
 class TimeSeriesFrame:
     """Annual observations for a set of named variables.
 
-    Invariants (checked on construction): all columns share the same
+    Invariants (checked on construction): every name is a ``str`` and
+    every column a 1-D array of real numbers, all columns share the same
     length ``n >= 1``, the year index is strictly increasing with unit
-    step, and no value is missing.
+    step, and no value is missing.  ``columns`` is kept as a read-only
+    copy of the mapping, so no column can be added or replaced after the
+    check.
     """
 
     years: tuple[int, ...]
-    columns: dict[str, np.ndarray]
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         n = len(self.years)
@@ -53,12 +58,21 @@ class TimeSeriesFrame:
             start = None
         if start is None or tuple(self.years) != tuple(range(start, start + n)):
             self._check_years()
+        columns = {}
         for name, col in self.columns.items():
+            if type(name) is not str:
+                raise ValueError(f"column names must be strings, got {name!r}")
+            col = np.asarray(col)
+            if col.ndim != 1 or col.dtype.kind not in "iuf":
+                raise ValueError(f"column {name!r} must be a 1-D array of real numbers, "
+                                 f"got {col.ndim}-D {col.dtype}")
             if len(col) != n:
                 raise RaggedRow(0, n, len(col))
             if not np.isfinite(col).all():
                 bad = int(np.flatnonzero(~np.isfinite(col))[0])
                 raise MissingValue(bad + 1, name)
+            columns[name] = col
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def _check_years(self) -> None:
         for i in range(1, len(self.years)):

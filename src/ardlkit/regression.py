@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +49,7 @@ TIE_RTOL = 1e-8
 STARS = {0.01: "***", 0.05: "**", 0.10: "*"}
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     coef: np.ndarray
     stderr: np.ndarray
     tstats: np.ndarray
@@ -273,8 +271,7 @@ def wald_f(rss: float, restricted_rss: float, m: int, df_resid: int) -> WaldF:
     return WaldF(float(f), float(p), False)
 
 
-@dataclass(frozen=True, eq=False)
-class SearchPlan:
+class SearchPlan(NamedTuple):
     """What a lag search over the column lists ``columns`` needs besides the
     data, built by ``search_plan`` once per search key and read-only: every
     caller caches its plans (``prefix_plan``; ``ardl._lag_plan``).

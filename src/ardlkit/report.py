@@ -28,8 +28,9 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +50,15 @@ def _fmt(x: float, digits: int = 4) -> str:
     return f"{x:.{digits}f}"
 
 
-@dataclass
-class PipelineReport:
-    unit_root: list[tuple[str, dict[str, tuple[UnitRootReport, UnitRootReport]], str]] = field(default_factory=list)
+class PipelineReport(NamedTuple):
+    unit_root: Sequence[tuple[str, dict[str, tuple[UnitRootReport, UnitRootReport]], str]] = ()
     bounds: BoundsResult | None = None
     ecm: EcmResult | None = None
-    robustness: list[CointEstimate] = field(default_factory=list)
+    robustness: Sequence[CointEstimate] = ()
     robustness_warning: str | None = None
-    causality: list[CausalityReport] = field(default_factory=list)
+    causality: Sequence[CausalityReport] = ()
     diagnostics: DiagnosticsReport | None = None
-    stability: list[StabilityPath] = field(default_factory=list)
+    stability: Sequence[StabilityPath] = ()
 
     def to_dict(self) -> dict:
         out: dict = {}

@@ -16,6 +16,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,8 +250,7 @@ def generate(dgp: Dgp, start_year: int = 1951) -> TimeSeriesFrame:
     return _frames(dgp, [dgp.seed], start_year)[0]
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     rate: float
     reps: int
     failures: int

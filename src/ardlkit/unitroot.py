@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .regression import (STARS, SvdFactor, bartlett_variances, factor_stack, fir
 TESTS = ("adf", "pp", "dfgls")
 
 
-@dataclass(frozen=True)
-class UnitRootReport:
+class UnitRootReport(NamedTuple):
     variable: str
     test: str
     deterministic: str
@@ -40,8 +39,7 @@ class UnitRootReport:
         return next((mark for lv, mark in STARS.items() if self.reject[LEVEL_KEYS[lv]]), "")
 
 
-@dataclass(frozen=True)
-class IntegrationDecision:
+class IntegrationDecision(NamedTuple):
     variable: str
     order: str  # "I0" or "I1"
     evidence: tuple[UnitRootReport, UnitRootReport]

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +314,7 @@ class TestExitCodes:
          "--granger-lag", "0"],
         ["unitroot", "--data", str(FIXTURE_CSV), "--level", "0.025"],
         ["unitroot", "--data", str(FIXTURE_CSV), "--bandwidth", "-1"],
+        ["unitroot", "--data", str(FIXTURE_CSV), "--vars", "Y,X1,Y"],
         # the unit-root tables have no 20% or 2.5% critical values
         ["mc", "--test", "adf", "--level", "0.2"],
         ["mc", "--test", "dfgls", "--level", "0.025"],
@@ -332,9 +333,9 @@ class TestExitCodes:
         ["mc", "--test", "adf", "--dgp", "ecm_system", "--drift", "5", "--reps", "100"],
     ], ids=["level", "dependent-as-regressor", "repeated-regressor", "bandwidth", "dols-leads",
             "granger-lag", "granger-lag-0", "unitroot-level", "unitroot-bandwidth",
-            "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T", "mc-rho", "mc-granger-level",
-            "mc-rho-nan", "mc-drift-nan", "mc-drift-inf", "mc-rho-random-walk",
-            "mc-drift-ecm-system"])
+            "unitroot-repeated-vars", "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T",
+            "mc-rho", "mc-granger-level", "mc-rho-nan", "mc-drift-nan", "mc-drift-inf",
+            "mc-rho-random-walk", "mc-drift-ecm-system"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
@@ -633,7 +634,7 @@ class TestRunUnitRoots:
         frame = load_csv(FIXTURE_CSV.read_text())
         names = frame.names[:3]
         adf = unitroot.adf(frame.column(names[0]))
-        no_reject = replace(adf, reject=dict.fromkeys(adf.reject, False))
+        no_reject = adf._replace(reject=dict.fromkeys(adf.reject, False))
         plan = self.planted(monkeypatch, frame)
         plan.update({(0, "adf", 0): no_reject, (0, "adf", 1): no_reject,
                      (1, "adf", 0): errors.NumericalError("later variable")})

@@ -101,6 +101,25 @@ class TestTimeSeriesFrame:
         with pytest.raises(errors.MissingValue):
             TimeSeriesFrame((1990, 1991), {"A": np.array([1.0, np.inf])})
 
+    @pytest.mark.parametrize("columns, message", [
+        ({"A": np.zeros((2, 2))}, "column 'A' must be a 1-D array of real numbers, got 2-D"),
+        ({"A": np.array(["1", "2"])}, "column 'A' must be a 1-D array of real numbers"),
+        ({"A": np.array([1.0, 2.0j])}, "column 'A' must be a 1-D array of real numbers"),
+        ({"A": 2.0}, "column 'A' must be a 1-D array of real numbers, got 0-D"),
+        ({"A": np.zeros(2), 1: np.zeros(2)}, "column names must be strings, got 1"),
+    ], ids=["2-D", "strings", "complex", "scalar", "int-name"])
+    def test_malformed_column_is_named(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            TimeSeriesFrame((1990, 1991), columns)
+
+    def test_columns_cannot_change_after_the_check(self):
+        columns = {"A": np.zeros(2)}
+        frame = TimeSeriesFrame((1990, 1991), columns)
+        with pytest.raises(TypeError):
+            frame.columns["Z"] = np.array([np.nan])
+        columns["Z"] = np.array([np.nan])  # the caller's dict is not the frame's
+        assert frame.names == ("A",)
+
     @pytest.mark.parametrize("years, error, message", [
         ((1990, 1991, 1991, 1992), errors.NonMonotoneYears,
          "year index must be strictly increasing: 1991 followed by 1991"),
