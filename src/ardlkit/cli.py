@@ -288,8 +288,11 @@ def _auto_or_count(text: str) -> int | str:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    """argparse type: a comma-separated list of names."""
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    """argparse type: a comma-separated list of at least one name."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one name, got {text!r}")
+    return names
 
 
 def _add_model_flags(p: argparse.ArgumentParser):

@@ -39,8 +39,9 @@ class TimeSeriesFrame:
     every column a 1-D array of real numbers, all columns share the same
     length ``n >= 1``, the year index is strictly increasing with unit
     step, and no value is missing.  ``columns`` is kept as a read-only
-    copy of the mapping, so no column can be added or replaced after the
-    check.
+    mapping of read-only copies of the columns, so no column can be
+    added, replaced or written after the check, through the frame or
+    through the caller's arrays.
     """
 
     years: tuple[int, ...]
@@ -62,7 +63,7 @@ class TimeSeriesFrame:
         for name, col in self.columns.items():
             if type(name) is not str:
                 raise ValueError(f"column names must be strings, got {name!r}")
-            col = np.asarray(col)
+            col = np.array(col)
             if col.ndim != 1 or col.dtype.kind not in "iuf":
                 raise ValueError(f"column {name!r} must be a 1-D array of real numbers, "
                                  f"got {col.ndim}-D {col.dtype}")
@@ -71,6 +72,7 @@ class TimeSeriesFrame:
             if not np.isfinite(col).all():
                 bad = int(np.flatnonzero(~np.isfinite(col))[0])
                 raise MissingValue(bad + 1, name)
+            col.flags.writeable = False
             columns[name] = col
         object.__setattr__(self, "columns", MappingProxyType(columns))
 

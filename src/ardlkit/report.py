@@ -7,28 +7,32 @@ significance stars (``regression.STARS``) and standard errors in
 parentheses.
 
 ``report.json`` holds the bytes of ``json.dumps(doc, indent=2)``.
-CPython's C encoder serves only ``indent=None``, so ``dumps_indented``
-walks in Python only the containers that hold other containers, and
-hands each container of scalars, at any depth, to one
-``JSONEncoder.encode`` call, which takes the C encoder.  That encoder's
-item separator is a comma, a newline and the indentation of the
-container's items, so between the brackets it writes exactly what
-``indent=2`` writes there; the walker adds the line breaks after the
-opening and before the closing bracket.  Keys and the scalars beside
-nested containers go through the same encoders one at a time, so every
-string, number and key is written by json itself.  Without ``_json``
-the encoder falls back to json's own Python encoder, with the same
-bytes.
+CPython's C encoder serves only ``indent=None``, and json's Python
+encoder yields one chunk per item, so ``dumps_indented`` writes the
+document in one pass of its own: one recursive walk passes each chunk
+to the ``append`` of one list, which is joined once.  The walk is a
+module-level function: a nested one that calls itself would form a
+reference cycle, which keeps its chunks alive until the cyclic
+collector runs.  Every scalar goes through the primitives json's
+encoder uses:
+``json.encoder.encode_basestring_ascii`` for strings and keys,
+``float.__repr__`` with json's ``NaN``, ``Infinity`` and ``-Infinity``,
+``int.__repr__``, and the literals ``true``, ``false`` and ``null``.
+The walk dispatches on the exact type first and falls back to json's
+``isinstance`` checks in json's order, so subclasses (a NamedTuple, a
+dict subclass, ``IntEnum``, ``np.float64``) are written as json writes
+them and any other type raises json's ``TypeError``.  A list of finite
+floats is written by one ``join``.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
-import json
 import math
 from collections.abc import Sequence
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import NamedTuple
 
@@ -256,44 +260,105 @@ def diagnostics_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]
 
 # ------------------------------------------------------------- rendering
 
-_CONTAINERS = (list, tuple, dict)
+_REPR = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The encoder of a container at ``depth``: its items on their own
-    lines, indented by ``depth + 1`` steps of two spaces.  A scalar or a
-    key encodes the same at every depth."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+def _scalar(value) -> str | None:
+    """json's text for a scalar; None for a list, tuple or dict, and
+    json's ``TypeError`` for any other type.  The checks run in json's
+    order, so a bool is a literal and an ``IntEnum`` an integer."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = _REPR(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: str, int, float, bool and
-    None keys as a JSON string, any other key a ``TypeError``."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _encoder(0).encode(key)
-    return _encoder(0).encode(key)
+    """A dict key as json writes it: str, int, float, bool and None keys
+    as a JSON string, any other key a ``TypeError``."""
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):
+        return _string(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
-def dumps_indented(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for ``obj`` nested
-    ``depth`` containers deep; an unsupported type raises ``TypeError``."""
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(depth).encode(obj)
-    is_dict = isinstance(obj, dict)
-    pad = "\n" + "  " * (depth + 1)
-    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
-        body = _encoder(depth).encode(obj)[1:-1]
-    elif is_dict:
-        body = ("," + pad).join(f"{_key(k)}: {dumps_indented(v, depth + 1)}"
-                                for k, v in obj.items())
+def _write(obj, write, newline: str) -> None:
+    """Pass to ``write`` the text of the list, tuple or dict ``obj``,
+    whose closing bracket opens the line ``newline`` starts."""
+    if not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        head, closing = "{" + inner, newline + "}"
+        items = [(f"{_string(key) if type(key) is str else _key(key)}: ", value)
+                 for key, value in obj.items()]
     else:
-        body = ("," + pad).join(dumps_indented(v, depth + 1) for v in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}{pad}{body}\n{'  ' * depth}{closing}"
+        head, closing = "[" + inner, newline + "]"
+        if type(obj[0]) is float:
+            body = _floats(obj, sep)
+            if body is not None:
+                write(f"{head}{body}{closing}")
+                return
+        items = zip(repeat(""), obj)
+    for label, value in items:
+        cls = type(value)
+        if cls is float:
+            text = _REPR(value)
+            if "n" in text:
+                text = _NONFINITE[text]
+        elif cls is str:
+            text = _string(value)
+        else:
+            text = None if cls is dict or cls is list else _scalar(value)
+            if text is None:
+                write(head + label)
+                _write(value, write, inner)
+                head = sep
+                continue
+        write(f"{head}{label}{text}")
+        head = sep
+    write(closing)
+
+
+def _floats(values, sep: str) -> str | None:
+    """The items of a list of finite floats joined by ``sep``, or None
+    when an item is no float (``float.__repr__`` raises ``TypeError``,
+    for a bool too) or not finite (its repr holds an "n").  A float
+    subclass such as ``np.float64`` is taken: json writes it with
+    ``float.__repr__`` as well."""
+    try:
+        body = sep.join(map(_REPR, values))
+    except TypeError:
+        return None
+    return None if "n" in body else body
+
+
+def dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte; an unsupported type
+    raises json's ``TypeError``."""
+    text = _scalar(obj)
+    if text is not None:
+        return text
+    out: list[str] = []
+    _write(obj, out.append, "\n")
+    return "".join(out)
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:

@@ -315,6 +315,8 @@ class TestExitCodes:
         ["unitroot", "--data", str(FIXTURE_CSV), "--level", "0.025"],
         ["unitroot", "--data", str(FIXTURE_CSV), "--bandwidth", "-1"],
         ["unitroot", "--data", str(FIXTURE_CSV), "--vars", "Y,X1,Y"],
+        ["unitroot", "--data", str(FIXTURE_CSV), "--vars", ","],
+        ["unitroot", "--data", str(FIXTURE_CSV), "--vars", " , "],
         # the unit-root tables have no 20% or 2.5% critical values
         ["mc", "--test", "adf", "--level", "0.2"],
         ["mc", "--test", "dfgls", "--level", "0.025"],
@@ -333,7 +335,7 @@ class TestExitCodes:
         ["mc", "--test", "adf", "--dgp", "ecm_system", "--drift", "5", "--reps", "100"],
     ], ids=["level", "dependent-as-regressor", "repeated-regressor", "bandwidth", "dols-leads",
             "granger-lag", "granger-lag-0", "unitroot-level", "unitroot-bandwidth",
-            "unitroot-repeated-vars", "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T",
+            "unitroot-repeated-vars", "unitroot-no-vars", "unitroot-blank-vars", "mc-adf-level", "mc-dfgls-level", "mc-reps", "mc-T",
             "mc-rho", "mc-granger-level", "mc-rho-nan", "mc-drift-nan", "mc-drift-inf",
             "mc-rho-random-walk", "mc-drift-ecm-system"])
     def test_invalid_option_value_is_usage_error(self, tmp_path, capsys, argv):

@@ -120,6 +120,18 @@ class TestTimeSeriesFrame:
         columns["Z"] = np.array([np.nan])  # the caller's dict is not the frame's
         assert frame.names == ("A",)
 
+    def test_column_values_cannot_change_after_the_check(self):
+        a = np.array([1.0, 2.0, 3.0])
+        frame = TimeSeriesFrame((1990, 1991, 1992), {"A": a})
+        a[1] = np.nan  # the caller's array is not the frame's
+        assert frame.column("A").tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            frame.columns["A"][1] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            frame.column("A").fill(0.0)
+        merged = frame.with_columns({"B": np.zeros(3)})
+        assert not any(merged.column(name).flags.writeable for name in ("A", "B"))
+
     @pytest.mark.parametrize("years, error, message", [
         ((1990, 1991, 1991, 1992), errors.NonMonotoneYears,
          "year index must be strictly increasing: 1991 followed by 1991"),

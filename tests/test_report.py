@@ -1,7 +1,10 @@
 import csv
+import enum
+import gc
 import io
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,9 +15,10 @@ from ardlkit.diagnostics import StabilityPath
 from ardlkit.regression import STARS, normal_test, stars
 from ardlkit.report import (PipelineReport, _coef_cell, dumps_indented, render, stability_csv,
                             stability_svg)
-from ardlkit.synthetic import random_walk
+from ardlkit.synthetic import Dgp, generate, random_walk
 
 from conftest import FIXTURE_CSV, make_frame
+from regenerate_goldens import csv_text
 
 
 @pytest.fixture(scope="module")
@@ -89,20 +93,95 @@ ADVERSARIAL = {
 }
 
 
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Tagged(dict):
+    __hash__ = object.__hash__  # so that it can also be tried as a key
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+NAN, INF = float("nan"), float("inf")
+# a list that starts with a float may still hold what a float's repr does
+# not spell as json does
+FLOAT_LISTS = [[1.5, NAN, 2.5], [NAN], [INF, -INF], [0.1, -INF, 1e300], [-0.0, 5e-324, NAN],
+               [1.5, np.float64(2.5), 3.5], [np.float64(NAN), 1.5], [1.5, True, 2.5],
+               [0.5, False], [0.5, 1], [0.5, Level.HIGH], [0.5, None], [0.5, "x"], [0.5, [0.5]],
+               (0.25, 0.5), [0.5, Pair(0.5, 0.5)], {"a": [0.5, NAN], "b": (INF,)}]
+SUBCLASSES = {
+    "pair": Pair(1.5, [Pair("x", None), Pair((), {})]),
+    "tagged": Tagged(a=[1.5, Tagged()], b=Tagged(c=Level.LOW)),
+    "level": Level.HIGH,
+    "levels": [Level.LOW, 1.5, Level.HIGH],
+    Level.LOW: "an IntEnum key",
+    np.float64(0.5): "a float64 key",
+    np.float64(NAN): [Level.HIGH],
+}
+
+
 @pytest.mark.parametrize("doc", [
     ADVERSARIAL, [ADVERSARIAL, [ADVERSARIAL]], 1, -2.5, "x", None, True, float("nan"),
     [], {}, (), np.float64(2.0), [[[]]], {"": {"": ""}},
+    FLOAT_LISTS, SUBCLASSES, Pair(1, Tagged(x=2.5)), Tagged(), Tagged(x=[]), Level.LOW,
 ], ids=["adversarial", "nested-adversarial", "int", "float", "str", "none", "bool", "nan",
-        "empty-list", "empty-dict", "empty-tuple", "float64", "nested-empty", "empty-keys"])
+        "empty-list", "empty-dict", "empty-tuple", "float64", "nested-empty", "empty-keys",
+        "float-lists", "subclasses", "namedtuple", "empty-dict-subclass", "dict-subclass",
+        "intenum"])
 def test_dumps_indented_equals_stdlib(doc):
     assert dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
+@pytest.fixture(scope="module")
+def ecm_reports(tmp_path_factory):
+    """Pipeline reports on seeded T = 80 ecm_system draws at k = 2 and 5."""
+    reports = []
+    for beta in ((1.0, -0.5), (0.8, -0.6, 0.5, 0.4, -0.3)):
+        path = tmp_path_factory.mktemp("ecm") / f"k{len(beta)}.csv"
+        path.write_text(csv_text(generate(Dgp("ecm_system", 80, 20260901,
+                                              {"beta": beta, "alpha": -0.4, "sigma": 0.5}))))
+        names = tuple(f"X{j}" for j in range(1, len(beta) + 1))
+        reports.append(run_pipeline(PipelineConfig(data_path=str(path), dependent="Y",
+                                                   regressors=names)))
+    return reports
+
+
+def test_dumps_indented_equals_stdlib_on_reports(fixture_report, ecm_reports):
+    for report in (fixture_report, *ecm_reports):
+        doc = report.to_dict()
+        assert set(doc) == {"unit_root", "bounds", "ardl", "robustness", "causality",
+                            "diagnostics", "stability"}
+        assert dumps_indented(doc) == json.dumps(doc, indent=2)
+    assert [len(r.to_dict()["ardl"]["spec"]["q"]) for r in ecm_reports] == [2, 5]
+
+
+def test_dumps_indented_makes_no_reference_cycles(fixture_report):
+    # a writer that leaves cycles holds its chunks until the cyclic
+    # collector runs, which shows as peak memory on a batch of reports
+    doc = fixture_report.to_dict()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        dumps_indented(doc)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("doc", [
     np.int64(1), {1, 2}, [np.int64(1)], {"a": [{1}]}, {"a": [1, {"b": {2}}]},
-    {(1,): [1]}, {(1,): 1},
+    {(1,): [1]}, {(1,): 1}, [1.5, np.int64(1)], [1.5, np.bool_(True)], {Pair(1, 2): 1},
+    {Tagged(): 1}, {"a": [0.5, {Pair(1, 2): 1}]},
 ], ids=["int64", "set", "int64-in-list", "set-deep", "set-beside-scalar",
-        "tuple-key", "tuple-key-of-scalars"])
+        "tuple-key", "tuple-key-of-scalars", "int64-in-float-list", "numpy-bool-in-float-list",
+        "namedtuple-key", "dict-subclass-key", "namedtuple-key-deep"])
 def test_dumps_indented_rejects_what_stdlib_rejects(doc):
     with pytest.raises(TypeError):
         json.dumps(doc, indent=2)
