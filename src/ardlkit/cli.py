@@ -256,7 +256,7 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
 def _robustness(frame: TimeSeriesFrame, spec: ModelSpec, config: PipelineConfig):
     return [
         cointreg.fmols(frame, spec, config.bandwidth),
-        cointreg.dols(frame, spec, config.dols_leads, config.dols_lags),
+        cointreg.dols(frame, spec, config.dols_leads, config.dols_lags, config.bandwidth),
         cointreg.ccr(frame, spec, config.bandwidth),
     ]
 

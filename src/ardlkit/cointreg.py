@@ -100,9 +100,11 @@ def fmols(frame: TimeSeriesFrame, spec: ModelSpec,
 
 
 def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
-         lags: int = 1) -> CointEstimate:
+         lags: int = 1, bandwidth: int | str = "auto") -> CointEstimate:
     """Stock-Watson dynamic OLS with leads and lags of the differenced
-    regressors; reported coefficients cover the levels and intercept."""
+    regressors; reported coefficients cover the levels and intercept,
+    with standard errors scaled by the residuals' Bartlett long-run
+    variance at ``bandwidth``."""
     if leads < 0 or lags < 0:
         raise ValueError("leads and lags must be >= 0")
     y, design, v = _static_data(frame, spec)
@@ -124,7 +126,7 @@ def dols(frame: TimeSeriesFrame, spec: ModelSpec, leads: int = 1,
     fit = ols(y[t], X)
 
     # rescale conventional standard errors by the residual long-run variance
-    lrv = long_run_variance(fit.residuals)
+    lrv = long_run_variance(fit.residuals, bandwidth)
     scale = lrv / fit.s2 if fit.s2 > 0 else 1.0
     stderr = fit.stderr * math.sqrt(max(scale, 0.0))
     width = k + 1

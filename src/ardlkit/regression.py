@@ -15,7 +15,9 @@ array.  What a search needs besides the data (its chains of nested column
 lists, their gather and pick indices, the tie-break rank) is a
 ``SearchPlan``, built once per search key and cached by the caller.  One
 Householder QR of [X | y] scores one chain of leading columns, and one
-batched QR of R's columns scores any other chains.
+batched QR of R's columns scores any other chains.  Every long-run
+variance (PP, DOLS, FMOLS, CCR) comes from one Bartlett estimator,
+``long_run_covariance``, whose scalar case is ``long_run_variance``.
 """
 
 from __future__ import annotations
@@ -478,13 +480,6 @@ def info_criterion(fit: RegressionResult, kind: str = "aic") -> float:
     return criterion_from_rss(fit.rss, fit.nobs, fit.nparams, kind)
 
 
-def _autocovariances(u: np.ndarray, upto: int) -> np.ndarray:
-    """gamma_0..gamma_upto of the demeaned series, divisor n."""
-    n = u.shape[0]
-    v = u - u.sum() / n  # the mean's bits, without np.mean's overhead
-    return np.asarray([v[j:] @ v[: n - j] / n for j in range(upto + 1)])
-
-
 @functools.lru_cache(maxsize=None)
 def _bartlett_weights(bw: int) -> np.ndarray:
     """The Bartlett kernel's lag weights 1 - j/(bw+1), j = 1..bw, computed
@@ -494,52 +489,39 @@ def _bartlett_weights(bw: int) -> np.ndarray:
     return weights
 
 
-def bartlett_variances(u, bw: int) -> tuple[float, float]:
-    """gamma_0 and the Bartlett long-run variance
-    lambda^2 = gamma_0 + 2 * sum_{j<=bw} (1 - j/(bw+1)) gamma_j of a scalar
-    series at bandwidth bw, from one pass of divisor-n autocovariances of
-    the demeaned series (which keeps lambda^2 positive semidefinite)."""
-    u = np.asarray(u, dtype=float).ravel()
-    n = u.shape[0]
-    if n < 2:
-        raise TooFewObservations(n, 2)
-    if bw >= n:
-        raise BandwidthTooLarge(bw, n)
-    gamma = _autocovariances(u, bw)
-    return float(gamma[0]), float(gamma[0] + 2.0 * (_bartlett_weights(bw) * gamma[1:]).sum())
-
-
 def long_run_variance(u, bandwidth: int | str = "auto") -> float:
-    """Bartlett-kernel long-run variance of a scalar series: lambda^2 of
-    ``bartlett_variances`` at ``resolve_bandwidth(bandwidth, n)``."""
-    u = np.asarray(u, dtype=float).ravel()
-    return bartlett_variances(u, resolve_bandwidth(bandwidth, u.shape[0]))[1]
+    """Bartlett-kernel long-run variance of a scalar series: the omega of
+    ``long_run_covariance`` on the flattened series."""
+    return float(long_run_covariance(np.ravel(u), bandwidth)[0])
 
 
 def long_run_covariance(eta, bandwidth: int | str = "auto"):
-    """Matrix analogue: returns (omega, one_sided, short_run).
+    """The Bartlett-kernel long-run covariance of a series of shape (n,)
+    or (n, m): returns (omega, one_sided, short_run), scalars for a 1-D
+    series and (m, m) arrays otherwise.
 
     omega     = G0 + sum w_j (G_j + G_j'),
     one_sided = G0 + sum w_j G_j,
     short_run = G0,
-    with G_j = (1/n) sum_t eta_t eta_{t-j}' on the demeaned series.
+    with w_j = 1 - j/(bw+1) at bandwidth bw = ``resolve_bandwidth(bandwidth, n)``
+    and G_j = (1/n) sum_t eta_t eta_{t-j}' on the demeaned series; the
+    divisor n keeps omega positive semidefinite.
     """
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    n, m = eta.shape
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim not in (1, 2):
+        raise ValueError(f"a series must have shape (n,) or (n, m), got {eta.shape}")
+    n = eta.shape[0]
     if n < 2:
         raise TooFewObservations(n, 2)
     bw = resolve_bandwidth(bandwidth, n)
     if bw >= n:
         raise BandwidthTooLarge(bw, n)
-    v = eta - eta.mean(axis=0)
-    g0 = v.T @ v / n
-    omega = g0.copy()
-    one_sided = g0.copy()
-    for j, w in enumerate(_bartlett_weights(bw), start=1):
-        gj = v[j:].T @ v[: n - j] / n
-        omega += w * (gj + gj.T)
-        one_sided += w * gj
-    return omega, one_sided, g0
+    v = eta - eta.sum(axis=0) / n  # the mean's bits, without np.mean's overhead
+    vt = v.T  # once: a 1-D series' .T costs a view per lag
+    G = np.asarray([vt[..., j:] @ v[: n - j] / n for j in range(bw + 1)])
+    w = _bartlett_weights(bw).reshape((bw,) + (1,) * (G.ndim - 1))
+    S = (w * G[1:]).sum(axis=0)
+    return G[0] + (S + S.T), G[0] + S, G[0]
 
 
 def row_ranges(d: np.ndarray) -> list[tuple[float, float] | DegenerateSeries]:

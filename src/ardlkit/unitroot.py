@@ -19,7 +19,7 @@ import numpy as np
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort)
-from .regression import (STARS, SvdFactor, bartlett_variances, factor_stack, first_minimum,
+from .regression import (STARS, SvdFactor, factor_stack, first_minimum, long_run_covariance,
                          ols_stack, prefix_plan, resolve_bandwidth, row_ranges,
                          search_criteria)
 
@@ -209,7 +209,7 @@ def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int |
         try:
             if i in fit.singular:
                 raise fit.singular[i]
-            gamma0, lam2 = bartlett_variances(u, bw)
+            lam2, _, gamma0 = map(float, long_run_covariance(u, bw))
             s2 = rss / fit.df_resid
             if min(gamma0, lam2, s2) <= 0.0:  # an exact fit, or a zero long-run variance
                 raise DegenerateResiduals()

@@ -43,10 +43,21 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+class Lines(set):
+    """The lines run in one file.  Its bound ``local`` is the local trace
+    function of every frame in that file: a closure that returned itself
+    would make each traced frame a reference cycle, which the suite's
+    own no-cycle checks would count."""
+
+    def local(self, frame, event, arg):
+        self.add(frame.f_lineno)
+        return self.local
+
+
 def run_traced(args) -> tuple[int, dict[str, set[int]]]:
     """pytest's exit code for ``args`` and the lines run in each file of
     ``SOURCE``, keyed by absolute path."""
-    ran: dict[str, set[int]] = defaultdict(set)
+    ran: dict[str, Lines] = defaultdict(Lines)
     files: dict[str, str | None] = {}  # co_filename -> its path if under SOURCE
     prefix = str(SOURCE) + os.sep
 
@@ -59,11 +70,7 @@ def run_traced(args) -> tuple[int, dict[str, set[int]]]:
             return None
         lines = ran[files[name]]
         lines.add(frame.f_lineno)  # the call event's line, the def or decorator
-
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-        return local
+        return lines.local
 
     threading.settrace(trace)
     sys.settrace(trace)

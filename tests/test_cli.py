@@ -450,6 +450,21 @@ class TestSubcommands:
             stability = {"stability"} if command in ("diag", "pipeline") else set()
             assert set(json.loads((out / "report.json").read_text())) == {*tables, *stability}
 
+    def test_robust_bandwidth_reaches_dols(self, tmp_path):
+        # DOLS scales its standard errors by the residuals' long-run variance
+        # at --bandwidth, the setting FMOLS and CCR read
+        stderrs = {}
+        for bandwidth in ("auto", "0", "8"):
+            out = tmp_path / bandwidth
+            argv = ["robust", *fixture_args(out), "--bandwidth", bandwidth, "--format", "json"]
+            assert main(argv) == 0
+            rows = json.loads((out / "report.json").read_text())["robustness"]["estimates"]
+            stderrs[bandwidth] = {row["method"]: row["coef"]["X1"][1] for row in rows}
+        for method in ("fmols", "dols", "ccr"):
+            for bandwidth in ("0", "8"):
+                assert stderrs[bandwidth][method] != stderrs["auto"][method], method
+        assert stderrs["0"]["dols"] < stderrs["auto"]["dols"] < stderrs["8"]["dols"]
+
     def test_near_equal_level_is_that_level(self, tmp_path):
         # a level within math.isclose of 0.1 is 0.1: the bounds decision, the
         # unit-root tables and the CUSUM bounds are all read at 10%

@@ -211,6 +211,22 @@ class TestValidation:
         dols(coint_frame, ModelSpec("Y", ("X1",)), leads=1, lags=1)
         assert widths == [5]  # X1, const, and dX1 at lags -1, 0 and +1
 
+    def test_dols_bandwidth_zero_scales_ols_by_the_divisor(self, coint_frame, monkeypatch):
+        # at bandwidth 0 the long-run variance is the residuals' variance with
+        # divisor n, so each standard error is OLS's times sqrt((n - k) / n)
+        fits = []
+
+        def recorded(y, X):
+            fits.append(ols(y, X))
+            return fits[-1]
+
+        monkeypatch.setattr(cointreg, "ols", recorded)
+        result = dols(coint_frame, ModelSpec("Y", ("X1",)), leads=1, lags=1, bandwidth=0)
+        fit, = fits
+        expected = fit.stderr[:2] * np.sqrt(fit.df_resid / fit.nobs)
+        np.testing.assert_allclose([result.coef[name][1] for name in ("X1", "const")], expected,
+                                   rtol=1e-12, atol=0)
+
     def test_fmols_reports_bandwidth(self, coint_frame):
         result = fmols(coint_frame, ModelSpec("Y", ("X1",)), 6)
         assert result.bandwidth_or_leads == 6

@@ -604,6 +604,44 @@ class TestLongRunCovariance:
         np.testing.assert_allclose(omega, one_sided + one_sided.T - g0, rtol=1e-10)
         np.testing.assert_allclose(omega, omega.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("bw", [0, 3, 9])  # 9 lags reach numpy's pairwise summation
+    def test_double_loop_oracle(self, bw):
+        eta = np.column_stack([ar1(90, 4, 0.5), ar1(90, 5, -0.3), normals(6, 90)])
+        n, m = eta.shape
+        mean = [sum(eta[t, a] for t in range(n)) / n for a in range(m)]
+        v = [[eta[t, a] - mean[a] for a in range(m)] for t in range(n)]
+
+        def gamma(j, a, b):
+            return sum(v[t][a] * v[t - j][b] for t in range(j, n)) / n
+
+        short_run = np.array([[gamma(0, a, b) for b in range(m)] for a in range(m)])
+        lagged = np.array([[sum((1 - j / (bw + 1)) * gamma(j, a, b) for j in range(1, bw + 1))
+                            for b in range(m)] for a in range(m)])
+        omega, one_sided, g0 = long_run_covariance(eta, bw)
+        np.testing.assert_allclose(g0, short_run, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(one_sided, short_run + lagged, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(omega, short_run + lagged + lagged.T, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("bw", [0, 4, "auto"])
+    def test_series_returns_the_scalar_variance(self, bw):
+        u = ar1(150, 9, 0.4)
+        omega, one_sided, g0 = long_run_covariance(u, bw)
+        assert np.ndim(omega) == np.ndim(one_sided) == np.ndim(g0) == 0
+        assert omega == long_run_variance(u, bw)
+        assert g0 == long_run_variance(u, 0)
+
+    @pytest.mark.parametrize("bw", [0, 3, 9])
+    def test_series_and_column_agree(self, bw):
+        u = ar1(150, 9, 0.4)
+        for scalar, column in zip(long_run_covariance(u, bw), long_run_covariance(u[:, None], bw)):
+            assert column.shape == (1, 1)
+            assert column[0, 0] == pytest.approx(scalar, rel=1e-14, abs=0)
+
+    def test_rejects_other_shapes(self):
+        for eta in (np.float64(1.0), np.zeros((10, 2, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                long_run_covariance(eta, 0)
+
     def test_short_run_is_sample_covariance(self):
         eta = np.column_stack([normals(1, 80), normals(2, 80)])
         _, _, g0 = long_run_covariance(eta, 2)
