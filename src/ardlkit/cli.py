@@ -120,8 +120,8 @@ def _read_text(path: str) -> str:
         raise NotText(path, exc) from None
 
 
-def _load_frame(config: PipelineConfig) -> tuple[TimeSeriesFrame, ModelSpec]:
-    frame = load_csv(_read_text(config.data_path))
+def _load_frame(text: str, config: PipelineConfig) -> tuple[TimeSeriesFrame, ModelSpec]:
+    frame = load_csv(text)
     spec = config.model_spec()
     if config.log_transform:
         frame = natural_log(frame, (spec.dependent, *spec.regressors))
@@ -199,7 +199,8 @@ def run_pipeline(config: PipelineConfig, sections=SECTIONS) -> PipelineReport:
         raise ValueError(f"unknown report sections: {sorted(wanted - set(SECTIONS))}")
     reads_fit = bool(wanted - {"unit_root", "causality"})
     reads_bounds = bool(wanted & {"bounds", "robustness"})
-    frame, spec = _stage("load")(_load_frame, config)
+    # read outside the load stage: a file error is a plain ``error:``, as for unitroot
+    frame, spec = _stage("load")(_load_frame, _read_text(config.data_path), config)
     # the unit-root and CUSUM tables have no 2.5% column: they use 5% there
     table_level = config.level if config.level in STARS else 0.05
 

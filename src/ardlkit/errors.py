@@ -71,8 +71,7 @@ class NonPositiveValue(DataError):
 
 
 class SeriesTooShort(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A series is shorter than a test or a fit needs."""
 
 
 class UnknownVariable(DataError):
@@ -103,8 +102,7 @@ class BandwidthTooLarge(NumericalError):
 
 
 class InvalidDf(NumericalError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A distribution's degrees of freedom are missing or not positive."""
 
 
 class DegenerateSeries(NumericalError):
@@ -141,8 +139,7 @@ class NoFeasibleSpec(NumericalError):
 
 
 class InvalidParams(NumericalError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A data-generating process or Monte-Carlo setting outside its domain."""
 
 
 class PreconditionError(ArdlkitError):

@@ -1,14 +1,13 @@
 """Least squares, hypothesis-test plumbing, information criteria, and
 kernel long-run variance estimation.
 
-This is the shared numerical engine.  Fits go through one SVD engine,
-``ols_stack``, which fits a stack of designs by one batched SVD; ``ols``
-is its one-row case, and a row fitted in a stack gets the bits it gets
-alone.  Rank detection, the solution, and (X'X)^-1 all come from that
-one rank-revealing factorization, ``factor_stack``, on which
-``solve_stack`` solves; a caller that fits many blocks on one design can
-keep its factorization.  Severe collinearity among lagged logs is the
-expected failure mode and is reported with the offending columns.
+This is the shared numerical engine.  Every fit goes through one
+function, ``ols_stack``, which fits a stack of designs by one batched
+SVD; ``ols`` is its one-row case, and a row fitted in a stack gets the
+bits it gets alone.  Rank detection, the solution, and (X'X)^-1 all come
+from that one rank-revealing factorization.  Severe collinearity among
+lagged logs is the expected failure mode and is reported with the
+offending columns.
 Every lag search (ARDL, unit-root, Granger) is scored by one function,
 ``search_criteria``, which returns every row's criteria as one (R, C)
 array.  What a search needs besides the data (its chains of nested column
@@ -121,34 +120,24 @@ class StackedFit(NamedTuple):
     coef: np.ndarray         # (R, k)
     residuals: np.ndarray    # (R, n)
     rss: np.ndarray          # (R,)
-    xtx_inverse: np.ndarray  # (R, k, k), or (1, k, k) for a shared design
+    xtx_inverse: np.ndarray  # (R, k, k)
     stderr: np.ndarray       # (R, k)
     tstats: np.ndarray       # (R, k)
     df_resid: int
     singular: dict[int, RankDeficient]
 
 
-class SvdFactor(NamedTuple):
-    """The SVD of a stack of designs X, all that ``solve_stack`` needs
-    besides the left-hand sides.  It depends on X alone, so a caller that
-    fits many blocks on one design may cache it (``factor_stack``)."""
+def ols_stack(Y, X) -> StackedFit:
+    """Minimize ||Y[r] - X[r] b||^2 for every row r of Y (R, n) on its
+    design X[r] of X (R, n, k), through one batched SVD.
 
-    X: np.ndarray            # (R, n, k), or (1, n, k) for a shared design
-    ut: np.ndarray           # (R, k, n) U transposed
-    s: np.ndarray            # (R, k, 1) singular values, 1.0 for a singular design's
-    v: np.ndarray            # (R, k, k)
-    xtx_inverse: np.ndarray  # (R, k, k)
-    singular: dict[int, RankDeficient]
-
-    def coefficients(self, Y) -> np.ndarray:
-        """The (R, k) least-squares coefficients of Y (R, n) on X."""
-        return (self.v @ ((self.ut @ Y[..., None]) / self.s))[..., 0]
-
-
-def factor_stack(X) -> SvdFactor:
-    """The ``SvdFactor`` of X (R, n, k): one batched SVD, and each design
-    whose ``singular_value_ratio`` is below RANK_TOL flagged with its
-    ``RankDeficient``.  Raises ``TooFewObservations`` when n <= k."""
+    Each design whose ``singular_value_ratio`` is below RANK_TOL is flagged
+    with its ``RankDeficient`` and solved with unit singular values, which
+    keeps its arithmetic finite.  Every product is a stacked matmul, which
+    makes the same BLAS call for each row as for a lone one, so a row's
+    numbers are bitwise those of fitting it alone.  Raises
+    ``TooFewObservations`` when n <= k.
+    """
     n, k = X.shape[1:]
     if n <= k:
         raise TooFewObservations(n, k)
@@ -157,41 +146,17 @@ def factor_stack(X) -> SvdFactor:
                 for i, ratio in enumerate(singular_value_ratios(s)) if ratio < RANK_TOL}
     if singular:
         s = s.copy()
-        s[list(singular)] = 1.0  # keeps the singular rows' arithmetic finite
+        s[list(singular)] = 1.0
     v = vt.transpose(0, 2, 1)
-    return SvdFactor(X, u.transpose(0, 2, 1), s[..., None], v, (v / s[:, None, :] ** 2) @ vt,
-                     singular)
-
-
-def solve_stack(Y, factor: SvdFactor) -> StackedFit:
-    """Minimize ||Y[r] - X[r] b||^2 for every row r of Y (R, n) on the
-    designs ``factor`` holds, one per row or one shared by every row."""
-    X = factor.X
-    coef = factor.coefficients(Y)
+    coef = (v @ ((u.transpose(0, 2, 1) @ Y[..., None]) / s[..., None]))[..., 0]
     residuals = Y - (X @ coef[..., None])[..., 0]
     rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
-    df_resid = X.shape[1] - X.shape[2]
-    s2 = rss / df_resid
-    stderr = np.sqrt(np.maximum(s2[:, None] * factor.xtx_inverse.diagonal(axis1=1, axis2=2), 0.0))
+    xtx_inverse = (v / s[:, None, :] ** 2) @ vt
+    s2 = rss / (n - k)
+    stderr = np.sqrt(np.maximum(s2[:, None] * xtx_inverse.diagonal(axis1=1, axis2=2), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
-    singular = factor.singular
-    if singular and len(X) == 1:
-        singular = dict.fromkeys(range(len(Y)), singular[0])
-    return StackedFit(coef, residuals, rss, factor.xtx_inverse, stderr, tstats, df_resid,
-                      singular)
-
-
-def ols_stack(Y, X) -> StackedFit:
-    """Minimize ||Y[r] - X[r] b||^2 for every row r through one batched SVD:
-    ``solve_stack`` on ``factor_stack(X)``.
-
-    Y is (R, n); X is (R, n, k), or (1, n, k) for one design shared by every
-    row.  Every product is a stacked matmul, which makes the same BLAS call
-    for each row as for a lone one, so a row's numbers are bitwise those of
-    fitting it alone.  Raises ``TooFewObservations`` when n <= k.
-    """
-    return solve_stack(Y, factor_stack(X))
+    return StackedFit(coef, residuals, rss, xtx_inverse, stderr, tstats, n - k, singular)
 
 
 def ols(y, X) -> RegressionResult:

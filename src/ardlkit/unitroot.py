@@ -18,10 +18,9 @@ import numpy as np
 
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
-                     SeriesTooShort)
-from .regression import (STARS, SvdFactor, factor_stack, first_minimum, long_run_covariance,
-                         ols_stack, prefix_plan, resolve_bandwidth, row_ranges,
-                         search_criteria)
+                     SeriesTooShort, TooFewObservations)
+from .regression import (STARS, first_minimum, long_run_covariance, ols_stack, prefix_plan,
+                         resolve_bandwidth, row_ranges, search_criteria)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -224,17 +223,22 @@ def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int |
 
 
 @functools.lru_cache(maxsize=None)
-def _gls_factor(deterministic: str, n: int) -> tuple[float, SvdFactor]:
-    """abar = 1 + cbar/n and the SVD of the quasi-differenced deterministic
-    design, once per (deterministic, n)."""
-    a = 1.0 + (-7.0 if deterministic == "constant" else -13.5) / n
+def _gls_factor(deterministic: str, n: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """abar = 1 + cbar/n and the SVD (U', s, V) of the quasi-differenced
+    deterministic design, once per (deterministic, n) and read-only.  That
+    design has full rank whenever n exceeds its width.  Raises
+    ``TooFewObservations`` when it does not."""
     z = _deterministic_block(deterministic, n)
+    if n <= z.shape[1]:
+        raise TooFewObservations(n, z.shape[1])
+    a = 1.0 + (-7.0 if deterministic == "constant" else -13.5) / n
     zq = z.copy()
     zq[1:] = z[1:] - a * z[:-1]
-    factor = factor_stack(zq[None])
-    for array in (factor.X, factor.ut, factor.s, factor.v, factor.xtx_inverse):
+    u, s, vt = np.linalg.svd(zq[None], full_matrices=False)
+    factor = (u.transpose(0, 2, 1), s[..., None], vt.transpose(0, 2, 1))
+    for array in factor:
         array.flags.writeable = False
-    return a, factor
+    return (a, *factor)
 
 
 def _gls_detrend_block(Y: np.ndarray, deterministic: str) -> np.ndarray:
@@ -244,12 +248,11 @@ def _gls_detrend_block(Y: np.ndarray, deterministic: str) -> np.ndarray:
     z = _deterministic_block(deterministic, n)
     if z.shape[1] == 0:  # nothing to detrend
         return Y.copy()
-    a, factor = _gls_factor(deterministic, n)
-    if factor.singular:
-        raise factor.singular[0]
+    a, ut, s, v = _gls_factor(deterministic, n)
     Yq = Y.copy()
     Yq[:, 1:] = Y[:, 1:] - a * Y[:, :-1]
-    return Y - (z @ factor.coefficients(Yq)[..., None])[..., 0]
+    coef = (v @ ((ut @ Yq[..., None]) / s))[..., 0]
+    return Y - (z @ coef[..., None])[..., 0]
 
 
 def _single(test: str, series, deterministic: str, **options) -> UnitRootReport:

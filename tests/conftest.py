@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ardlkit.frame import TimeSeriesFrame
-from ardlkit.synthetic import ecm_system
+from ardlkit.synthetic import ecm_system, normals, random_walk
 
 TESTS_DIR = Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -25,3 +25,12 @@ def make_frame(columns: dict, start_year: int = 1900) -> TimeSeriesFrame:
 def coint_frame() -> TimeSeriesFrame:
     """A seeded bivariate cointegrated system, T = 200."""
     return make_frame(ecm_system(200, 7, beta=(2.0,), alpha=-0.3))
+
+
+def trend_linked_frame(T: int = 40) -> TimeSeriesFrame:
+    """Y, X1 and X2 = 2 X1 + t, X1 a seeded walk.  The static design
+    [X1, X2, 1] has full rank, but dX2 = 2 dX1 + 1, so the regressor block
+    of the differences' long-run covariance is singular."""
+    x1 = random_walk(T, 3)
+    x2 = 2.0 * x1 + np.arange(T)
+    return make_frame({"Y": 0.5 * x1 + 0.2 * x2 + normals(5, T), "X1": x1, "X2": x2})

@@ -29,7 +29,7 @@ from ardlkit.critical import critical_values
 from ardlkit.frame import TimeSeriesFrame, load_csv
 from ardlkit.synthetic import Dgp, generate, random_walk
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, trend_linked_frame
 from regenerate_goldens import csv_text
 
 
@@ -177,7 +177,8 @@ class TestExitCodes:
         data = tmp_path / "latin1.csv"
         data.write_bytes(FIXTURE_CSV.read_bytes().replace(b"Year", b"Ann\xe9e"))
         assert main(command_argv(command, data, tmp_path / "o")) == EXIT_DATA
-        assert f"{data} is not UTF-8 text: byte 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{data} is not UTF-8 text: byte 3" in err
 
     @pytest.mark.parametrize("command", ["unitroot", *MODEL_COMMANDS])
     def test_data_with_a_repeated_column_name(self, tmp_path, capsys, command):
@@ -274,6 +275,14 @@ class TestExitCodes:
         assert main(command_argv(command, data, tmp_path / "o")) == code
         err = capsys.readouterr().err
         assert ("error in robustness" in err) == (code != 0)
+
+    def test_singular_omega22_fails_robustness(self, tmp_path, capsys):
+        data = tmp_path / "linked.csv"
+        data.write_text(csv_text(trend_linked_frame()))
+        argv = command_argv("robust", data, tmp_path / "o", ("X1", "X2"))
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("error in robustness: regressor block of the "
+                                           "long-run covariance is singular\n")
 
     @pytest.mark.parametrize("command, code", [
         ("bounds", EXIT_PRECONDITION), ("ardl", EXIT_PRECONDITION),

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ardlkit import errors
+from ardlkit import errors, unitroot
 from ardlkit.critical import critical_values
 from ardlkit.frame import load_csv
-from ardlkit.regression import (CRITERIA, info_criterion, long_run_variance, ols,
-                                resolve_bandwidth)
+from ardlkit.regression import (CRITERIA, RANK_TOL, info_criterion, long_run_variance, ols,
+                                resolve_bandwidth, singular_value_ratios)
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
@@ -274,6 +274,19 @@ class TestDfgls:
         # GLS demeaning is anchored at the first observation, so the
         # residual mean is small relative to the level shift
         assert abs(yd.mean()) < 5.0
+
+    @pytest.mark.parametrize("deterministic", ["constant", "constant_trend"])
+    def test_quasi_differenced_design_has_full_rank(self, deterministic):
+        # the detrending solves on the cached SVD without a rank check: at
+        # every n from DF-GLS's shortest series up, the design needs none
+        for n in range(10, 1001):
+            _, _, s, _ = unitroot._gls_factor.__wrapped__(deterministic, n)
+            assert singular_value_ratios(s[..., 0])[0] >= RANK_TOL, n
+
+    @pytest.mark.parametrize("deterministic, n", [("constant", 1), ("constant_trend", 2)])
+    def test_detrending_needs_more_observations_than_terms(self, deterministic, n):
+        with pytest.raises(errors.TooFewObservations):
+            gls_detrend(np.arange(1.0, n + 1.0), deterministic)
 
     @pytest.mark.parametrize("deterministic", ["constant", "constant_trend"])
     def test_fixture_matches_mpmath_oracle(self, deterministic):
