@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SeriesTooShort, SingularOmega22, TooFewObservations
+from .errors import NumericalError, SeriesTooShort, SingularOmega22, TooFewObservations
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import (RANK_TOL, long_run_covariance, long_run_variance, normal_test, ols,
                          resolve_bandwidth, singular_value_ratio)
@@ -142,7 +142,7 @@ def ccr(frame: TimeSeriesFrame, spec: ModelSpec,
     beta, u = static.coef[:spec.k], static.residuals
     eta, bw, lam, sigma, gain, omega_112 = _long_run_partition(u, v, bandwidth)
     if singular_value_ratio(np.linalg.svd(sigma, compute_uv=False)) < RANK_TOL:
-        raise SingularOmega22()
+        raise NumericalError("short-run covariance Sigma of (u, dx) is singular")
     shift = np.linalg.solve(sigma, lam[:, 1:])  # Sigma^-1 Lambda_2
 
     x_star = design[1:, :spec.k] - eta @ shift

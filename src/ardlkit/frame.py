@@ -41,47 +41,34 @@ class TimeSeriesFrame:
     step, and no value is missing.  ``columns`` is kept as a read-only
     mapping of read-only copies of the columns, so no column can be
     added, replaced or written after the check, through the frame or
-    through the caller's arrays.
+    through the caller's arrays.  ``rows`` builds many frames from one
+    checked block; their columns are read-only row views of its one
+    read-only copy, so no caller holds a writeable reference to it.
     """
 
     years: tuple[int, ...]
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        n = len(self.years)
-        if n < 1:
-            raise EmptyBody()
-        # one tuple comparison in the usual case, consecutive integers; the
-        # loop decides any other index and names its first bad pair
-        try:
-            start = operator.index(self.years[0])
-        except TypeError:
-            start = None
-        if start is None or tuple(self.years) != tuple(range(start, start + n)):
-            self._check_years()
-        columns = {}
-        for name, col in self.columns.items():
-            if type(name) is not str:
-                raise ValueError(f"column names must be strings, got {name!r}")
-            col = np.array(col)
-            if col.ndim != 1 or col.dtype.kind not in "iuf":
-                raise ValueError(f"column {name!r} must be a 1-D array of real numbers, "
-                                 f"got {col.ndim}-D {col.dtype}")
-            if len(col) != n:
-                raise RaggedRow(0, n, len(col))
-            if not np.isfinite(col).all():
-                bad = int(np.flatnonzero(~np.isfinite(col))[0])
-                raise MissingValue(bad + 1, name)
-            col.flags.writeable = False
-            columns[name] = col
-        object.__setattr__(self, "columns", MappingProxyType(columns))
+        object.__setattr__(self, "columns", MappingProxyType(_checked(self.years, self.columns, 1)))
 
-    def _check_years(self) -> None:
-        for i in range(1, len(self.years)):
-            if self.years[i] <= self.years[i - 1]:
-                raise NonMonotoneYears(f"{self.years[i - 1]} followed by {self.years[i]}")
-            if self.years[i] - self.years[i - 1] != 1:
-                raise NonAnnualIndex(f"gap between {self.years[i - 1]} and {self.years[i]}")
+    @classmethod
+    def rows(cls, years, block: Mapping[str, np.ndarray]) -> list["TimeSeriesFrame"]:
+        """One frame per row of ``block``, a mapping of name to an (R, n) array.
+
+        Frame r equals ``TimeSeriesFrame(years, {name: col[r] for name, col
+        in block.items()})``.  The block is checked once, by the frame's own
+        checks on 2-D columns that share their R, and copied once; a
+        non-finite value raises what the first bad row's frame raises.
+        """
+        block = _checked(years, block, 2)
+        frames = []
+        for views in zip(*block.values()):
+            frame = object.__new__(cls)
+            object.__setattr__(frame, "years", years)
+            object.__setattr__(frame, "columns", MappingProxyType(dict(zip(block, views))))
+            frames.append(frame)
+        return frames
 
     @property
     def n(self) -> int:
@@ -100,6 +87,57 @@ class TimeSeriesFrame:
         merged = dict(self.columns)
         merged.update(extra)
         return TimeSeriesFrame(self.years, merged)
+
+
+def _checked(years, columns: Mapping, ndim: int) -> dict[str, np.ndarray]:
+    """Read-only copies of ``columns`` once the frame's checks pass.
+
+    The years form a strictly increasing unit-step index of n >= 1 entries;
+    each name is a ``str`` and each column an ``ndim``-D real array with n
+    entries on its last axis, the leading axes the same for every column.
+    A non-finite value raises ``MissingValue`` at the first row that holds
+    one, in its first such column, at its first such index.
+    """
+    n = len(years)
+    if n < 1:
+        raise EmptyBody()
+    # one tuple comparison in the usual case, consecutive integers; the
+    # loop decides any other index and names its first bad pair
+    try:
+        start = operator.index(years[0])
+    except TypeError:
+        start = None
+    if start is None or tuple(years) != tuple(range(start, start + n)):
+        _check_years(years)
+    checked = {}
+    for name, col in columns.items():
+        if type(name) is not str:
+            raise ValueError(f"column names must be strings, got {name!r}")
+        col = np.array(col)
+        if col.ndim != ndim or col.dtype.kind not in "iuf":
+            raise ValueError(f"column {name!r} must be a {ndim}-D array of real numbers, "
+                             f"got {col.ndim}-D {col.dtype}")
+        if col.shape[-1] != n:
+            raise RaggedRow(0, n, col.shape[-1])
+        col.flags.writeable = False
+        checked[name] = col
+    shapes = {name: col.shape for name, col in checked.items()}
+    if len(set(shapes.values())) > 1:
+        raise ValueError(f"columns must share one shape, got {shapes}")
+    if not all(np.isfinite(col).all() for col in checked.values()):
+        bad = {name: ~np.isfinite(col.reshape(-1, n)) for name, col in checked.items()}
+        row = min(int(np.flatnonzero(b.any(axis=1))[0]) for b in bad.values() if b.any())
+        name = next(name for name, b in bad.items() if b[row].any())
+        raise MissingValue(int(np.flatnonzero(bad[name][row])[0]) + 1, name)
+    return checked
+
+
+def _check_years(years) -> None:
+    for i in range(1, len(years)):
+        if years[i] <= years[i - 1]:
+            raise NonMonotoneYears(f"{years[i - 1]} followed by {years[i]}")
+        if years[i] - years[i - 1] != 1:
+            raise NonAnnualIndex(f"gap between {years[i - 1]} and {years[i]}")
 
 
 @dataclass(frozen=True)

@@ -237,16 +237,18 @@ def _draw(dgp: Dgp, seeds) -> dict[str, np.ndarray]:
 
 
 def _frames(dgp: Dgp, seeds, start_year: int = 1951) -> list[TimeSeriesFrame]:
-    """One frame per seed, each a row of one draw."""
-    block = _draw(dgp, seeds)
+    """One frame per seed from one draw, checked once as a block by
+    ``TimeSeriesFrame.rows``: frame i's columns are read-only views of row
+    i of the draw's one read-only copy.  A non-finite draw raises the
+    ``MissingValue`` of its first bad seed's frame."""
     years = tuple(range(start_year, start_year + dgp.T))
-    return [TimeSeriesFrame(years, {name: col[i] for name, col in block.items()})
-            for i in range(len(seeds))]
+    return TimeSeriesFrame.rows(years, _draw(dgp, seeds))
 
 
 def generate(dgp: Dgp, start_year: int = 1951) -> TimeSeriesFrame:
     """Materialize a DGP as a TimeSeriesFrame with an annual index: the
-    one-row case of the draws ``mc_rejection_rate`` makes."""
+    one-row case of the block-checked draws ``mc_rejection_rate`` makes,
+    so its errors are theirs."""
     return _frames(dgp, [dgp.seed], start_year)[0]
 
 
@@ -270,8 +272,11 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05) -> McResul
     replication r uses seed = dgp.seed + r, also handed to the test so
     procedures needing auxiliary randomness stay reproducible.  Its frame
     equals ``generate(dgp.with_seed(seed))``; the frames are drawn
-    MC_CHUNK replications at a time.  A replication fails when the test
-    raises an ``ArdlkitError``; more than 1% failures aborts with
+    MC_CHUNK replications at a time, each chunk's draw checked once as a
+    block, and their columns are read-only row views of it.  A non-finite
+    draw raises the ``MissingValue`` that ``generate`` raises at the first
+    bad seed, after the earlier chunks' tests ran.  A replication fails
+    when the test raises an ``ArdlkitError``; more than 1% failures aborts with
     ``InvalidParams``, whose message ends with the first failure's.  Any
     other exception, a ``LinAlgError`` included, propagates.
     """

@@ -34,3 +34,15 @@ def trend_linked_frame(T: int = 40) -> TimeSeriesFrame:
     x1 = random_walk(T, 3)
     x2 = 2.0 * x1 + np.arange(T)
     return make_frame({"Y": 0.5 * x1 + 0.2 * x2 + normals(5, T), "X1": x1, "X2": x2})
+
+
+def differenced_residual_frame(T: int = 40) -> TimeSeriesFrame:
+    """Y = 1 + X/2 + u with u[1:] = dX + b and u orthogonal to [X, 1], so
+    the static OLS residuals are u and the short-run covariance of
+    (u[1:], dX) is singular while dX's long-run variance is not."""
+    x = random_walk(T, 3)
+    dx = np.diff(x)
+    # u[0] and b solve sum(u) = 0 and u @ x = 0
+    u0, b = np.linalg.solve([[1.0, T - 1.0], [x[0], x[1:].sum()]],
+                            [-dx.sum(), -(dx @ x[1:])])
+    return make_frame({"Y": 1.0 + 0.5 * x + np.concatenate([[u0], dx + b]), "X1": x})

@@ -29,7 +29,7 @@ from ardlkit.critical import critical_values
 from ardlkit.frame import TimeSeriesFrame, load_csv
 from ardlkit.synthetic import Dgp, generate, random_walk
 
-from conftest import FIXTURE_CSV, trend_linked_frame
+from conftest import FIXTURE_CSV, differenced_residual_frame, trend_linked_frame
 from regenerate_goldens import csv_text
 
 
@@ -283,6 +283,14 @@ class TestExitCodes:
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == ("error in robustness: regressor block of the "
                                            "long-run covariance is singular\n")
+
+    def test_singular_short_run_covariance_fails_robustness(self, tmp_path, capsys):
+        # FMOLS runs on this frame; CCR's Sigma is singular
+        data = tmp_path / "differenced.csv"
+        data.write_text(csv_text(differenced_residual_frame()))
+        assert main(command_argv("robust", data, tmp_path / "o")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("error in robustness: short-run covariance Sigma "
+                                           "of (u, dx) is singular\n")
 
     @pytest.mark.parametrize("command, code", [
         ("bounds", EXIT_PRECONDITION), ("ardl", EXIT_PRECONDITION),

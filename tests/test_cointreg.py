@@ -7,7 +7,7 @@ from ardlkit.frame import ModelSpec, load_csv
 from ardlkit.regression import ols, resolve_bandwidth
 from ardlkit.synthetic import ecm_system, normals, random_walk
 
-from conftest import FIXTURE_CSV, make_frame, trend_linked_frame
+from conftest import FIXTURE_CSV, differenced_residual_frame, make_frame, trend_linked_frame
 
 
 def orthogonalized_frame(T=60, seed=17, beta=(0.7, -0.4), const=2.0):
@@ -41,18 +41,6 @@ def orthogonalized_frame(T=60, seed=17, beta=(0.7, -0.4), const=2.0):
     for j in range(k):
         cols[f"X{j + 1}"] = xs[:, j]
     return make_frame(cols), np.asarray(beta), const
-
-
-def differenced_residual_frame(T=40):
-    """Y = 1 + X/2 + u with u[1:] = dX + b and u orthogonal to [X, 1], so
-    the static OLS residuals are u and the short-run covariance of
-    (u[1:], dX) is singular while dX's long-run variance is not."""
-    x = random_walk(T, 3)
-    dx = np.diff(x)
-    # u[0] and b solve sum(u) = 0 and u @ x = 0
-    u0, b = np.linalg.solve([[1.0, T - 1.0], [x[0], x[1:].sum()]],
-                            [-dx.sum(), -(dx @ x[1:])])
-    return make_frame({"Y": 1.0 + 0.5 * x + np.concatenate([[u0], dx + b]), "X1": x})
 
 
 def static_ols_theta(frame, spec):
@@ -251,8 +239,10 @@ class TestValidation:
         # inverts Sigma, which is not
         frame, spec = differenced_residual_frame(), ModelSpec("Y", ("X1",))
         fmols(frame, spec, bandwidth)
-        with pytest.raises(errors.SingularOmega22):
+        with pytest.raises(errors.NumericalError) as info:
             ccr(frame, spec, bandwidth)
+        assert type(info.value) is errors.NumericalError
+        assert str(info.value) == "short-run covariance Sigma of (u, dx) is singular"
 
     def test_fmols_reports_bandwidth(self, coint_frame):
         result = fmols(coint_frame, ModelSpec("Y", ("X1",)), 6)

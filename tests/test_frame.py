@@ -178,6 +178,84 @@ class TestTimeSeriesFrame:
         assert str(info.value) == message
 
 
+YEARS3 = (1990, 1991, 1992)
+
+
+def block3(rows=4):
+    """A (rows, 3) block per column: Y, X1 and X2 with distinct values."""
+    base = np.arange(rows * 3, dtype=float).reshape(rows, 3)
+    return {"Y": base, "X1": base + 100.0, "X2": base + 200.0}
+
+
+class TestFrameRows:
+    def test_rows_equal_the_row_frames(self):
+        block = block3()
+        frames = TimeSeriesFrame.rows(YEARS3, block)
+        assert len(frames) == 4
+        for r, frame in enumerate(frames):
+            single = TimeSeriesFrame(YEARS3, {name: col[r] for name, col in block.items()})
+            assert frame.years == single.years and frame.names == single.names
+            for name in frame.names:
+                assert frame.column(name).tobytes() == single.column(name).tobytes()
+                assert frame.column(name).dtype == single.column(name).dtype
+
+    def test_no_columns_give_no_frames(self):
+        assert TimeSeriesFrame.rows(YEARS3, {}) == []
+
+    def test_columns_are_read_only_views_of_a_private_copy(self):
+        block = block3()
+        frames = TimeSeriesFrame.rows(YEARS3, block)
+        block["Y"][1, 1] = np.nan  # the caller's block is not the frames'
+        assert frames[1].column("Y").tolist() == [3.0, 4.0, 5.0]
+        column = frames[1].column("Y")
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            column.base[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+        assert column.base is frames[0].column("Y").base
+        with pytest.raises(TypeError):
+            frames[1].columns["Z"] = np.zeros(3)
+
+    @pytest.mark.parametrize("block, error, message", [
+        ({"A": np.zeros(3)}, ValueError,
+         "column 'A' must be a 2-D array of real numbers, got 1-D float64"),
+        ({"A": np.zeros((2, 3)), 1: np.zeros((2, 3))}, ValueError,
+         "column names must be strings, got 1"),
+        ({"A": np.zeros((2, 4))}, errors.RaggedRow, "row 0: expected 3 fields, got 4"),
+        ({"A": np.zeros((2, 3)), "B": np.zeros((3, 3))}, ValueError,
+         "columns must share one shape, got {'A': (2, 3), 'B': (3, 3)}"),
+    ], ids=["1-D", "int-name", "ragged", "row-counts"])
+    def test_malformed_block_is_named(self, block, error, message):
+        with pytest.raises(error) as info:
+            TimeSeriesFrame.rows(YEARS3, block)
+        assert str(info.value) == message
+
+    def test_no_years(self):
+        with pytest.raises(errors.EmptyBody):
+            TimeSeriesFrame((), {"A": np.zeros(0)})
+        with pytest.raises(errors.EmptyBody):
+            TimeSeriesFrame.rows((), {"A": np.zeros((2, 0))})
+
+    def test_bad_years_are_checked_once_for_the_block(self):
+        with pytest.raises(errors.NonAnnualIndex):
+            TimeSeriesFrame.rows((1990, 1992, 1993), block3())
+
+    def test_first_non_finite_row_then_column_then_index(self):
+        block = block3(rows=6)
+        block["Y"][3, 0] = np.inf  # a later row
+        block["X2"][2, 0] = np.nan  # the first bad row, a later column
+        block["X1"][2, 2] = -np.inf  # the first bad row and column...
+        block["X1"][2, 1] = np.nan  # ...at its first bad index
+        with pytest.raises(errors.MissingValue) as info:
+            TimeSeriesFrame.rows(YEARS3, block)
+        assert str(info.value) == "row 2, column 'X1': missing value"
+        with pytest.raises(errors.MissingValue) as single:
+            TimeSeriesFrame(YEARS3, {name: col[2] for name, col in block.items()})
+        assert str(single.value) == str(info.value)
+
+
 class TestNaturalLog:
     def test_log_columns_prefixed(self):
         frame = load_csv(CSV_OK)

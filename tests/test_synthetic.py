@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 import ndtri_sweep
 from ardlkit import synthetic, unitroot
-from ardlkit.errors import ArdlkitError, DegenerateSeries, InvalidParams
+from ardlkit.errors import ArdlkitError, DegenerateSeries, InvalidParams, MissingValue
 from ardlkit.synthetic import (
     MC_CHUNK,
     Dgp,
@@ -385,6 +385,30 @@ class TestBatchedDraws:
         assert result.rows == tuple(rows)
         assert degenerate - dgp.seed not in [r for r, _, _ in result.rows]
         assert result.rate == rejections / (reps - failures)
+
+    def test_non_finite_draw_raises_what_generate_raises(self):
+        # sigma * z, or the AR(1) sum, overflows in some replications only;
+        # from seed 475 the first is seed 814, in the second chunk
+        dgp = Dgp("ar1", 30, 475, {"sigma": 4.3e307})
+        reps = MC_CHUNK + 144
+        seen = []
+
+        def record(frame, level, seed):
+            seen.append(seed)
+            return 0.0, False
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = []
+            for seed in range(dgp.seed, dgp.seed + reps):
+                try:
+                    generate(dgp.with_seed(seed))
+                except MissingValue as exc:
+                    bad.append((seed, str(exc)))
+            with pytest.raises(MissingValue) as info:
+                mc_rejection_rate(record, dgp, reps)
+        assert [seed for seed, _ in bad] == [814, 825, 826]
+        assert str(info.value) == bad[0][1]
+        assert seen == list(range(dgp.seed, dgp.seed + MC_CHUNK))  # the first chunk ran
 
     @pytest.mark.parametrize("dgp", [Dgp("random_walk", 12, 0), Dgp("ecm_system", 12, 0)],
                              ids=["random_walk", "ecm_system"])
