@@ -30,6 +30,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 from collections.abc import Sequence
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
@@ -425,8 +427,31 @@ def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> s
     return "\n".join(parts) + "\n"
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does, in place.
+
+    The file is opened without ``O_TRUNC``: truncating a file that holds
+    data frees its blocks, which costs more than the write that fills
+    them again.  A regular file that was longer than the text is cut at
+    the text's end; a device such as ``/dev/null`` is only written.  A
+    new file gets ``write_text``'s mode, 0o666 less the umask, and an
+    existing one keeps its inode and mode.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        old = os.fstat(fd)
+        fh.write(text)
+        if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
+            fh.truncate()
+
+
 def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
-    """Write one file per table plus one CSV + SVG per stability path."""
+    """Write the report's tables into ``output_dir`` and return their paths.
+
+    Markdown and CSV give one file per table, JSON one ``report.json``;
+    every format adds a CSV and an SVG per stability path.  An existing
+    file is overwritten in place by ``_overwrite``, not replaced.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     out_dir = Path(output_dir)
@@ -435,7 +460,7 @@ def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
 
     if fmt == "json":
         p = out_dir / "report.json"
-        p.write_text(dumps_indented(report.to_dict()) + "\n")
+        _overwrite(p, dumps_indented(report.to_dict()) + "\n")
         written.append(p)
     else:
         ext = "md" if fmt == "markdown" else "csv"
@@ -458,14 +483,14 @@ def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
             sections.append(("diagnostics", diagnostics_rows(report)))
         for name, (header, rows) in sections:
             p = out_dir / f"{name}.{ext}"
-            p.write_text(table_fn(header, rows))
+            _overwrite(p, table_fn(header, rows))
             written.append(p)
 
     for path in report.stability:
         p = out_dir / f"{path.statistic}.csv"
-        p.write_text(stability_csv(path))
+        _overwrite(p, stability_csv(path))
         written.append(p)
         p = out_dir / f"{path.statistic}.svg"
-        p.write_text(stability_svg(path))
+        _overwrite(p, stability_svg(path))
         written.append(p)
     return written

@@ -239,16 +239,28 @@ def _draw(dgp: Dgp, seeds) -> dict[str, np.ndarray]:
 def _frames(dgp: Dgp, seeds, start_year: int = 1951) -> list[TimeSeriesFrame]:
     """One frame per seed from one draw, checked once as a block by
     ``TimeSeriesFrame.rows``: frame i's columns are read-only views of row
-    i of the draw's one read-only copy.  A non-finite draw raises the
-    ``MissingValue`` of its first bad seed's frame."""
+    i of the draw's one read-only copy.  The draw runs with numpy's
+    overflow and invalid-value warnings off; a draw that is not finite
+    raises ``InvalidParams`` naming its first bad seed and the DGP's
+    parameters."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _draw(dgp, seeds)
+    finite = np.all([np.isfinite(col).all(axis=-1) for col in block.values()], axis=0)
+    if not finite.all():
+        seed = seeds[int(np.argmin(finite))]
+        params = ", ".join(f"{name}={value!r}"
+                           for name, value in {**dict(_defaults(dgp.kind)), **dgp.params}.items())
+        raise InvalidParams(f"{dgp.kind} draws a non-finite value at seed {seed} "
+                            f"with T={dgp.T}, {params}")
     years = tuple(range(start_year, start_year + dgp.T))
-    return TimeSeriesFrame.rows(years, _draw(dgp, seeds))
+    return TimeSeriesFrame.rows(years, block)
 
 
 def generate(dgp: Dgp, start_year: int = 1951) -> TimeSeriesFrame:
     """Materialize a DGP as a TimeSeriesFrame with an annual index: the
     one-row case of the block-checked draws ``mc_rejection_rate`` makes,
-    so its errors are theirs."""
+    so its errors are theirs; a draw that is not finite raises
+    ``InvalidParams``."""
     return _frames(dgp, [dgp.seed], start_year)[0]
 
 
@@ -273,12 +285,13 @@ def mc_rejection_rate(test, dgp: Dgp, reps: int, level: float = 0.05) -> McResul
     procedures needing auxiliary randomness stay reproducible.  Its frame
     equals ``generate(dgp.with_seed(seed))``; the frames are drawn
     MC_CHUNK replications at a time, each chunk's draw checked once as a
-    block, and their columns are read-only row views of it.  A non-finite
-    draw raises the ``MissingValue`` that ``generate`` raises at the first
-    bad seed, after the earlier chunks' tests ran.  A replication fails
-    when the test raises an ``ArdlkitError``; more than 1% failures aborts with
-    ``InvalidParams``, whose message ends with the first failure's.  Any
-    other exception, a ``LinAlgError`` included, propagates.
+    block, and their columns are read-only row views of it.  A draw that
+    is not finite raises the ``InvalidParams`` that ``generate`` raises at
+    the first bad seed, after the earlier chunks' tests ran.  A
+    replication fails when the test raises an ``ArdlkitError``; more than
+    1% failures aborts with ``InvalidParams``, whose message ends with the
+    first failure's.  Any other exception, a ``LinAlgError`` included,
+    propagates.
     """
     check_reps(reps)
     failures = 0

@@ -368,6 +368,17 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "more than 1% of replications failed" in capsys.readouterr().err
 
+    def test_mc_overflowing_draw_is_a_numerical_error(self, tmp_path, capsys):
+        # a finite drift whose walk overflows: one error line naming the seed
+        # and the parameters, and no numpy warning
+        out = tmp_path / "o"
+        rc = main(["mc", "--test", "adf", "--dgp", "random_walk", "--drift", "1e308",
+                   "--reps", "100", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("error: random_walk draws a non-finite value at "
+                                           "seed 0 with T=100, drift=1e+308\n")
+        assert not out.exists()
+
     def test_mc_abort_names_the_first_failure(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["mc", "--test", "pp", "--T", "12", "--reps", "100", "--out", str(out)])
@@ -412,6 +423,15 @@ class TestSubcommands:
         for name in ("diagnostics.md", "cusum.csv", "cusum.svg",
                      "cusum_sq.csv", "cusum_sq.svg"):
             assert (out / name).exists()
+
+    def test_json_report_through_a_link_to_dev_null(self, tmp_path, capsys):
+        # an output that is not a regular file is written, not cut
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.json").symlink_to(os.devnull)
+        rc = main(["unitroot", "--data", str(FIXTURE_CSV), "--out", str(out), "--format", "json"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert os.readlink(out / "report.json") == os.devnull
 
     def test_unitroot(self, tmp_path):
         out = tmp_path / "o"

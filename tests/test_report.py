@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import stat
 from typing import NamedTuple
 
 import numpy as np
@@ -13,11 +14,11 @@ from ardlkit import ardl, causality, cli, critical, unitroot
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.diagnostics import StabilityPath
 from ardlkit.regression import STARS, normal_test, stars
-from ardlkit.report import (PipelineReport, _coef_cell, dumps_indented, render, stability_csv,
-                            stability_svg)
+from ardlkit.report import (FORMATS, PipelineReport, _coef_cell, _overwrite, dumps_indented, render,
+                            stability_csv, stability_svg)
 from ardlkit.synthetic import Dgp, generate, random_walk
 
-from conftest import FIXTURE_CSV, make_frame
+from conftest import FIXTURE_CSV, GOLDEN_DIR, make_frame
 from regenerate_goldens import csv_text
 
 
@@ -269,3 +270,38 @@ def test_fixture_stability_rows_equal_per_point_reference(fixture_report):
     assert [p.statistic for p in fixture_report.stability] == ["cusum", "cusum_sq"]
     for path in fixture_report.stability:
         check_rows(path)
+
+
+TEXT = "first line\nsecond line, caf\u00e9\n" * 40
+
+
+@pytest.mark.parametrize("old", [b"", b"x" * 5000, b"abc"], ids=["empty", "longer", "shorter"])
+def test_overwrite_leaves_the_bytes_of_write_text_in_the_same_file(tmp_path, old):
+    path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    path.write_bytes(old)
+    path.chmod(0o640)
+    before = path.stat()
+    _overwrite(path, TEXT)
+    reference.write_text(TEXT)
+    assert path.read_bytes() == reference.read_bytes()
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+
+def test_overwrite_creates_a_file_as_write_text_does(tmp_path):
+    path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    _overwrite(path, TEXT)
+    reference.write_text(TEXT)
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.stat().st_mode == reference.stat().st_mode
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_rendering_twice_into_one_directory_gives_the_goldens(tmp_path, fixture_report, fmt):
+    out = tmp_path / "fresh" / fmt
+    golden = GOLDEN_DIR / fmt
+    for _ in range(2):
+        written = render(fixture_report, fmt, out)
+        assert sorted(p.name for p in written) == sorted(p.name for p in golden.iterdir())
+        for path in written:
+            assert path.read_bytes() == (golden / path.name).read_bytes(), path.name
