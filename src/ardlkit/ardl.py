@@ -22,8 +22,7 @@ import numpy as np
 from .critical import BOUNDS_LEVELS, TABLES, critical_values
 from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
-from .regression import (RegressionResult, first_minimum, ols, search_criteria, search_plan,
-                         wald_f)
+from .regression import RegressionResult, ols, search, search_plan, wald_f
 
 # The critical-bounds tables bounds_test takes.
 BOUNDS_TABLES = tuple(family for family, case in TABLES if case == "III")
@@ -133,14 +132,15 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     """Exhaustive (p, q_1..q_k) grid search on a common estimation sample.
 
     Every candidate's design is a column subset of the widest one, so
-    ``search_criteria`` scores the whole grid from that one design.  In
+    ``regression.search`` scores the whole grid from that one design.  In
     the grid's order the candidates that differ only in q_k come together,
     each a column prefix of the next, and one batched QR factors these
     chains (162 of 3 at k = 5 and max_p = max_q = 2).  A candidate needs
     at least 5 more observations than parameters; the feasible candidates
     and their ``SearchPlan`` are built once per (max_p, max_q, k, rows).
-    ``first_minimum`` picks in the plan's rank, as in every lag search:
-    ties break toward fewer total lags, then the smaller (p, q) tuple.
+    ``regression.search`` picks in the plan's rank, as in every lag
+    search: ties break toward fewer total lags, then the smaller (p, q)
+    tuple.
     """
     spec.validate_against(frame)
     common_start = 1 + max(spec.max_p - 1, spec.max_q)
@@ -151,11 +151,11 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
                              f"common sample of {rows} rows")
     widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
     lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
-    ranked = search_criteria(lhs[None], X[None], plan, criterion)[0, plan.order]
-    if np.isnan(ranked).all():
+    [pick] = search(lhs[None], X[None], plan, criterion)
+    if pick is None:
         raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "
                              f"common sample of {rows} rows")
-    p, *q = candidates[plan.order[first_minimum(ranked.tolist())]]
+    p, *q = candidates[pick]
     return ArdlSpec(p, q)
 
 

@@ -6,8 +6,8 @@ causality; the report legend follows the statistics, not prose
 conventions.
 
 Every test runs through one kernel, ``granger_block``, on a block of
-equal-length (cause, effect) pairs: one ``search_criteria`` call scores
-the lag search of every pair, and the pairs that use the same lag share
+equal-length (cause, effect) pairs: one ``regression.search`` call picks
+the lag of every pair, and the pairs that use the same lag share
 one stacked fit of the unrestricted model and one of the restricted
 (``regression.ols_stack``).  ``causality_matrix`` makes one call on a
 frame's 2k ordered pairs; ``select_granger_lag`` and ``granger_pair`` are
@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
 from .frame import TimeSeriesFrame
-from .regression import (STARS, first_minimum, ols_stack, prefix_plan, row_ranges,
-                         search_criteria, wald_f)
+from .regression import STARS, ols_stack, prefix_plan, row_ranges, search, wald_f
 
 
 class CausalityReport(NamedTuple):
@@ -64,8 +63,8 @@ def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityRepo
     ``select_granger_lag`` picks it with its defaults (AIC over 1..4).  A
     pair whose cause or effect holds a NaN or an infinity fails alone
     with ``DegenerateSeries`` before any factorization.  One
-    ``search_criteria`` call scores the lag search of every other pair,
-    and the pairs that use the same lag share one ``ols_stack`` of the
+    ``regression.search`` call picks the lag of every other pair, and the
+    pairs that use the same lag share one ``ols_stack`` of the
     unrestricted model and one of the restricted.  Each row's numbers are
     bitwise those of its one-row block.
     """
@@ -110,9 +109,10 @@ def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
     common sample of the max-lag design.  max_lag is capped at
     max(1, (n - 3) // 2).  With that design's columns in the order
     [const, y_1, x_1, y_2, x_2, ...], the design for each lag is a column
-    prefix, so ``search_criteria`` scores every lag of every pair from one
-    cached ``prefix_plan``; a lag that ``ols`` rejects is skipped, and
-    ``first_minimum`` picks the lag."""
+    prefix, so ``regression.search`` scores every lag of every pair from
+    one cached ``prefix_plan`` and picks each pair's lag; a lag that
+    ``ols`` rejects is skipped, and a pair whose every lag is rejected
+    takes lag 1."""
     n = effects.shape[1]
     max_lag = min(max_lag, max(1, (n - 3) // 2))
     if max_lag < 1:
@@ -122,8 +122,7 @@ def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
     lhs, X = _granger_designs(causes, effects, max_lag)
     order = [0, *(c for lag in range(1, max_lag + 1) for c in (lag, max_lag + lag))]
     plan = prefix_plan(tuple(range(3, 2 * max_lag + 2, 2)))
-    return [1 + first_minimum(scores)
-            for scores in search_criteria(lhs, X[..., order], plan, criterion).tolist()]
+    return [1 + (i or 0) for i in search(lhs, X[..., order], plan, criterion)]
 
 
 def _fit_rows(causes: np.ndarray, effects: np.ndarray, lag: int, labels) -> list:

@@ -8,15 +8,17 @@ bits it gets alone.  Rank detection, the solution, and (X'X)^-1 all come
 from that one rank-revealing factorization.  Severe collinearity among
 lagged logs is the expected failure mode and is reported with the
 offending columns.
-Every lag search (ARDL, unit-root, Granger) is scored by one function,
-``search_criteria``, which returns every row's criteria as one (R, C)
-array.  What a search needs besides the data (its chains of nested column
-lists, their gather and pick indices, the tie-break rank) is a
-``SearchPlan``, built once per search key and cached by the caller.  One
-Householder QR of [X | y] scores one chain of leading columns, and one
-batched QR of R's columns scores any other chains.  Every long-run
-variance (PP, DOLS, FMOLS, CCR) comes from one Bartlett estimator,
-``long_run_covariance``, whose scalar case is ``long_run_variance``.
+Every lag search (ARDL, unit-root, Granger) picks its lag by one function,
+``search``: it scores every row as ``search_criteria`` does, as one (R, C)
+array, and makes one Python pass per row in the plan's rank, which is the
+one place where ties are screened and a list is picked.  What a search
+needs besides the data (its chains of nested column lists, their gather
+and pick indices, the tie-break rank) is a ``SearchPlan``, built once per
+search key and cached by the caller.  One Householder QR of [X | y]
+scores one chain of leading columns, and one batched QR of R's columns
+scores any other chains.  Every long-run variance (PP, DOLS, FMOLS, CCR)
+comes from one Bartlett estimator, ``long_run_covariance``, whose scalar
+case is ``long_run_variance``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ RANK_TOL = 1e-10
 
 # search_criteria scores a row of a search from its QR's RSS only when the
 # singular-value ratio of the row's full design, taken before the QR, is at
-# least RANK_MARGIN * RANK_TOL, and fits every subset by ols otherwise; it
-# also re-scores by ols the subsets whose criteria lie within TIE_RTOL
+# least RANK_MARGIN * RANK_TOL, and fits every subset by ols otherwise;
+# search re-scores by ols the subsets whose criteria lie within TIE_RTOL
 # (relative) of the smallest.  The chain QR and a subset's own SVD differ
 # in the last bits, and these are the decisions such bits could flip.
 RANK_MARGIN = 10.0
@@ -253,13 +255,13 @@ class SearchPlan(NamedTuple):
     that R directly.  ``pick`` is each list's place in the flattened tail
     sums.  ``order`` ranks the lists for ties: narrower first, then in list
     order, which in the ARDL grid is fewer total lags, then the smaller
-    (p, q).
+    (p, q); a tuple, so that ``search``'s pass loops over Python ints.
     """
 
     columns: tuple[tuple[int, ...], ...]
     widths: np.ndarray         # (C,) each list's column count
     width: int                 # the widest list's
-    order: np.ndarray          # (C,) list indices, best rank first
+    order: tuple[int, ...]     # (C,) list indices, best rank first
     span: int                  # X's leading columns the QR factors
     shared: int                # leading columns every list starts with
     gather: np.ndarray | None  # (chains, width + 1 - shared)
@@ -286,9 +288,9 @@ def search_plan(columns) -> SearchPlan:
         gather = np.array([tip[shared:] + (span + 1,) * (width - len(tip)) + (span,)
                            for tip in tips], dtype=np.intp)
     pick = np.asarray(chain, dtype=np.intp) * (width + 1 - shared) + width - widths
-    plan = SearchPlan(columns, widths, width, np.argsort(widths, kind="stable"), span, shared,
-                      gather, pick)
-    for array in (plan.widths, plan.order, plan.gather, plan.pick):
+    plan = SearchPlan(columns, widths, width, tuple(np.argsort(widths, kind="stable").tolist()),
+                      span, shared, gather, pick)
+    for array in (plan.widths, plan.gather, plan.pick):
         if array is not None:
             array.flags.writeable = False
     return plan
@@ -301,6 +303,31 @@ def prefix_plan(widths: tuple[int, ...]) -> SearchPlan:
     return search_plan(tuple(range(w)) for w in widths)
 
 
+def search(Y, X, plan: SearchPlan, kind: str = "aic") -> list[int | None]:
+    """The list of ``plan`` that each row Y[r] of Y (R, n) on its X[r] of
+    X (R, n, K) picks, as an index into ``plan.columns``: the first minimum
+    of its criteria in the plan's rank, where a later list must beat the
+    best so far by more than 1e-12, or None when every criterion is NaN.
+
+    This is the one place where a lag search screens ties and picks.  It
+    scores the rows as ``search_criteria`` does and makes one pass per row
+    (``_scan``) that finds the first minimum and screens the row for ties.
+    A tied row that the chain QR scored is re-scored by ``_settle_ties``
+    and picked again; a row that ``ols`` scored is exact already.
+    """
+    Y = np.asarray(Y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    scores, by_qr = _scores(Y, X, plan, kind)
+    order = plan.order
+    picks = []
+    for r, (row, qr) in enumerate(zip(scores.tolist(), by_qr)):
+        pick, tied = _scan(row, order)
+        if tied and qr:
+            pick = _scan(_settle_ties(Y[r], X[r], plan.columns, row, kind), order)[0]
+        picks.append(pick)
+    return picks
+
+
 def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
     """``info_criterion(ols(Y[r], X[r][:, s]), kind)``, to rounding, for every
     row Y[r] of Y (R, n) on its X[r] of X (R, n, K) and every column list s
@@ -311,34 +338,34 @@ def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
     search's one SVD of X, taken without U before any QR; dropping columns
     cannot lower it, so it bounds the ratio of every list.  A row whose
     bound is at least RANK_TOL * RANK_MARGIN, so that ``ols`` accepts each
-    list, is scored from RSS (``_chain_rss``).  ``_settle_ties`` decides
-    every other row, and every row whose smallest criterion is -inf or has
-    another within TIE_RTOL (relative): it is the one place a search calls
-    ``ols``.  A plan with a list as wide as n, which ``ols`` rejects, takes
-    neither the SVD nor the QR, and ``ols`` scores its rows.
+    list, is scored from RSS (``_chain_rss``), and ``ols`` fits every list
+    of every other row.  A plan with a list as wide as n, which ``ols``
+    rejects, takes neither the SVD nor the QR, and ``ols`` scores its rows.
+    Ties are not screened here: ``search`` screens them, and re-scores the
+    near-best lists of a tied row by ``ols``.
     """
+    return _scores(np.asarray(Y, dtype=float), np.asarray(X, dtype=float), plan, kind)[0]
+
+
+def _scores(Y: np.ndarray, X: np.ndarray, plan: SearchPlan,
+            kind: str) -> tuple[np.ndarray, list[bool]]:
+    """``search_criteria``'s array, and for each row whether the chain QR
+    scored it (True) or ``ols`` did (False)."""
     _check_criterion(kind)
-    Y = np.asarray(Y, dtype=float)
-    X = np.asarray(X, dtype=float)
     n, k = X.shape[1:]
-    sound = [False] * len(X)
+    by_qr = [False] * len(X)
     if n >= k and plan.width < n:
         s = np.linalg.svd(X, compute_uv=False)
-        sound = [ratio >= RANK_TOL * RANK_MARGIN for ratio in singular_value_ratios(s)]
-    if plan.columns and any(sound):
+        by_qr = [ratio >= RANK_TOL * RANK_MARGIN for ratio in singular_value_ratios(s)]
+    if plan.columns and any(by_qr):
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = n * np.log(_chain_rss(Y, X, plan) / n) + _penalty(n, kind) * plan.widths
-            best = scores.min(axis=1, keepdims=True)
-            far = scores - best > TIE_RTOL * np.maximum(np.abs(best), 1.0)
-        tied = (np.add.reduce(far, axis=1) < len(plan.columns) - 1).tolist()
     else:
         scores = np.empty((len(X), len(plan.columns)))
-        tied = [False] * len(X)
-    for r, (ok, tie) in enumerate(zip(sound, tied)):
-        if tie or not ok:
-            scores[r] = _settle_ties(Y[r], X[r], plan.columns, scores[r].tolist() if ok else None,
-                                     kind)
-    return scores
+    for r, qr in enumerate(by_qr):
+        if not qr:
+            scores[r] = [_exact_criterion(Y[r], X[r][:, s], kind) for s in plan.columns]
+    return scores, by_qr
 
 
 def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
@@ -372,20 +399,18 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     return tail[:, plan.pick]
 
 
-def _settle_ties(y, X, columns, scores: list | None, kind: str) -> list:
-    """A row's criteria over the lists ``columns``, where ``ols`` decides:
-    every list fitted by ``ols`` when the chain QR gave no ``scores``, and
-    otherwise ``scores`` with the lists within TIE_RTOL of the smallest
-    re-scored by ``ols``, until the near-best ones are all exact."""
-    if scores is None:
-        return [_exact_criterion(y, X[:, s], kind) for s in columns]
+def _settle_ties(y, X, columns, scores: list, kind: str) -> list:
+    """A tied row's criteria over the lists ``columns``, as ``search`` takes
+    them: ``scores`` (the chain QR's, changed in place) with the lists
+    within TIE_RTOL of the smallest re-scored by ``ols``, until the
+    near-best ones are all exact."""
     exact: set[int] = set()
     while True:
         live = [s for s in scores if not math.isnan(s)]
         if not live:
             return scores
         best = min(live)
-        window = TIE_RTOL * max(abs(best), 1.0) if math.isfinite(best) else 0.0
+        window = _tie_window(best) if math.isfinite(best) else 0.0
         near = [i for i, s in enumerate(scores) if s == best or s - best <= window]
         todo = [i for i in near if i not in exact]
         if len(near) < 2 or not todo:
@@ -393,6 +418,12 @@ def _settle_ties(y, X, columns, scores: list | None, kind: str) -> list:
         for i in todo:
             exact.add(i)
             scores[i] = _exact_criterion(y, X[:, columns[i]], kind)
+
+
+def _tie_window(best: float) -> float:
+    """How far a criterion may lie above the smallest, ``best``, and tie
+    with it: TIE_RTOL relative, and absolute below 1."""
+    return TIE_RTOL * max(abs(best), 1.0)
 
 
 def _exact_criterion(y, X, kind: str) -> float:
@@ -403,14 +434,43 @@ def _exact_criterion(y, X, kind: str) -> float:
         return math.nan
 
 
+def _scan(scores: list, order) -> tuple[int | None, bool]:
+    """``search``'s one pass over a row's ``scores`` in ``order``: the first
+    minimum and whether the row is tied.
+
+    The first minimum is the index of the lowest score (NaN: skipped),
+    where a later one must beat the best so far by more than 1e-12:
+    order[0] when no score is below +inf, and None when every one is NaN.
+    With m1 <= m2 the two smallest non-NaN scores, a row of two or more
+    scores is tied when one is NaN or not (m2 - m1 > ``_tie_window(m1)``),
+    so that an inf - inf or a NaN difference counts as tied.
+    """
+    best, bar = None, math.inf
+    m1 = m2 = math.inf
+    nans = 0
+    for i in order:
+        s = scores[i]
+        if s < m2:
+            if s < bar:  # bar <= every score so far, so s < m2 here
+                best, bar = i, s - 1e-12
+            if s < m1:
+                m1, m2 = s, m1
+            else:
+                m2 = s
+        elif s != s:
+            nans += 1
+    tied = len(order) > 1 and (nans > 0 or not (m2 - m1 > _tie_window(m1)))
+    if best is None and nans < len(order):
+        best = order[0]  # every score is +inf, or +inf and NaN
+    return best, tied
+
+
 def first_minimum(scores) -> int:
     """Index of the lowest of ``scores`` (NaN: skipped), where a later one
-    must beat the best so far by more than 1e-12; 0 if none is scored."""
-    best_i, bar = 0, math.inf
-    for i, score in enumerate(scores):
-        if score < bar:
-            best_i, bar = i, score - 1e-12
-    return best_i
+    must beat the best so far by more than 1e-12; 0 if none is scored.
+    This is the index half of ``search``'s pass, in list order."""
+    pick = _scan(scores, range(len(scores)))[0]
+    return 0 if pick is None else pick
 
 
 def criterion_from_rss(rss: float, n: int, k: int, kind: str = "aic") -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      SeriesTooShort, TooFewObservations)
-from .regression import (STARS, first_minimum, long_run_covariance, ols_stack, prefix_plan,
-                         resolve_bandwidth, row_ranges, search_criteria)
+from .regression import (STARS, long_run_covariance, ols_stack, prefix_plan, resolve_bandwidth,
+                         row_ranges, search)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -161,7 +161,8 @@ def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_l
 
     Each row's lag p minimizes the criterion over lags 0..max_lag, the
     nested column prefixes of the max-lag design on its common sample
-    (one cached ``prefix_plan``), by ``first_minimum``.  The statistic is
+    (one cached ``prefix_plan``), picked by ``regression.search``, lag 0
+    when every lag is NaN.  The statistic is
     the Dickey-Fuller t-ratio of the ADF(p) regression on its own sample,
     so the rows that choose the same p share one fit.  Without
     deterministic terms the detrending is a no-op and DF-GLS is the
@@ -174,7 +175,7 @@ def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_l
         dY = Y[:, 1:] - Y[:, :-1]
     lhs, X = _df_designs(Y, dY, terms, max_lag)
     plan = prefix_plan(tuple(range(X.shape[2] - max_lag, X.shape[2] + 1)))
-    lags = [first_minimum(scores) for scores in search_criteria(lhs, X, plan, criterion).tolist()]
+    lags = [p or 0 for p in search(lhs, X, plan, criterion)]
     groups: dict[int, list[int]] = {}
     for r, p in enumerate(lags):
         groups.setdefault(p, []).append(r)

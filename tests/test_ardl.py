@@ -197,11 +197,13 @@ class TestSelectArdlLags:
         spec = ModelSpec("Y", ("X1", "X2"), max_p=3, max_q=2)
 
         def tied(Y, X, plan, kind):
+            # ols scored the row (False), so the search picks from these
+            # exact scores without re-scoring them
             scores = np.zeros((1, len(plan.columns)))
             scores[0, plan.order[0]] = np.nan
-            return scores
+            return scores, [False]
 
-        monkeypatch.setattr(ardl, "search_criteria", tied)
+        monkeypatch.setattr(regression, "_scores", tied)
         assert select_ardl_lags(frame, spec) == ArdlSpec(1, (0, 1))
 
     def test_fixture_grid_fits_few_candidates_exactly(self, monkeypatch):
@@ -394,6 +396,17 @@ class TestLongRunCoefficients:
         grad[1] = tau2 / tau1**2
         expected = float(np.sqrt(grad @ cov @ grad))
         assert long_run_coefficients(fit)["X1"][1] == pytest.approx(expected, rel=1e-10)
+
+    def test_zero_adjustment_coefficient_is_not_identified(self, coint_frame):
+        spec = ModelSpec("Y", ("X1",))
+        fit = fit_conditional_ecm(coint_frame, spec, ArdlSpec(1, (0,)))
+        coef = fit.regression.coef.copy()
+        coef[fit.level_indices[0]] = 0.0
+        fit = fit._replace(regression=fit.regression._replace(coef=coef))
+        with pytest.raises(errors.NearSingularAdjustment) as raised:
+            long_run_coefficients(fit)
+        assert str(raised.value) == ("lagged-dependent level coefficient 0 is below tolerance "
+                                     "1e-08; long-run coefficients are not identified")
 
 
 class TestFitEcm:

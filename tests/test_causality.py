@@ -268,7 +268,7 @@ class TestCausalityMatrix:
 
     def test_one_lag_search_per_matrix(self, monkeypatch):
         frame = frame_k(5, 33)
-        search = Counted(monkeypatch, "search_criteria", causality)
+        search = Counted(monkeypatch, "search", causality)
         causality_matrix(frame, tuple(f"X{j}" for j in range(1, 6)), "Y")
         assert search.calls == 1  # the per-pair loop made one per ordered pair
 

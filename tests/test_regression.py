@@ -19,6 +19,7 @@ from ardlkit.regression import (
     ols,
     prefix_plan,
     resolve_bandwidth,
+    search,
     search_criteria,
     search_plan,
     singular_value_ratio,
@@ -410,7 +411,9 @@ class TestSearchPlan:
         # column 4 repeats column 3 up to 1e-5 of a direction orthogonal to
         # y and to every other column: the design is sound (ratio ~5e-6),
         # and the lists [0, 1, 3] and [0, 1, 4], the best two, lie about
-        # 5e-10 (relative) apart, so ols fits both again and only them
+        # 5e-10 (relative) apart, so the search's pass finds the row tied
+        # and ols fits both again and only them; search_criteria, which
+        # screens no ties, fits none
         base, y = TestSubsetRss.design(k=4)
         z = normals(21, base.shape[0])
         q = np.linalg.qr(np.column_stack([base, y]))[0]
@@ -423,9 +426,10 @@ class TestSearchPlan:
         assert abs(exact[1] - exact[2]) <= TIE_RTOL * abs(exact[1]) and exact[1] != exact[2]
         fits = Counted(monkeypatch, "ols", regression)
         scores = criteria(y, X, subsets)
+        assert fits.calls == 0
+        assert scores == pytest.approx(exact, rel=1e-12)
+        assert search(y[None], X[None], search_plan(subsets)) == [first_minimum(exact)]
         assert fits.calls == 2
-        assert scores[1:] == exact[1:]
-        assert scores[0] == pytest.approx(exact[0], rel=1e-12)
 
     def test_first_sweep_specs_match_the_ols_oracle(self):
         # the ARDL order and the ADF, DF-GLS and Granger lags of the first
@@ -434,6 +438,117 @@ class TestSearchPlan:
         specs = lag_search_sweep.SPECS[:30]
         assert {(k, T) for _, k, T, _ in specs} == set(lag_search_sweep.SHAPES)
         assert lag_search_sweep.mismatches(specs) == []
+
+
+def numpy_tied(row) -> bool:
+    """The numpy tie screen over one row of criteria that the search pass
+    replaced, kept as the reference the pass must agree with: a row is
+    tied when more than one of its scores is not farther than the window
+    above the smallest, where a NaN anywhere makes every score near."""
+    scores = np.asarray(row, dtype=float)[None]
+    with np.errstate(invalid="ignore"):
+        best = scores.min(axis=1, keepdims=True)
+        far = scores - best > TIE_RTOL * np.maximum(np.abs(best), 1.0)
+    return (np.add.reduce(far, axis=1) < scores.shape[1] - 1).tolist()[0]
+
+
+def loop_first_minimum(row, order):
+    """The first-minimum rule as a loop of its own: the lowest score taken in
+    ``order`` (NaN: skipped), beaten only by more than 1e-12."""
+    best_i, bar = order[0], math.inf
+    for i in order:
+        if row[i] < bar:
+            best_i, bar = i, row[i] - 1e-12
+    return best_i
+
+
+class TestTieScreen:
+    """``search``'s one pass (``regression._scan``) gives the numpy screen's
+    tied or untied answer, and the first-minimum rule's index."""
+
+    @staticmethod
+    def check(row, order=None):
+        order = list(range(len(row))) if order is None else order
+        pick, tied = regression._scan(row, order)
+        assert tied == numpy_tied(row), row
+        if all(math.isnan(s) for s in row):
+            assert pick is None
+        else:
+            assert pick == loop_first_minimum(row, order), (row, order)
+        return tied
+
+    @pytest.mark.parametrize("row, tied", [
+        ([math.nan, 1.0], True),
+        ([3.0, math.nan, 1.0], True),
+        ([math.nan, math.nan], True),
+        ([math.nan, -math.inf, 2.0], True),
+        ([math.inf, math.nan], True),
+        ([-math.inf, 1.0, 2.0], True),     # -inf alone: inf - -inf is not past an inf window
+        ([3.0, -math.inf, -math.inf], True),
+        ([-math.inf, -math.inf], True),
+        ([math.inf, math.inf], True),      # inf - inf is NaN
+        ([math.inf, math.inf, math.inf], True),
+        ([2.0, math.inf], False),
+        ([1.0], False),                    # a one-list plan is never tied
+        ([-math.inf], False),
+        ([math.inf], False),
+        ([math.nan], False),
+        ([2.0, 2.0], True),                # exact duplicates
+        ([5.0, -3.0, -3.0], True),
+        ([0.0, 0.0, 1.0], True),
+        ([5.0, -3.0, 4.0], False),
+    ])
+    def test_special_rows(self, row, tied):
+        assert self.check(row) is tied
+        assert self.check(row[::-1], list(range(len(row)))[::-1]) is tied
+
+    @pytest.mark.parametrize("best", [0.0, 0.4, -1e-3, -250.3, 1e6, -7.5e11])
+    def test_runner_up_one_ulp_inside_and_outside_the_window(self, best):
+        window = TIE_RTOL * max(abs(best), 1.0)
+        inside = best + window
+        while inside - best > window:
+            inside = np.nextafter(inside, -math.inf)
+        while np.nextafter(inside, math.inf) - best <= window:
+            inside = np.nextafter(inside, math.inf)
+        outside = float(np.nextafter(inside, math.inf))
+        inside = float(inside)
+        for runner_up, tied in ((inside, True), (outside, False)):
+            far = best + 3.0 * window
+            for row in ([runner_up, best, far], [far, runner_up, best]):
+                assert self.check(row) is tied
+
+    def test_seeded_random_rows(self):
+        # rows of 1..6 scores around a best at scales 1e-3..1e6: exact
+        # copies, scores 5e-13 and 2e-12 below it, runners-up inside and
+        # outside the window, NaN, +-inf
+        rng = np.random.default_rng(30)
+        counts = {True: 0, False: 0}
+        for _ in range(10_000):
+            size = int(rng.integers(1, 7))
+            best = float(rng.normal() * 10.0 ** rng.integers(-3, 7))
+            window = TIE_RTOL * max(abs(best), 1.0)
+            row = []
+            for u in rng.random(size).tolist():
+                if u < 0.03:
+                    row.append(math.nan)
+                elif u < 0.06:
+                    row.append(math.inf)
+                elif u < 0.08:
+                    row.append(-math.inf)
+                elif u < 0.3:
+                    row.append(best)
+                elif u < 0.4:  # below the best by less or more than 1e-12
+                    row.append(best - float(rng.choice([5e-13, 2e-12])))
+                else:
+                    row.append(best + window * float(rng.choice([0.5, 0.999, 1.001, 2.0, 1e6])))
+            counts[self.check(row, rng.permutation(size).tolist())] += 1
+        assert min(counts.values()) > 2_000
+
+    def test_settle_ties_returns_an_all_nan_row_as_it_is(self, monkeypatch):
+        fits = Counted(monkeypatch, "ols", regression)
+        row = [math.nan, math.nan]
+        assert regression._settle_ties(QUAD_Y, QUAD_X, ((0, 1), (0, 1, 2)), row, "aic") is row
+        assert all(math.isnan(s) for s in row) and fits.calls == 0
 
 
 class TestPrefixRss:
@@ -454,10 +569,10 @@ class TestPrefixRss:
         for kind in ("aic", "sic", "hq"):
             for deterministic in ("none", "constant", "constant_trend"):
                 for lhs, X, prefixes in adf_blocks(range(112), deterministic):
-                    batched = search_criteria(lhs, X, search_plan(prefixes), kind)
-                    for y, x, scores in zip(lhs, X, batched.tolist()):
+                    picks = search(lhs, X, search_plan(prefixes), kind)
+                    for y, x, pick in zip(lhs, X, picks):
                         exact = first_minimum(ols_criteria(y, x, prefixes, kind))
-                        assert first_minimum(scores) == exact, (kind, deterministic)
+                        assert pick == exact, (kind, deterministic)
                         searches += 1
         assert searches >= 1000
 
