@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .critical import BOUNDS_LEVELS, TABLES, critical_values
-from .errors import NearSingularAdjustment, NoFeasibleSpec, RankDeficient
+from .errors import ArdlkitError, NearSingularAdjustment, NoFeasibleSpec, RankDeficient
 from .frame import ModelSpec, TimeSeriesFrame
 from .regression import RegressionResult, ols, search, search_plan, wald_f
 
@@ -51,7 +51,7 @@ class ArdlFit(NamedTuple):
     names: tuple[str, ...]          # column labels of the design
     level_indices: tuple[int, ...]  # lagged-level terms, dependent first
     diff_indices: tuple[int, ...]
-    lhs: np.ndarray                 # retained for the restricted bounds fit and the ECM
+    lhs: np.ndarray                 # retained for the bounds test and the ECM
     design: np.ndarray
 
 
@@ -61,7 +61,6 @@ class BoundsResult(NamedTuple):
     critical_bounds: dict[float, tuple[float, float]]
     decision: dict[float, str]
     reference_p: float
-    negative_numerator: bool = False
 
 
 class EcmResult(NamedTuple):
@@ -203,14 +202,18 @@ def bounds_test(fit: ArdlFit, table: str = "embedded") -> BoundsResult:
     published asymptotic table for k = 1..5, or "embedded", the same
     table with small-sample bounds at k = 5.  Beyond k = 5 both raise
     ``NoCriticalValues``.  The reported F p-value is a standard F
-    reference only; the decision uses the bound comparison.
+    reference only; the decision uses the bound comparison.  The F is
+    ``regression.wald_f``'s, with the level columns last in its QR only;
+    an exact fit raises ``DegenerateResiduals``.
     """
-    reg = fit.regression
-    keep = [i for i in range(reg.nparams) if i not in fit.level_indices]
-    rss_r = ols(fit.lhs, fit.design[:, keep]).rss
-    wald = wald_f(reg.rss, rss_r, len(fit.level_indices), reg.df_resid)
-    result = decide_bounds(wald.f, len(fit.level_indices) - 1, table)
-    return result._replace(reference_p=wald.p, negative_numerator=wald.negative_numerator)
+    levels = fit.level_indices
+    order = [i for i in range(fit.design.shape[1]) if i not in levels] + list(levels)
+    [wald] = wald_f(fit.lhs[None], fit.design[None, :, order], len(levels))
+    if isinstance(wald, RankDeficient):
+        raise RankDeficient([fit.names[j] for j in sorted(order[i] for i in wald.columns)])
+    if isinstance(wald, ArdlkitError):
+        raise wald
+    return decide_bounds(wald.f, len(levels) - 1, table)._replace(reference_p=wald.p)
 
 
 def decide_bounds(f_stat: float, k: int, table: str = "embedded") -> BoundsResult:

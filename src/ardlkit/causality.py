@@ -7,9 +7,9 @@ conventions.
 
 Every test runs through one kernel, ``granger_block``, on a block of
 equal-length (cause, effect) pairs: one ``regression.search`` call picks
-the lag of every pair, and the pairs that use the same lag share
-one stacked fit of the unrestricted model and one of the restricted
-(``regression.ols_stack``).  ``causality_matrix`` makes one call on a
+the lag of every pair, and the pairs that use the same lag share one
+``regression.wald_f``, which takes each F from one QR of the
+unrestricted model.  ``causality_matrix`` makes one call on a
 frame's 2k ordered pairs; ``select_granger_lag`` and ``granger_pair`` are
 the one-pair case.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArdlkitError, SeriesTooShort, TooFewObservations
 from .frame import TimeSeriesFrame
-from .regression import STARS, ols_stack, prefix_plan, row_ranges, search, wald_f
+from .regression import STARS, prefix_plan, row_ranges, search, wald_f
 
 
 class CausalityReport(NamedTuple):
@@ -42,8 +42,7 @@ def _granger_designs(causes: np.ndarray, effects: np.ndarray, lag: int):
     """(lhs, design) of the unrestricted model of every pair, rows of the
     (R, n) ``causes`` and ``effects``: the (R, n - lag) left-hand sides and
     the designs of a constant, then ``lag`` lags of the effect, then ``lag``
-    lags of the cause; the first 1 + lag columns are the restricted
-    model's design."""
+    lags of the cause, which are the columns the F-test tests."""
     n = effects.shape[1]
     X = np.empty((effects.shape[0], n - lag, 1 + 2 * lag))
     X[:, :, 0] = 1.0
@@ -64,9 +63,8 @@ def granger_block(causes, effects, labels, lag: int | str) -> list[CausalityRepo
     pair whose cause or effect holds a NaN or an infinity fails alone
     with ``DegenerateSeries`` before any factorization.  One
     ``regression.search`` call picks the lag of every other pair, and the
-    pairs that use the same lag share one ``ols_stack`` of the
-    unrestricted model and one of the restricted.  Each row's numbers are
-    bitwise those of its one-row block.
+    pairs that use the same lag share one ``wald_f``.  Each row's numbers
+    are bitwise those of its one-row block.
     """
     causes = np.asarray(causes, dtype=float)
     effects = np.asarray(effects, dtype=float)
@@ -126,29 +124,22 @@ def _search_lags(causes: np.ndarray, effects: np.ndarray, max_lag: int,
 
 
 def _fit_rows(causes: np.ndarray, effects: np.ndarray, lag: int, labels) -> list:
-    """The F-tests of ``granger_block`` for pairs at one lag: the
-    unrestricted and the restricted model of every pair, each fitted on
-    the lag's own sample by one ``ols_stack``, and the F by ``wald_f``."""
+    """The F-tests of ``granger_block`` for pairs at one lag, on the lag's
+    own sample: one ``wald_f`` of every pair's unrestricted design, whose
+    last ``lag`` columns, the cause's lags, are the tested block."""
     n = effects.shape[1]
     if n <= 2 * lag + 2:
         return [SeriesTooShort(f"Granger test with lag {lag} needs n > {2 * lag + 2}, got {n}")
                 for _ in labels]
     lhs, X = _granger_designs(causes, effects, lag)
     try:
-        full = ols_stack(lhs, X)
+        walds = wald_f(lhs, X, lag)
     except TooFewObservations as exc:  # the rows share their shape, so they fail alike
         return [exc] * len(labels)
-    restricted = ols_stack(lhs, X[..., :1 + lag])
-    outcomes: list = []
-    for i, (cause, effect) in enumerate(labels):
-        error = full.singular.get(i) or restricted.singular.get(i)
-        if error is not None:
-            outcomes.append(error)
-            continue
-        wald = wald_f(float(full.rss[i]), float(restricted.rss[i]), lag, full.df_resid)
-        outcomes.append(CausalityReport(cause, effect, lag, lhs.shape[1], wald.f, wald.p,
-                                        {lv: wald.p < lv for lv in STARS}))
-    return outcomes
+    return [wald if isinstance(wald, ArdlkitError) else
+            CausalityReport(cause, effect, lag, lhs.shape[1], wald.f, wald.p,
+                            {lv: wald.p < lv for lv in STARS})
+            for wald, (cause, effect) in zip(walds, labels)]
 
 
 def _one_pair(x, y):

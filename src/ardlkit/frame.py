@@ -17,18 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    BadColumnName,
-    EmptyBody,
-    MissingValue,
-    NonAnnualIndex,
-    NonMonotoneYears,
-    NonNumericCell,
-    NonPositiveValue,
-    RaggedRow,
-    SeriesTooShort,
-    UnknownVariable,
-)
+from .errors import (BadColumnName, EmptyBody, MissingValue, NonAnnualIndex, NonMonotoneYears,
+                     NonNumericCell, NonPositiveValue, RaggedRow, SeriesTooShort, UnknownVariable)
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,7 @@ class TimeSeriesFrame:
         return self.columns[name]
 
     def with_columns(self, extra: dict[str, np.ndarray]) -> "TimeSeriesFrame":
-        merged = dict(self.columns)
-        merged.update(extra)
-        return TimeSeriesFrame(self.years, merged)
+        return TimeSeriesFrame(self.years, {**self.columns, **extra})
 
 
 def _checked(years, columns: Mapping, ndim: int) -> dict[str, np.ndarray]:

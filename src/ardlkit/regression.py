@@ -7,7 +7,8 @@ SVD; ``ols`` is its one-row case, and a row fitted in a stack gets the
 bits it gets alone.  Rank detection, the solution, and (X'X)^-1 all come
 from that one rank-revealing factorization.  Severe collinearity among
 lagged logs is the expected failure mode and is reported with the
-offending columns.
+offending columns.  Every Wald F comes from one function, ``wald_f``,
+which reads the RSS and the F's numerator off one QR as sums of squares.
 Every lag search (ARDL, unit-root, Granger) picks its lag by one function,
 ``search``: it scores every row as ``search_criteria`` does, as one (R, C)
 array, and makes one Python pass per row in the plan's rank, which is the
@@ -29,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ArdlkitError, BandwidthTooLarge, DegenerateSeries, InvalidDf,
-                     NumericalError, RankDeficient, TooFewObservations)
+from .errors import (ArdlkitError, BandwidthTooLarge, DegenerateResiduals, DegenerateSeries,
+                     InvalidDf, NumericalError, RankDeficient, TooFewObservations)
 
 # The information criteria criterion_from_rss knows.
 CRITERIA = ("aic", "sic", "hq")
@@ -179,18 +180,12 @@ def ols(y, X) -> RegressionResult:
     rss = float(fit.rss[0])
 
     has_const = np.any(np.ptp(X, axis=0) == 0)
-    if has_const:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)
     degenerate = tss <= 0.0
     r2 = 0.0 if degenerate else 1.0 - rss / tss
-
     sigma2 = rss / n
-    if sigma2 > 0:
-        loglik = -n / 2.0 * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
-    else:
-        loglik = math.inf
+    loglik = (-n / 2.0 * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0) if sigma2 > 0
+              else math.inf)
     return RegressionResult(
         coef=fit.coef[0],
         stderr=fit.stderr[0],
@@ -221,23 +216,40 @@ def normal_test(coef: float, se: float) -> tuple[float, float]:
 class WaldF(NamedTuple):
     f: float
     p: float
-    negative_numerator: bool
 
 
-def wald_f(rss: float, restricted_rss: float, m: int, df_resid: int) -> WaldF:
-    """F-test of m zero restrictions from the unrestricted fit's ``rss`` and
-    ``df_resid`` and the nested fit's ``restricted_rss``.  A numerator
-    below -1e-10 * max(rss, 1) (nesting violated) is reported as F = 0
-    with a flag rather than raised."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    num = restricted_rss - rss
-    if num < -1e-10 * max(rss, 1.0):
-        return WaldF(0.0, 1.0, True)
-    num = max(num, 0.0)
-    f = (num / m) / (rss / df_resid)
-    p = tail_probability("f", f, (m, df_resid))
-    return WaldF(float(f), float(p), False)
+def wald_f(Y, X, m: int) -> list[WaldF | NumericalError]:
+    """F-test that the last m of X's k columns add nothing, for every row
+    Y[r] of Y (R, n) on its design X[r] of X (R, n, k): the row's
+    ``WaldF``, the ``RankDeficient`` of an X that fails the rank rule, or
+    ``DegenerateResiduals`` for an exact fit, whose RSS is at most
+    (RANK_TOL * ||Y[r]||)**2.  Raises ``ValueError`` unless 1 <= m <= k,
+    and ``TooFewObservations`` when n <= k.
+
+    R's y column from one QR of [X[r] | Y[r]] (``_raw_r``) holds both sums
+    of squares (Golub 1965): the RSS is R[k, k]**2, and the restricted RSS
+    less it is the sum of R[i, k]**2 over the m tested rows, >= 0.
+    """
+    n, k = X.shape[1:]
+    if not 1 <= m <= k:
+        raise ValueError(f"m must be in 1..{k}, got {m}")
+    if n <= k:
+        raise TooFewObservations(n, k)
+    ratios = singular_value_ratios(np.linalg.svd(X, compute_uv=False))
+    squares = _raw_r(X, Y)[:, k, :k + 1] ** 2  # R's y column, squared
+    outcomes: list = []
+    for i, (ratio, rss, num, yy) in enumerate(zip(
+            ratios, squares[:, k].tolist(), squares[:, k - m:k].sum(axis=1).tolist(),
+            squares.sum(axis=1).tolist())):
+        if ratio < RANK_TOL:
+            _, s, vt = np.linalg.svd(X[i], full_matrices=False)
+            outcomes.append(RankDeficient(_dependent_columns(vt, s)))
+        elif rss <= RANK_TOL**2 * yy:
+            outcomes.append(DegenerateResiduals("exact fit: the residuals are rounding error"))
+        else:
+            f = (num / m) / (rss / (n - k))
+            outcomes.append(WaldF(f, tail_probability("f", f, (m, n - k))))
+    return outcomes
 
 
 class SearchPlan(NamedTuple):
@@ -384,8 +396,7 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     1974), with the same bits.
     """
     width, span, shared = plan.width, plan.span, plan.shared
-    # R[i, j] = h[..., j, i] for i <= j: raw mode keeps R transposed
-    h = np.linalg.qr(np.concatenate([X[:, :, :span], Y[..., None]], axis=2), mode="raw")[0]
+    h = _raw_r(X[:, :, :span], Y)
     if plan.gather is not None:
         # R's columns and a zero column, as rows, below the shared rows:
         # [X[r] | Y[r]] = Q R, so any of R's columns give the R of the same
@@ -397,6 +408,11 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
     tail = (h[..., width, width::-1] ** 2).cumsum(axis=-1).reshape(len(X), -1)
     return tail[:, plan.pick]
+
+
+def _raw_r(X, Y) -> np.ndarray:
+    """h of one raw-mode QR of [X[r] | Y[r]] per row r: R[i, j] = h[r, j, i], i <= j."""
+    return np.linalg.qr(np.concatenate([X, Y[..., None]], axis=2), mode="raw")[0]
 
 
 def _settle_ties(y, X, columns, scores: list, kind: str) -> list:

@@ -46,3 +46,16 @@ def differenced_residual_frame(T: int = 40) -> TimeSeriesFrame:
     u0, b = np.linalg.solve([[1.0, T - 1.0], [x[0], x[1:].sum()]],
                             [-dx.sum(), -(dx @ x[1:])])
     return make_frame({"Y": 1.0 + 0.5 * x + np.concatenate([[u0], dx + b]), "X1": x})
+
+
+def exact_ecm_frame(T: int = 60) -> TimeSeriesFrame:
+    """Y from an error-correction recursion on X1, a seeded walk, with no
+    error term: dY(t) = 0.5 - 0.4 (Y(t-1) - 2 X1(t-1)) + 0.3 dX1(t-1), so
+    ARDL(1, 1)'s conditional regression, and any that holds its columns,
+    fits dY exactly."""
+    x = random_walk(T, 3)
+    y = np.empty(T)
+    y[:2] = 1.0, 1.2
+    for t in range(2, T):
+        y[t] = y[t - 1] + 0.5 - 0.4 * (y[t - 1] - 2.0 * x[t - 1]) + 0.3 * (x[t - 1] - x[t - 2])
+    return make_frame({"Y": y, "X1": x})

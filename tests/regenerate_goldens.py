@@ -9,12 +9,15 @@ byte of it is reproducible from the seed alone (its normal variates
 come from synthetic's numpy port of cephes' ndtri, bitwise
 scipy.special.ndtri, whose tail takes libm's log through Python's math
 module).  The golden reports are reproducible
-for a given numpy build and C library: the last bits of p-values come
-from the libm functions (erfc, exp, log1p) behind Python's math module.
-tests/golden/versions.json records the numpy, scipy and BLAS builds
-that wrote them.
+for a given numpy build, BLAS kernel set and C library: the last bits
+of p-values come from the libm functions (erfc, exp, log1p) behind
+Python's math module, and those of every factorization and matrix
+product from the kernels OpenBLAS picks for the CPU at load time (or
+the ones OPENBLAS_CORETYPE names).  tests/golden/versions.json records
+the numpy, scipy and BLAS builds and the kernel set that wrote them.
 """
 
+import ctypes
 import json
 import platform
 import shutil
@@ -39,14 +42,28 @@ FIXTURE_DGP = Dgp(
 )
 
 
+def blas_kernel() -> str | None:
+    """The kernel set numpy's OpenBLAS runs, as its
+    ``scipy_openblas_get_corename64_`` names it through ctypes, or None
+    where numpy bundles no scipy-openblas library."""
+    for lib in sorted(Path(numpy.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment_versions() -> dict:
-    """Python, numpy, scipy and numpy's BLAS, as recorded beside the goldens."""
+    """Python, numpy, scipy, numpy's BLAS and its kernel set, as recorded
+    beside the goldens."""
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_kernel": blas_kernel(),
     }
 
 

@@ -29,6 +29,22 @@ F_D2 = (5, 30, 67, 72, 73, 76, 200)
 # test's reference F (6 level terms, 72 residual df) and the ten
 # pairwise Granger tests (lag, nobs - 2 * lag - 1).
 FIXTURE_F_TRIPLES = [
+    (6, 72, 6.856271846667381),
+    (1, 76, 7.122924189973401),
+    (1, 76, 4.286119154961761),
+    (2, 73, 1.4619627784379738),
+    (4, 67, 4.197739753289797),
+    (1, 76, 2.2945963580474897),
+    (2, 73, 2.5397151233336173),
+    (1, 76, 9.890165968189153),
+    (1, 76, 1.5190167962468284),
+    (1, 76, 1.7186348133062208),
+    (1, 76, 0.2393667769001557),
+]
+# The same eleven F as the difference of two fits' RSS gave them, before
+# each F came from one QR: at most 1.6e-13 (relative) from the ones above,
+# and kept on the grid as tail points of their own.
+TWO_FIT_F_TRIPLES = [
     (6, 72, 6.856271846667391),
     (1, 76, 7.122924189973372),
     (1, 76, 4.286119154961754),
@@ -48,7 +64,7 @@ def points() -> list[tuple[str, float, object]]:
     rows = [("normal", float(x), None) for x in SYMMETRIC]
     rows += [("chi2", float(x), df) for df in CHI2_DF for x in POSITIVE]
     rows += [("f", float(x), (d1, d2)) for d1 in F_D1 for d2 in F_D2 for x in POSITIVE]
-    rows += [("f", f, (d1, d2)) for d1, d2, f in FIXTURE_F_TRIPLES]
+    rows += [("f", f, (d1, d2)) for d1, d2, f in FIXTURE_F_TRIPLES + TWO_FIT_F_TRIPLES]
     return rows
 
 

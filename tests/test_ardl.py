@@ -25,7 +25,7 @@ from ardlkit.regression import (criterion_from_rss, info_criterion, ols, search_
                                 search_plan)
 from ardlkit.synthetic import ecm_system, random_walk
 
-from conftest import FIXTURE_CSV, make_frame
+from conftest import FIXTURE_CSV, exact_ecm_frame, make_frame
 from test_regression import Counted
 
 
@@ -308,6 +308,22 @@ class TestBoundsTest:
         )
         assert result.f_stat == pytest.approx(expected, rel=1e-12)
         assert result.k == 1
+
+    def test_exact_fit_is_degenerate(self):
+        # an F of two zero sums of squares is rounding noise, not a test
+        frame = exact_ecm_frame()
+        fit = fit_conditional_ecm(frame, ModelSpec("Y", ("X1",)), ArdlSpec(1, (1,)))
+        with pytest.raises(errors.DegenerateResiduals):
+            bounds_test(fit)
+
+    def test_rank_deficient_design_names_its_columns(self, coint_frame):
+        # the F's QR puts the level columns last; the error names the labels
+        fit = fit_conditional_ecm(coint_frame, ModelSpec("Y", ("X1",)), ArdlSpec(2, (1,)))
+        design = fit.design.copy()
+        design[:, 2] = 3.0 * design[:, 3]  # X1(-1) repeats D.Y(-1)
+        with pytest.raises(errors.RankDeficient) as exc:
+            bounds_test(fit._replace(design=design))
+        assert exc.value.columns == ("X1(-1)", "D.Y(-1)")
 
     def test_cointegrated_system_detected(self, coint_frame):
         spec = ModelSpec("Y", ("X1",))

@@ -12,7 +12,7 @@ from ardlkit.causality import (
     select_granger_lag,
 )
 from ardlkit.frame import lag_matrix
-from ardlkit.regression import info_criterion, ols, wald_f
+from ardlkit.regression import info_criterion, ols, tail_probability
 from ardlkit.synthetic import ar1, ecm_system, normals
 
 from conftest import make_frame
@@ -98,17 +98,28 @@ class TestGrangerPair:
             granger_pair(np.arange(8.0), np.arange(8.0) ** 2, 3)
 
     def test_bitwise_equal_to_two_ols_fits(self):
-        # the stacked fits give each pair the bits of fitting it alone
+        # the one-QR F of wald_f against the RSS difference of two ols fits,
+        # which these well-conditioned cases keep to 1e-12
         for T in (20, 33, 80):
             for seed in range(4):
                 x = ar1(T, 500 + seed, 0.5)
                 y = 0.3 * np.roll(x, 1) + ar1(T, 600 + seed, 0.4)
                 for lag in range(1, 5):
                     X = np.column_stack([np.ones(T - lag), lag_matrix(y, lag), lag_matrix(x, lag)])
-                    full = ols(y[lag:], X)
-                    wald = wald_f(full.rss, ols(y[lag:], X[:, :1 + lag]).rss, lag, full.df_resid)
+                    full, restricted = ols(y[lag:], X), ols(y[lag:], X[:, :1 + lag])
+                    f = ((restricted.rss - full.rss) / lag) / (full.rss / full.df_resid)
                     report = granger_pair(x, y, lag)
-                    assert (report.f_stat, report.p, report.nobs) == (wald.f, wald.p, T - lag)
+                    assert report.f_stat == pytest.approx(f, rel=1e-12)
+                    assert report.p == pytest.approx(tail_probability("f", f, (lag, full.df_resid)),
+                                                     rel=1e-12)
+                    assert report.nobs == T - lag
+
+    @pytest.mark.parametrize("y", [np.arange(40.0), 0.5 * np.arange(40.0) + 1.0,
+                                   0.9 ** np.arange(40.0)])
+    def test_exact_fit_is_degenerate(self, y):
+        # y on a constant and its own lag is exact: its F would be rounding noise
+        with pytest.raises(errors.DegenerateResiduals):
+            granger_pair(np.sin(np.arange(40.0)), y, 1)
 
     def test_unequal_lengths_use_common_tail(self):
         x, y = causal_pair(120)
@@ -274,11 +285,16 @@ class TestCausalityMatrix:
 
     @pytest.mark.parametrize("lag", ["auto", 3])
     def test_two_stacked_fits_per_lag(self, monkeypatch, lag):
+        # one wald_f per lag in use, whose two stacked factorizations are
+        # the rank rule's SVD and the F's QR
         frame = frame_k(5, 33)  # its auto lags are 1, 3 and 4
-        fits = Counted(monkeypatch, "ols_stack", causality)
+        walds = Counted(monkeypatch, "wald_f", causality)
+        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
         reports = causality_matrix(frame, tuple(f"X{j}" for j in range(1, 6)), "Y", lag)
         assert all(r.error is None for r in reports)
-        assert fits.calls == 2 * len({r.lag for r in reports})
+        assert walds.calls == len({r.lag for r in reports})
+        if lag == 3:
+            assert svd.calls == qr.calls == 1
 
 
 class TestGrangerBlock:

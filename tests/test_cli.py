@@ -29,7 +29,8 @@ from ardlkit.critical import critical_values
 from ardlkit.frame import TimeSeriesFrame, load_csv
 from ardlkit.synthetic import Dgp, generate, random_walk
 
-from conftest import FIXTURE_CSV, differenced_residual_frame, trend_linked_frame
+from conftest import (FIXTURE_CSV, differenced_residual_frame, exact_ecm_frame,
+                      trend_linked_frame)
 from regenerate_goldens import csv_text
 
 
@@ -275,6 +276,19 @@ class TestExitCodes:
         assert main(command_argv(command, data, tmp_path / "o")) == code
         err = capsys.readouterr().err
         assert ("error in robustness" in err) == (code != 0)
+
+    @pytest.mark.parametrize("command, code", [
+        ("bounds", EXIT_NUMERICAL), ("ardl", EXIT_NUMERICAL), ("pipeline", EXIT_NUMERICAL),
+        ("granger", 0),
+    ])
+    def test_exact_fit_fails_the_bounds_test(self, tmp_path, capsys, command, code):
+        # the lag search picks a conditional regression that fits dY exactly
+        data = tmp_path / "exact.csv"
+        data.write_text(csv_text(exact_ecm_frame()))
+        assert main(command_argv(command, data, tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert err == ("error in ardl: exact fit: the residuals are rounding error\n"
+                       if code else "")
 
     def test_singular_omega22_fails_robustness(self, tmp_path, capsys):
         data = tmp_path / "linked.csv"
@@ -523,7 +537,8 @@ class TestSubcommands:
         assert "rejection rate at 5%" in capsys.readouterr().out
 
     # sha256 of mc.csv at --T 30 --reps 100 --seed 0, recorded before the DGP
-    # parameters were bound to their generators' signatures
+    # parameters were bound to their generators' signatures; the Granger
+    # ones since each F comes from one QR, with every reject flag as before
     MC_DIGESTS = {
         ("adf", "random_walk"): "78efc679dc826eefbc0411558d474bc4b9e6419c9a3778dab32d640fe122437e",
         ("adf", "ar1"): "bde68860d9e36b6ef18289262bb9ea441229440415fbd981abb33b49050720f4",
@@ -534,9 +549,9 @@ class TestSubcommands:
         ("dfgls", "random_walk"): "0889976790b81af27baaffc7f1cb2317d6c38c98700ccf4bc94f0828749c28f2",
         ("dfgls", "ar1"): "63a9c7fc9a6f6b5ee57519f20875487d786cf7bc3ebbe170eec767e248c254a2",
         ("dfgls", "ecm_system"): "47b450940b71a20fb688423e4540a41b8bc6013ce5085e48c032a03ea114ee90",
-        ("granger", "random_walk"): "74a5717a76719b540e97e157efc795476705a2eeec3bad01795bfca28784fa1b",
-        ("granger", "ar1"): "11ce0e445affded618206c2ddec8f071cb2e0dda0fe0aa3c496e3daf73cacf2f",
-        ("granger", "ecm_system"): "8943ea81150708cabaedaaa6c2b335dae5ed1ac0ee37926da50e1f5faf029c99",
+        ("granger", "random_walk"): "96701fbd8fb906cf338a677b84d8f1f3f3c371f0a09de4d32bb9bcaa3099b402",
+        ("granger", "ar1"): "31590472bb612c7a6303a1f04d09b0f906d50ce66479b78b44a40353da65c584",
+        ("granger", "ecm_system"): "cbb282515ef432c4df3f8076bccd1585858030462074c792da028fbb52af0c2b",
         ("adf", "ar1", "--rho", "0.9"):
             "f9cd2cee69693885df079bbed7b1e01437c3c0b964bda7ac7802e8ac3ea6747a",
         ("adf", "random_walk", "--drift", "0.1"):

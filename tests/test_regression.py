@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ardlkit import causality, errors, regression, unitroot
+from ardlkit.ardl import bounds_test, fit_conditional_ecm, select_ardl_lags
+from ardlkit.frame import ModelSpec, load_csv
 from ardlkit.regression import (
     RANK_MARGIN,
     RANK_TOL,
@@ -30,8 +32,8 @@ from ardlkit.synthetic import ar1, normals, random_walk
 
 import lag_search_sweep
 import tail_oracle
-from conftest import GOLDEN_DIR
-from tail_oracle import FIXTURE_F_TRIPLES
+from conftest import FIXTURE_CSV, GOLDEN_DIR
+from tail_oracle import FIXTURE_F_TRIPLES, TWO_FIT_F_TRIPLES
 
 # Quadratic fit of y = [1,3,2,5,4,7] on [1, t, t^2]; reference values
 # frozen from an independent least-squares computation.
@@ -119,40 +121,126 @@ class TestOls:
         np.testing.assert_array_equal(fit.tstats, tstats)
 
 
+def f_from_two_fits(y, X, m) -> float:
+    """The F of the last m columns of X from two ``ols`` fits' RSS."""
+    full, restricted = ols(y, X), ols(y, X[:, :-m])
+    return ((restricted.rss - full.rss) / m) / (full.rss / full.df_resid)
+
+
+def mp_wald_f(y, X, m) -> float:
+    """The F of the last m columns of X at 60 digits: both fits' normal
+    equations solved by mpmath, so that their RSS difference keeps some 40
+    digits however small F is."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b = mpmath.matrix(y.tolist())
+
+        def rss(A):
+            A = mpmath.matrix(A.tolist())
+            r = b - A * mpmath.lu_solve(A.T * A, A.T * b)
+            return sum(v * v for v in r)
+
+        n, k = X.shape
+        full = rss(X)
+        return float(((rss(X[:, :-m]) - full) / m) / (full / (n - k)))
+
+
 class TestWaldF:
     def test_matches_direct_formula(self):
         y = normals(4, 60)
         X = np.column_stack([np.ones(60), normals(5, 60), normals(6, 60)])
-        full = ols(y, X)
-        restricted = ols(y, X[:, :1])
-        wald = wald_f(full.rss, restricted.rss, 2, full.df_resid)
-        m = 2
-        expected = ((restricted.rss - full.rss) / m) / (full.rss / full.df_resid)
+        [wald] = wald_f(y[None], X[None], 2)
+        expected = f_from_two_fits(y, X, 2)
         assert wald.f == pytest.approx(expected, rel=1e-12)
-        assert wald.p == pytest.approx(stats.f.sf(expected, m, full.df_resid), rel=1e-12)
-        assert not wald.negative_numerator
-
-    def test_negative_numerator_flagged(self):
-        y = normals(4, 30)
-        X = np.column_stack([np.ones(30), normals(5, 30)])
-        fit = ols(y, X)
-        wald = wald_f(fit.rss, fit.rss * 0.5, 1, fit.df_resid)  # "restricted" fits better
-        assert wald.negative_numerator
-        assert wald.f == 0.0 and wald.p == 1.0
+        assert wald.p == pytest.approx(stats.f.sf(expected, 2, 57), rel=1e-12)
 
     def test_empty_subset_rejected(self):
-        fit = ols(QUAD_Y, QUAD_X)
-        with pytest.raises(ValueError):
-            wald_f(fit.rss, 1.0, 0, fit.df_resid)
+        with pytest.raises(ValueError, match="m must be in 1..3"):
+            wald_f(QUAD_Y[None], QUAD_X[None], 0)
 
-    def test_negative_numerator_boundary(self):
-        y = normals(4, 30)
-        X = np.column_stack([np.ones(30), normals(5, 30), normals(6, 30)])
-        fit = ols(y, X)
-        # either side of the negative-numerator rule's -1e-10 * max(rss, 1)
-        tol = 1e-10 * max(fit.rss, 1.0)
-        assert wald_f(fit.rss, fit.rss - 2 * tol, 2, fit.df_resid) == (0.0, 1.0, True)
-        assert wald_f(fit.rss, fit.rss - tol / 2, 2, fit.df_resid) == (0.0, 1.0, False)
+    def test_subset_wider_than_the_design_rejected(self):
+        with pytest.raises(ValueError, match="m must be in 1..3"):
+            wald_f(QUAD_Y[None], QUAD_X[None], 4)
+
+    def test_an_rss_pair_is_not_data(self):
+        # the signature takes the data, so an (rss, restricted_rss, m, df)
+        # call cannot compute something else
+        fit = ols(QUAD_Y, QUAD_X)
+        with pytest.raises(TypeError):
+            wald_f(fit.rss, 1.0, 1, fit.df_resid)
+
+    def test_too_few_observations(self):
+        with pytest.raises(errors.TooFewObservations):
+            wald_f(QUAD_Y[None, :3], QUAD_X[None, :3], 1)
+
+    def test_one_qr_and_one_svd_without_vectors(self, monkeypatch):
+        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
+        Y = normals(7, 3 * 40).reshape(3, 40)
+        X = np.stack([np.column_stack([np.ones(40), normals(8 + r, 40), normals(20 + r, 40)])
+                      for r in range(3)])
+        wald_f(Y, X, 1)
+        assert svd.kwargs == [{"compute_uv": False}] and qr.kwargs == [{"mode": "raw"}]
+
+    def test_block_rows_equal_one_row_calls(self):
+        R, n = 12, 35
+        Y = normals(9, R * n).reshape(R, n)
+        X = np.concatenate([np.ones((R, n, 1)), normals(10, R * n * 4).reshape(R, n, 4)], axis=2)
+        for m in (1, 2, 4):
+            block = wald_f(Y, X, m)
+            assert block == [wald_f(Y[r:r + 1], X[r:r + 1], m)[0] for r in range(R)]
+
+    def test_singular_row_fails_alone_with_its_columns(self):
+        y = normals(11, 30)
+        good = np.column_stack([np.ones(30), normals(12, 30), normals(13, 30)])
+        bad = good.copy()
+        bad[:, 2] = 2.0 * bad[:, 1]
+        outcomes = wald_f(np.stack([y, y]), np.stack([good, bad]), 1)
+        assert outcomes[0].f == pytest.approx(f_from_two_fits(y, good, 1), rel=1e-12)
+        assert isinstance(outcomes[1], errors.RankDeficient)
+        with pytest.raises(errors.RankDeficient) as exc:
+            ols(y, bad)
+        assert outcomes[1].columns == exc.value.columns == (1, 2)
+
+    @pytest.mark.parametrize("y", [np.zeros(30), 1.0 + 0.5 * np.arange(30.0)])
+    def test_exact_fit_is_degenerate(self, y):
+        X = np.column_stack([np.ones(30), np.arange(30.0), np.cos(np.arange(30.0))])
+        [outcome] = wald_f(y[None], X[None], 1)
+        assert isinstance(outcome, errors.DegenerateResiduals)
+
+    def test_near_exact_fit_is_tested(self):
+        # residuals of norm ~5e-8 against a y of norm ~50 lie above the
+        # exact-fit floor of 5e-9; the F is then good to about
+        # eps * ||y|| / ||residuals|| ~ 2e-7, relative
+        t = np.arange(30.0)
+        X = np.column_stack([np.ones(30), t, np.cos(t)])
+        y = 1.0 + 0.5 * t + 1e-8 * normals(14, 30)
+        [wald] = wald_f(y[None], X[None], 1)
+        assert wald.f == pytest.approx(mp_wald_f(y, X, 1), rel=1e-4)
+
+
+class TestWaldFOracle:
+    """The one-QR F against a 60-digit fit where two fits' RSS cancel."""
+
+    # replications of mc --test granger --dgp random_walk --T 30 --seed 0
+    # with F near 1e-7; two fits' RSS difference erred by up to 3.9e-7
+    @pytest.mark.parametrize("rep", [1934, 576, 457])
+    def test_granger_near_zero_f(self, rep):
+        y = random_walk(30, rep)
+        x = ar1(30, rep + 500_000_000, 0.5)
+        report = causality.granger_pair(x, y, 1)
+        assert report.f_stat < 1e-6
+        X = np.column_stack([np.ones(29), y[:-1], x[:-1]])
+        expected = mp_wald_f(y[1:], X, 1)
+        assert abs(report.f_stat - expected) < 1e-11 * expected
+
+    def test_fixture_bounds_f(self):
+        frame = load_csv(FIXTURE_CSV.read_text())
+        spec = ModelSpec("Y", ("X1", "X2", "X3", "X4", "X5"))
+        fit = fit_conditional_ecm(frame, spec, select_ardl_lags(frame, spec))
+        levels = list(fit.level_indices)
+        order = [i for i in range(fit.design.shape[1]) if i not in levels] + levels
+        expected = mp_wald_f(fit.lhs, fit.design[:, order], len(levels))
+        assert abs(bounds_test(fit).f_stat - expected) < 1e-13 * expected
 
 
 class TestInfoCriterion:
@@ -871,7 +959,7 @@ def f_tail_oracle(d1, d2, f) -> float:
     return float(tail_oracle.exact("f", f, (d1, d2)))
 
 
-@pytest.mark.parametrize("d1, d2, f", FIXTURE_F_TRIPLES)
+@pytest.mark.parametrize("d1, d2, f", FIXTURE_F_TRIPLES + TWO_FIT_F_TRIPLES)
 def test_f_tail_matches_mpmath_oracle(d1, d2, f):
     expected = f_tail_oracle(d1, d2, f)
     assert tail_probability("f", f, (d1, d2)) == pytest.approx(expected, rel=1e-13, abs=0)
