@@ -87,24 +87,17 @@ def _layout(k: int, p: int, q) -> tuple[tuple[str, int, int], ...]:
             *(("diff", j, lag) for j in range(1, k + 1) for lag in range(1, q[j - 1] + 1)))
 
 
-def _conditional_design(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec,
-                        start: int | None = None):
+def _conditional_design(frame: TimeSeriesFrame, spec: ModelSpec, ardl_spec: ArdlSpec):
     """Build (lhs, design, labels, level_idx, diff_idx), the design's
-    columns in ``_layout``'s order.
-
-    Row t covers observations from ``start`` (0-based index into the
-    frame, defaults to the smallest feasible) through n-1.
-    """
+    columns in ``_layout``'s order, on the rows from the first feasible one,
+    t0 = 1 + max(p - 1, q_1, .., q_k) (0-based), through n-1."""
     p, q = ardl_spec.p, ardl_spec.q
     if len(q) != spec.k:
         raise ValueError(f"q has {len(q)} orders for the {spec.k} regressors {spec.regressors}")
     names = (spec.dependent, *spec.regressors)
     levels = [frame.column(name) for name in names]
     n = frame.n
-    min_start = 1 + max([p - 1, *q, 0])
-    t0 = min_start if start is None else start
-    if t0 < min_start:
-        raise ValueError("start precedes the first feasible observation")
+    t0 = 1 + max([p - 1, *q, 0])
     if t0 >= n:
         raise NoFeasibleSpec(f"sample exhausted for p={p}, q={q} with n={n}")
 
@@ -142,14 +135,13 @@ def select_ardl_lags(frame: TimeSeriesFrame, spec: ModelSpec,
     tuple.
     """
     spec.validate_against(frame)
-    common_start = 1 + max(spec.max_p - 1, spec.max_q)
-    rows = frame.n - common_start
+    rows = frame.n - 1 - max(spec.max_p - 1, spec.max_q)  # the widest candidate's
     candidates, plan = _lag_plan(spec.max_p, spec.max_q, spec.k, rows)
     if not candidates:
         raise NoFeasibleSpec(f"no candidate has 5 observations to spare on the "
                              f"common sample of {rows} rows")
     widest = ArdlSpec(spec.max_p, (spec.max_q,) * spec.k)
-    lhs, X, *_ = _conditional_design(frame, spec, widest, start=common_start)
+    lhs, X, *_ = _conditional_design(frame, spec, widest)
     [pick] = search(lhs[None], X[None], plan, criterion)
     if pick is None:
         raise NoFeasibleSpec(f"every feasible candidate is rank deficient on the "

@@ -9,7 +9,6 @@ pipeline.  Each runs standalone on a CSV in the frame schema
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from .errors import (ArdlkitError, DataError, InvalidParams, NotText, Preconditi
                      UnknownVariable)
 from .frame import ModelSpec, TimeSeriesFrame, load_csv, natural_log
 from .regression import CRITERIA, STARS, resolve_bandwidth
-from .report import FORMATS, PipelineReport, render
+from .report import FORMATS, PipelineReport, csv_table, overwrite, render
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -417,11 +416,8 @@ def _cmd_mc(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "mc.csv"
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replication", "statistic", "reject"])
-        for rep, stat, reject in result.rows:
-            writer.writerow([rep, repr(stat), int(reject)])
+    rows = [[rep, repr(stat), int(reject)] for rep, stat, reject in result.rows]
+    overwrite(out_path, csv_table(["replication", "statistic", "reject"], rows))
     print(f"rejection rate at {args.level * 100:g}%: {result.rate:.4f} "
           f"({result.reps} reps, {result.failures} failures)")
     print(f"wrote {out_path}")

@@ -109,8 +109,6 @@ def singular_value_ratios(s: np.ndarray) -> list[float]:
 def _dependent_columns(vt: np.ndarray, s: np.ndarray) -> list[int]:
     """Columns implicated in the null space of a rank-deficient design."""
     null_rows = vt[s < RANK_TOL * s[0]] if s[0] > 0 else vt
-    if null_rows.size == 0:
-        null_rows = vt[-1:]
     weights = np.abs(null_rows).max(axis=0)
     return [int(i) for i in np.flatnonzero(weights > 1e-8 * weights.max())]
 
@@ -244,12 +242,19 @@ def wald_f(Y, X, m: int) -> list[WaldF | NumericalError]:
         if ratio < RANK_TOL:
             _, s, vt = np.linalg.svd(X[i], full_matrices=False)
             outcomes.append(RankDeficient(_dependent_columns(vt, s)))
-        elif rss <= RANK_TOL**2 * yy:
+        elif _exact_fit(rss, yy):
             outcomes.append(DegenerateResiduals("exact fit: the residuals are rounding error"))
         else:
             f = (num / m) / (rss / (n - k))
             outcomes.append(WaldF(f, tail_probability("f", f, (m, n - k))))
     return outcomes
+
+
+def _exact_fit(rss, yy):
+    """Whether an RSS is rounding error, at most (RANK_TOL * ||y||)**2 for
+    a y with y'y = yy: the exact-fit floor of ``wald_f`` and of every lag
+    search, which scores such a fit -inf.  Elementwise on arrays."""
+    return rss <= RANK_TOL**2 * yy
 
 
 class SearchPlan(NamedTuple):
@@ -381,7 +386,8 @@ def _scores(Y: np.ndarray, X: np.ndarray, plan: SearchPlan,
 
 
 def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
-    """The (R, C) RSS of every row on every list of ``plan``.
+    """The (R, C) RSS of every row on every list of ``plan``; 0 where it is
+    at most the exact-fit floor (``_exact_fit``) of ||Y[r]||**2.
 
     One Householder QR factors [X[r] | Y[r]] on its n rows, for every row:
     the RSS of a chain's first m columns is the sum of R[i, w]**2 over
@@ -397,7 +403,9 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     """
     width, span, shared = plan.width, plan.span, plan.shared
     h = _raw_r(X[:, :, :span], Y)
+    yy = None  # ||Y[r]||**2, the last tail sum of one chain of leading columns
     if plan.gather is not None:
+        yy = (h[:, span, :span + 1] ** 2).sum(axis=1, keepdims=True)
         # R's columns and a zero column, as rows, below the shared rows:
         # [X[r] | Y[r]] = Q R, so any of R's columns give the R of the same
         # columns of the data
@@ -407,7 +415,9 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
         width -= shared
     # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
     tail = (h[..., width, width::-1] ** 2).cumsum(axis=-1).reshape(len(X), -1)
-    return tail[:, plan.pick]
+    rss = tail[:, plan.pick]
+    rss[_exact_fit(rss, tail[:, -1:] if yy is None else yy)] = 0.0
+    return rss
 
 
 def _raw_r(X, Y) -> np.ndarray:
@@ -443,11 +453,13 @@ def _tie_window(best: float) -> float:
 
 
 def _exact_criterion(y, X, kind: str) -> float:
-    """``info_criterion`` of ``ols(y, X)``, NaN where ``ols`` rejects X."""
+    """``info_criterion`` of ``ols(y, X)``, -inf for an exact fit, NaN where
+    ``ols`` rejects X."""
     try:
-        return info_criterion(ols(y, X), kind)
+        fit = ols(y, X)
     except (ArdlkitError, np.linalg.LinAlgError):
         return math.nan
+    return -math.inf if _exact_fit(fit.rss, y @ y) else info_criterion(fit, kind)
 
 
 def _scan(scores: list, order) -> tuple[int | None, bool]:

@@ -6,23 +6,22 @@ round-trip format; Markdown and CSV are presentation views with
 significance stars (``regression.STARS``) and standard errors in
 parentheses.
 
-``report.json`` holds the bytes of ``json.dumps(doc, indent=2)``.
-CPython's C encoder serves only ``indent=None``, and json's Python
-encoder yields one chunk per item, so ``dumps_indented`` writes the
-document in one pass of its own: one recursive walk passes each chunk
-to the ``append`` of one list, which is joined once.  The walk is a
-module-level function: a nested one that calls itself would form a
-reference cycle, which keeps its chunks alive until the cyclic
-collector runs.  Every scalar goes through the primitives json's
-encoder uses:
-``json.encoder.encode_basestring_ascii`` for strings and keys,
-``float.__repr__`` with json's ``NaN``, ``Infinity`` and ``-Infinity``,
-``int.__repr__``, and the literals ``true``, ``false`` and ``null``.
-The walk dispatches on the exact type first and falls back to json's
-``isinstance`` checks in json's order, so subclasses (a NamedTuple, a
-dict subclass, ``IntEnum``, ``np.float64``) are written as json writes
-them and any other type raises json's ``TypeError``.  A list of finite
-floats is written by one ``join``.
+``report.json`` holds the bytes of ``json.dumps(doc, indent=2)`` for the
+document ``PipelineReport.to_dict`` builds.  The writer takes only that
+document's types: an exact dict with str keys, an exact list, an exact
+str, float, int or bool, and None; any other type or key (a tuple, a
+NamedTuple, a dict subclass, ``IntEnum``, ``np.float64``) raises
+``TypeError``.  CPython's C encoder serves only ``indent=None``, and
+json's Python encoder yields one chunk per item, so ``dumps_indented``
+walks the document once, passing each chunk to the ``append`` of one
+list, which is joined once.  The walk is a module-level function: a
+nested one that calls itself would form a reference cycle, which keeps
+its chunks alive until the cyclic collector runs.  Scalars go through
+json's own primitives (``encode_basestring_ascii``, ``float.__repr__``
+with ``NaN``, ``Infinity`` and ``-Infinity``, ``int.__repr__``), and a
+list of finite floats is written by one ``join``.  Every file ardlkit
+writes, ``mc.csv`` too, goes through ``overwrite``; ``csv_table``
+formats the CSV tables and ``mc.csv``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ import math
 import os
 import stat
 from collections.abc import Sequence
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
+from operator import countOf
 from pathlib import Path
 from typing import NamedTuple
 
@@ -183,7 +182,8 @@ def unit_root_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def bounds_rows(b: BoundsResult) -> tuple[list[str], list[list[str]]]:
+def bounds_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]:
+    b = report.bounds
     header = ["", "", "", "", ""]
     rows = [
         ["Test Statistics", "Value", "K", "", ""],
@@ -232,6 +232,8 @@ def robustness_rows(report: PipelineReport) -> tuple[list[str], list[list[str]]]
             row.append(_coef_cell(entry[0], entry[1]) if entry else "")
         rows.append(row)
     rows.append(["R-squared"] + [_fmt(order[m].r2) for m in methods])
+    if report.robustness_warning:
+        rows.insert(0, [f"WARNING: {report.robustness_warning}"])
     return header, rows
 
 
@@ -266,51 +268,33 @@ _REPR = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _scalar(value) -> str | None:
-    """json's text for a scalar; None for a list, tuple or dict, and
-    json's ``TypeError`` for any other type.  The checks run in json's
-    order, so a bool is a literal and an ``IntEnum`` an integer."""
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+def _scalar(value) -> str:
+    """json's text for an exact str, float, int or bool, or None;
+    ``TypeError`` for any other type."""
+    cls = type(value)
+    if cls is float:
         text = _REPR(value)
-        return _NONFINITE.get(text, text)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: str, int, float, bool and None keys
-    as a JSON string, any other key a ``TypeError``."""
-    if isinstance(key, str):
-        return _string(key)
-    if key is None or isinstance(key, (int, float)):
-        return _string(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+        return _NONFINITE[text] if "n" in text else text
+    if cls is str:
+        return _string(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"report.json holds no {cls.__name__}")
 
 
 def _write(obj, write, newline: str) -> None:
-    """Pass to ``write`` the text of the list, tuple or dict ``obj``,
-    whose closing bracket opens the line ``newline`` starts."""
+    """Pass to ``write`` the text of the exact dict or list ``obj``, whose
+    closing bracket opens the line ``newline`` starts."""
+    is_dict = type(obj) is dict
     if not obj:
-        write("{}" if isinstance(obj, dict) else "[]")
+        write("{}" if is_dict else "[]")
         return
     inner = newline + "  "
     sep = "," + inner
-    if isinstance(obj, dict):
+    if is_dict:
         head, closing = "{" + inner, newline + "}"
-        items = [(f"{_string(key) if type(key) is str else _key(key)}: ", value)
-                 for key, value in obj.items()]
     else:
         head, closing = "[" + inner, newline + "]"
         if type(obj[0]) is float:
@@ -318,46 +302,39 @@ def _write(obj, write, newline: str) -> None:
             if body is not None:
                 write(f"{head}{body}{closing}")
                 return
-        items = zip(repeat(""), obj)
-    for label, value in items:
+    for key, value in obj.items() if is_dict else enumerate(obj):
+        if is_dict:
+            if type(key) is not str:
+                raise TypeError(f"report.json keys are str, not {type(key).__name__}")
+            head = f"{head}{_string(key)}: "
         cls = type(value)
-        if cls is float:
-            text = _REPR(value)
-            if "n" in text:
-                text = _NONFINITE[text]
-        elif cls is str:
-            text = _string(value)
+        if cls is dict or cls is list:
+            write(head)
+            _write(value, write, inner)
         else:
-            text = None if cls is dict or cls is list else _scalar(value)
-            if text is None:
-                write(head + label)
-                _write(value, write, inner)
-                head = sep
-                continue
-        write(f"{head}{label}{text}")
+            write(head + _scalar(value))
         head = sep
     write(closing)
 
 
-def _floats(values, sep: str) -> str | None:
-    """The items of a list of finite floats joined by ``sep``, or None
-    when an item is no float (``float.__repr__`` raises ``TypeError``,
-    for a bool too) or not finite (its repr holds an "n").  A float
-    subclass such as ``np.float64`` is taken: json writes it with
-    ``float.__repr__`` as well."""
+def _floats(values: list, sep: str) -> str | None:
+    """The items of a list of exact finite floats joined by ``sep``, or
+    None when an item is no float (``float.__repr__`` raises
+    ``TypeError``, for an int too), a float subclass, or not finite (its
+    repr holds an "n")."""
     try:
         body = sep.join(map(_REPR, values))
     except TypeError:
         return None
-    return None if "n" in body else body
+    return None if "n" in body or countOf(map(type, values), float) < len(values) else body
 
 
 def dumps_indented(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte; an unsupported type
-    raises json's ``TypeError``."""
-    text = _scalar(obj)
-    if text is not None:
-        return text
+    """``json.dumps(obj, indent=2)``, byte for byte, for a document of
+    report.json's types; any other type or key raises ``TypeError``."""
+    cls = type(obj)
+    if cls is not dict and cls is not list:
+        return _scalar(obj)
     out: list[str] = []
     _write(obj, out.append, "\n")
     return "".join(out)
@@ -373,7 +350,8 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def csv_table(header: list[str], rows: list[list]) -> str:
+    """The header and rows as CSV lines ended by "\\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -427,7 +405,7 @@ def stability_svg(path: StabilityPath, width: int = 640, height: int = 400) -> s
     return "\n".join(parts) + "\n"
 
 
-def _overwrite(path: Path, text: str) -> None:
+def overwrite(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as ``Path.write_text`` does, in place.
 
     The file is opened without ``O_TRUNC``: truncating a file that holds
@@ -449,48 +427,29 @@ def render(report: PipelineReport, fmt: str, output_dir) -> list[Path]:
     """Write the report's tables into ``output_dir`` and return their paths.
 
     Markdown and CSV give one file per table, JSON one ``report.json``;
-    every format adds a CSV and an SVG per stability path.  An existing
-    file is overwritten in place by ``_overwrite``, not replaced.
+    every format adds a CSV and an SVG per stability path.  Once every
+    text is built, each file is written by ``overwrite``, in place.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "json":
+        files = [("report.json", dumps_indented(report.to_dict()) + "\n")]
+    else:
+        ext, table = ("md", _markdown_table) if fmt == "markdown" else ("csv", csv_table)
+        sections = (("unit_root", report.unit_root, unit_root_rows),
+                    ("bounds", report.bounds is not None, bounds_rows),
+                    ("ardl", report.ecm is not None, ardl_rows),
+                    ("robustness", report.robustness, robustness_rows),
+                    ("causality", report.causality, causality_rows),
+                    ("diagnostics", report.diagnostics is not None, diagnostics_rows))
+        files = [(f"{name}.{ext}", table(*rows_of(report))) for name, present, rows_of in sections
+                 if present]
+    for path in report.stability:
+        files += [(f"{path.statistic}.csv", stability_csv(path)),
+                  (f"{path.statistic}.svg", stability_svg(path))]
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if fmt == "json":
-        p = out_dir / "report.json"
-        _overwrite(p, dumps_indented(report.to_dict()) + "\n")
-        written.append(p)
-    else:
-        ext = "md" if fmt == "markdown" else "csv"
-        table_fn = _markdown_table if fmt == "markdown" else _csv_table
-        sections: list[tuple[str, tuple[list[str], list[list[str]]]]] = []
-        if report.unit_root:
-            sections.append(("unit_root", unit_root_rows(report)))
-        if report.bounds is not None:
-            sections.append(("bounds", bounds_rows(report.bounds)))
-        if report.ecm is not None:
-            sections.append(("ardl", ardl_rows(report)))
-        if report.robustness:
-            header, rows = robustness_rows(report)
-            if report.robustness_warning:
-                rows.insert(0, [f"WARNING: {report.robustness_warning}"])
-            sections.append(("robustness", (header, rows)))
-        if report.causality:
-            sections.append(("causality", causality_rows(report)))
-        if report.diagnostics is not None:
-            sections.append(("diagnostics", diagnostics_rows(report)))
-        for name, (header, rows) in sections:
-            p = out_dir / f"{name}.{ext}"
-            _overwrite(p, table_fn(header, rows))
-            written.append(p)
-
-    for path in report.stability:
-        p = out_dir / f"{path.statistic}.csv"
-        _overwrite(p, stability_csv(path))
-        written.append(p)
-        p = out_dir / f"{path.statistic}.svg"
-        _overwrite(p, stability_svg(path))
-        written.append(p)
+    written = [out_dir / name for name, _ in files]
+    for p, (_, text) in zip(written, files):
+        overwrite(p, text)
     return written

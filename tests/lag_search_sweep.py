@@ -63,11 +63,12 @@ def criterion(rss: float, n: int, width: int, kind: str) -> float:
 
 def ardl_oracle(frame, spec: ModelSpec, kinds) -> dict:
     """Each criterion's ARDL order from one ``ols`` fit per candidate."""
-    start = 1 + max(spec.max_p - 1, spec.max_q)
+    rows = frame.n - 1 - max(spec.max_p - 1, spec.max_q)  # the common sample's
     fits = []
     for p, q in itertools.product(range(1, spec.max_p + 1),
                                   itertools.product(range(spec.max_q + 1), repeat=spec.k)):
-        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=start)
+        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q))
+        lhs, X = lhs[-rows:], X[-rows:]
         if lhs.shape[0] >= X.shape[1] + 5:
             fits.append(((p, *q), exact_rss(lhs, X), lhs.shape[0], X.shape[1]))
     fits.sort(key=lambda fit: (sum(fit[0]), fit[0]))

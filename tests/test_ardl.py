@@ -42,15 +42,22 @@ def grid_columns(spec, p, q):
     return columns[candidates.index((p, *q))]
 
 
+def common_design(frame, spec, ardl_spec):
+    """The lhs and design of ``ardl_spec`` on the grid's common sample: the
+    last rows of its own, as many as the widest candidate has."""
+    lhs, X, *_ = _conditional_design(frame, spec, ardl_spec)
+    rows = frame.n - 1 - max(spec.max_p - 1, spec.max_q)
+    return lhs[-rows:], X[-rows:]
+
+
 def brute_force_search(frame, spec, criterion):
     """The per-candidate reference search: one design and one ``ols`` fit
     per (p, q) on the common sample.  Returns the winning (p, q) and every
     candidate's criterion (None where the fit failed)."""
-    start = 1 + max(spec.max_p - 1, spec.max_q)
     scores, best = {}, None
     for p in range(1, spec.max_p + 1):
         for q in itertools.product(range(spec.max_q + 1), repeat=spec.k):
-            lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(p, q), start=start)
+            lhs, X = common_design(frame, spec, ArdlSpec(p, q))
             try:
                 if lhs.shape[0] < X.shape[1] + 5:
                     raise errors.NoFeasibleSpec("sample too small")
@@ -113,6 +120,12 @@ class TestConditionalDesign:
         fit = fit_conditional_ecm(coint_frame, ModelSpec("Y", ("X1",)), ArdlSpec(1, (0,)))
         np.testing.assert_allclose(fit.lhs, np.diff(coint_frame.column("Y")))
 
+    def test_frame_too_short_for_the_spec(self):
+        # ARDL(1, 3)'s first feasible row is the 5th; the frame has 3
+        frame = make_frame({"Y": random_walk(3, 1), "X1": random_walk(3, 2)})
+        with pytest.raises(errors.NoFeasibleSpec, match="sample exhausted"):
+            fit_conditional_ecm(frame, ModelSpec("Y", ("X1",)), ArdlSpec(1, (3,)))
+
     def test_rank_deficiency_named_by_label(self, coint_frame):
         # ols reports design positions; the fit names them
         x1 = coint_frame.column("X1")
@@ -140,6 +153,26 @@ class TestSelectArdlLags:
                 chosen = select_ardl_lags(frame, spec, criterion)
                 assert (chosen.p, chosen.q) == brute_force_search(frame, spec, criterion)[0]
 
+    def test_exact_fits_tie_and_the_narrowest_wins(self):
+        # ARDL(1, 1) and every candidate that holds its columns fit dY
+        # exactly.  Their RSS is rounding noise, by which AIC once picked
+        # ARDL(1, 2) (-3976.5 against -3946.4); both scoring paths now put
+        # such an RSS at the exact-fit floor and score it -inf.
+        frame, spec = exact_ecm_frame(), ModelSpec("Y", ("X1",))
+        for criterion in ("aic", "sic", "hq"):
+            assert select_ardl_lags(frame, spec, criterion) == ArdlSpec(1, (1,))
+        # the widest design, ARDL(2, 2)'s, is singular, so ols scored that
+        # grid; the chain QR scores the p = 1 candidates' columns, as one
+        # chain and as two (ARDL(1, 1) is columns 0-3)
+        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(1, (2,)))
+        for columns, exact in ((((0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)), [False, True, True]),
+                               (((0, 1, 2, 4), (0, 1, 2, 3)), [False, True])):
+            plan = search_plan(columns)
+            [by_qr], [qr] = regression._scores(lhs[None], X[None], plan, "aic")
+            by_ols = [regression._exact_criterion(lhs, X[:, list(s)], "aic") for s in columns]
+            assert qr and (plan.gather is None) == (len(exact) == 3)
+            assert [s == -math.inf for s in by_qr] == [s == -math.inf for s in by_ols] == exact
+
     def test_rank_deficient_candidates_skipped(self):
         # X2(t) = X1(t-1): with q1 >= 1 the columns X1(-1), X2(-1) and
         # D.X1(-1) are collinear, so every such candidate is singular
@@ -154,8 +187,7 @@ class TestSelectArdlLags:
             chosen = select_ardl_lags(frame, spec, criterion)
             assert (chosen.p, chosen.q) == best
 
-        start = 1 + max(spec.max_p - 1, spec.max_q)
-        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)), start=start)
+        lhs, X, *_ = _conditional_design(frame, spec, ArdlSpec(2, (2, 2)))
         cands = list(scores)
         plan = search_plan(grid_columns(spec, p, q) for p, q in cands)
         [batched] = search_criteria(lhs[None], X[None], plan, "hq").tolist()

@@ -133,6 +133,13 @@ class TestSelectGrangerLag:
         x, y = causal_pair()
         assert 1 <= select_granger_lag(x, y, 4) <= 4
 
+    def test_lag_and_length_guards(self):
+        x, y = causal_pair()
+        with pytest.raises(ValueError, match="max lag must be >= 1"):
+            select_granger_lag(x, y, max_lag=0)
+        with pytest.raises(errors.SeriesTooShort):
+            select_granger_lag([1.0], [2.0])
+
     def test_short_series_caps_lag(self):
         x = normals(1, 12)
         y = normals(2, 12)
@@ -223,6 +230,13 @@ class TestCausalityMatrix:
         reports = causality_matrix(coint_frame, ("Y",), "Y", lag=2)
         assert all(r.error for r in reports)
         assert all(math.isnan(r.f_stat) for r in reports)
+
+    def test_one_year_frame_gives_errored_rows(self):
+        # too short to difference or to take one lag: every pair fails alike
+        frame = make_frame({"Y": [1.0], "X1": [2.0], "X2": [3.0]})
+        reports = causality_matrix(frame, ("X1", "X2"), "Y")
+        assert len(reports) == 4
+        assert {r.error for r in reports} == {"need more than 1 observations for 1 lags, got 1"}
 
     def test_auto_lag(self, coint_frame):
         reports = causality_matrix(coint_frame, ("X1",), "Y")

@@ -118,6 +118,12 @@ class TestBreuschGodfrey:
         with pytest.raises(ValueError):
             breusch_godfrey(fit, X[:50], 2)
 
+    def test_too_few_observations_for_the_order(self):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        fit = ols(np.array([1.0, 3.0, 2.0, 5.0]), X)
+        with pytest.raises(errors.DegenerateResiduals, match="n > k \\+ order"):
+            breusch_godfrey(fit, X, 2)
+
 
 class TestBreuschPaganGodfrey:
     def test_frozen_oracle(self):
@@ -125,6 +131,15 @@ class TestBreuschPaganGodfrey:
         stat, p = breusch_pagan_godfrey(fit, X)
         assert stat == pytest.approx(BPG_STAT, rel=1e-10)
         assert p == pytest.approx(BPG_P, rel=1e-10)
+
+    def test_guards(self):
+        fit, X, _ = seeded_fit()
+        with pytest.raises(ValueError, match="different lengths"):
+            breusch_pagan_godfrey(fit, X[:50])
+        y = np.array([1.0, 3.0, 2.0])
+        fit = ols(y, np.ones((3, 1)))
+        with pytest.raises(errors.DegenerateResiduals, match="BPG needs n > k"):
+            breusch_pagan_godfrey(fit, np.column_stack([np.ones(3), np.arange(3.0), y]))
 
     def test_detects_constructed_heteroscedasticity(self):
         t = np.arange(200.0)
@@ -151,6 +166,10 @@ class TestVerdict:
 
 
 class TestRecursiveResiduals:
+    def test_too_few_observations(self):
+        with pytest.raises(errors.DegenerateResiduals, match="need n > k"):
+            recursive_residuals(np.ones(2), np.eye(2))
+
     def test_matches_naive_rolling_ols(self):
         _, X, y = seeded_fit()
         w = recursive_residuals(y, X)

@@ -858,6 +858,11 @@ class TestTailProbability:
         assert tail_probability("chi2", 5.0, 2) == pytest.approx(stats.chi2.sf(5.0, 2))
         assert tail_probability("f", 3.0, (2, 30)) == pytest.approx(stats.f.sf(3.0, 2, 30))
 
+    def test_f_whose_ratio_underflows(self):
+        # r = d1 f / d2 rounds to 0: the tail is all of the mass
+        assert 5e-324 * 1 / 10 == 0.0
+        assert tail_probability("f", 5e-324, (1, 10)) == 1.0
+
     def test_invalid_df(self):
         with pytest.raises(errors.InvalidDf):
             tail_probability("chi2", 1.0, 0)

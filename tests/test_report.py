@@ -14,8 +14,8 @@ from ardlkit import ardl, causality, cli, critical, unitroot
 from ardlkit.cli import PipelineConfig, run_pipeline
 from ardlkit.diagnostics import StabilityPath
 from ardlkit.regression import STARS, normal_test, stars
-from ardlkit.report import (FORMATS, PipelineReport, _coef_cell, _overwrite, dumps_indented, render,
-                            stability_csv, stability_svg)
+from ardlkit.report import (FORMATS, PipelineReport, _coef_cell, dumps_indented, overwrite, render,
+                            stability_csv, stability_svg, unit_root_rows)
 from ardlkit.synthetic import Dgp, generate, random_walk
 
 from conftest import FIXTURE_CSV, GOLDEN_DIR, make_frame
@@ -80,15 +80,28 @@ def test_errored_causality_rows_carry_their_error(tmp_path, fmt):
     assert table == [["Null Hypothesis", "Obs", "F-Statistic", "Prob."], *fitted, failed, failed]
 
 
+def test_unit_root_table_of_a_report_that_lacks_tests():
+    # a hand-built report may hold some of the tests; a NaN statistic prints empty
+    level = unitroot.adf(random_walk(60, 1))
+    diff = level._replace(statistic=math.nan, reject=dict.fromkeys(level.reject, False))
+    _, [row] = unit_root_rows(PipelineReport(unit_root=[("Y", {"adf": (level, diff)}, "I1")]))
+    assert row == ["Y", f"{level.statistic:.3f}{level.stars()}", "", "", "", "", "", "I(1)"]
+
+
+def test_render_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        render(PipelineReport(), "html", tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 ADVERSARIAL = {
     "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {"c": {}}}],
-    "nonfinite": [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+    "nonfinite": [float("nan"), float("inf"), -float("inf")],
     "text": ["é ü ☃ 😀", "\x00\x1f\x7f\n\r\t\"\\", '", ', "[", "{", '": ', "]}", ",\n  ", "null"],
-    "scalars": [True, False, None, 0, -3, 10**30, 1.5e-300, np.float64(0.1), -0.0],
-    "tuples": [(1, 2), ((),), ("a", (None, 2.5)), ()],
-    "lists of dicts": [{"a": 1}, {"b": [1, {"c": ()}]}, {}],
+    "scalars": [True, False, None, 0, -3, 10**30, 1.5e-300, 0.1, -0.0],
+    "lists of dicts": [{"a": 1}, {"b": [1, {"c": []}]}, {}],
     "dicts of lists": {"x": [1.5, 2], "y": ["a"], "z": [[]]},
-    "keys": {1: "int", 2.5: [1], True: {}, None: [None], float("inf"): [[]], "é\n": {"ключ": 1}},
+    "keys": {"é\n": {"ключ": 1}, "": [None], "1": [[]]},
     '", [{': {'": ': [{"]": "}"}]},
     "mixed": [1, [2, [3, []]], {"k": "v"}, "s"],
 }
@@ -108,34 +121,60 @@ class Level(enum.IntEnum):
     HIGH = 2
 
 
+class Name(str):
+    pass
+
+
 NAN, INF = float("nan"), float("inf")
 # a list that starts with a float may still hold what a float's repr does
 # not spell as json does
 FLOAT_LISTS = [[1.5, NAN, 2.5], [NAN], [INF, -INF], [0.1, -INF, 1e300], [-0.0, 5e-324, NAN],
-               [1.5, np.float64(2.5), 3.5], [np.float64(NAN), 1.5], [1.5, True, 2.5],
-               [0.5, False], [0.5, 1], [0.5, Level.HIGH], [0.5, None], [0.5, "x"], [0.5, [0.5]],
-               (0.25, 0.5), [0.5, Pair(0.5, 0.5)], {"a": [0.5, NAN], "b": (INF,)}]
-SUBCLASSES = {
-    "pair": Pair(1.5, [Pair("x", None), Pair((), {})]),
-    "tagged": Tagged(a=[1.5, Tagged()], b=Tagged(c=Level.LOW)),
-    "level": Level.HIGH,
-    "levels": [Level.LOW, 1.5, Level.HIGH],
-    Level.LOW: "an IntEnum key",
-    np.float64(0.5): "a float64 key",
-    np.float64(NAN): [Level.HIGH],
-}
+               [1.5, True, 2.5], [0.5, False], [0.5, 1], [0.5, None], [0.5, "x"], [0.5, [0.5]],
+               {"a": [0.5, NAN], "b": [INF]}]
 
 
 @pytest.mark.parametrize("doc", [
     ADVERSARIAL, [ADVERSARIAL, [ADVERSARIAL]], 1, -2.5, "x", None, True, float("nan"),
-    [], {}, (), np.float64(2.0), [[[]]], {"": {"": ""}},
-    FLOAT_LISTS, SUBCLASSES, Pair(1, Tagged(x=2.5)), Tagged(), Tagged(x=[]), Level.LOW,
+    [], {}, [[[]]], {"": {"": ""}}, FLOAT_LISTS,
 ], ids=["adversarial", "nested-adversarial", "int", "float", "str", "none", "bool", "nan",
-        "empty-list", "empty-dict", "empty-tuple", "float64", "nested-empty", "empty-keys",
-        "float-lists", "subclasses", "namedtuple", "empty-dict-subclass", "dict-subclass",
-        "intenum"])
+        "empty-list", "empty-dict", "nested-empty", "empty-keys", "float-lists"])
 def test_dumps_indented_equals_stdlib(doc):
     assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+# json writes each of these; report.json holds none of them
+BEYOND_THE_REPORT = {
+    "empty-tuple": (),
+    "tuple": ["a", ("b", (None, 2.5))],
+    "float64": np.float64(2.0),
+    "float64-in-float-list": [1.5, np.float64(2.5), 3.5],
+    "float64-nan-first": [np.float64(NAN), 1.5],
+    "namedtuple": Pair(1, Tagged(x=2.5)),
+    "namedtuple-in-float-list": [0.5, Pair(0.5, 0.5)],
+    "empty-dict-subclass": Tagged(),
+    "dict-subclass": Tagged(x=[]),
+    "dict-subclass-in-dict": {"a": [1.5, Tagged()]},
+    "intenum": Level.LOW,
+    "intenum-in-float-list": [0.5, Level.HIGH],
+    "str-subclass": ["x", Name("x")],
+    "str-subclass-key": {"a": 1, Name("b"): 2},
+    "int-key": {1: "int"},
+    "float-key": {2.5: [1]},
+    "bool-key": {"a": {True: {}}},
+    "none-key": {None: [None]},
+    "intenum-key": {Level.LOW: "an IntEnum key"},
+    "float64-key": {np.float64(0.5): "a float64 key"},
+    "subclasses": {"pair": Pair(1.5, [Pair("x", None), Pair((), {})]),
+                   "tagged": Tagged(a=[1.5, Tagged()], b=Tagged(c=Level.LOW)),
+                   "levels": [Level.LOW, 1.5, Level.HIGH]},
+}
+
+
+@pytest.mark.parametrize("doc", list(BEYOND_THE_REPORT.values()), ids=list(BEYOND_THE_REPORT))
+def test_dumps_indented_rejects_what_the_report_never_holds(doc):
+    json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        dumps_indented(doc)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +198,20 @@ def test_dumps_indented_equals_stdlib_on_reports(fixture_report, ecm_reports):
                             "diagnostics", "stability"}
         assert dumps_indented(doc) == json.dumps(doc, indent=2)
     assert [len(r.to_dict()["ardl"]["spec"]["q"]) for r in ecm_reports] == [2, 5]
+
+
+def test_reports_hold_only_the_writers_types(fixture_report, ecm_reports):
+    def types(node):
+        yield type(node)
+        if type(node) is dict:
+            yield from map(type, node)  # the keys
+            node = list(node.values())
+        if type(node) is list:
+            for value in node:
+                yield from types(value)
+
+    for report in (fixture_report, *ecm_reports):
+        assert set(types(report.to_dict())) == {dict, list, str, float, int, bool, type(None)}
 
 
 def test_dumps_indented_makes_no_reference_cycles(fixture_report):
@@ -281,7 +334,7 @@ def test_overwrite_leaves_the_bytes_of_write_text_in_the_same_file(tmp_path, old
     path.write_bytes(old)
     path.chmod(0o640)
     before = path.stat()
-    _overwrite(path, TEXT)
+    overwrite(path, TEXT)
     reference.write_text(TEXT)
     assert path.read_bytes() == reference.read_bytes()
     after = path.stat()
@@ -290,7 +343,7 @@ def test_overwrite_leaves_the_bytes_of_write_text_in_the_same_file(tmp_path, old
 
 def test_overwrite_creates_a_file_as_write_text_does(tmp_path):
     path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
-    _overwrite(path, TEXT)
+    overwrite(path, TEXT)
     reference.write_text(TEXT)
     assert path.read_bytes() == reference.read_bytes()
     assert path.stat().st_mode == reference.stat().st_mode

@@ -71,6 +71,10 @@ class TestAdf:
         assert rep.lag_or_bandwidth == 3
         assert rep.statistic == pytest.approx(ADF_MA_STAT, abs=1e-10)
 
+    def test_unknown_deterministic(self):
+        with pytest.raises(ValueError, match="unknown deterministic 'trend'"):
+            adf(RW, "trend")
+
     def test_constant_trend_case(self):
         rep = adf(RW, "constant_trend")
         assert rep.statistic == pytest.approx(ADF_RW_CT_STAT, abs=1e-10)
@@ -466,3 +470,8 @@ class TestIntegrationOrder:
         y = random_walk(150, 8)
         with pytest.raises(ValueError):
             integration_order(adf(y), adf(np.diff(y)), level=0.2)
+
+    def test_reports_of_two_variables_rejected(self):
+        y = random_walk(150, 8)
+        with pytest.raises(ValueError, match="different variables"):
+            integration_order(adf(y)._replace(variable="a"), adf(np.diff(y))._replace(variable="b"))
