@@ -397,6 +397,9 @@ def _mc_test(args):
     if key is None:
         raise UsageError(f"{args.test} has critical values at levels {tuple(STARS)} only, "
                          f"got --level {args.level}")
+    shortest = unitroot.minimum_length(args.test)
+    if args.T < shortest:  # every replication would fail
+        raise UsageError(f"{args.test} needs --T >= {shortest}, got {args.T}")
 
     def run_unit_root(frame, level, seed):
         rep = getattr(unitroot, args.test)(frame.column("Y"))

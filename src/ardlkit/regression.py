@@ -8,7 +8,9 @@ bits it gets alone.  Rank detection, the solution, and (X'X)^-1 all come
 from that one rank-revealing factorization.  Severe collinearity among
 lagged logs is the expected failure mode and is reported with the
 offending columns.  Every Wald F comes from one function, ``wald_f``,
-which reads the RSS and the F's numerator off one QR as sums of squares.
+which reads the RSS and the F's numerator off one QR as sums of squares,
+and the ADF and DF-GLS t-ratio, the signed root of such an F, from
+``t_last``, which reads it off the same R.
 Every lag search (ARDL, unit-root, Granger) picks its lag by one function,
 ``search``: it scores every row as ``search_criteria`` does, as one (R, C)
 array, and makes one Python pass per row in the plan's rank, which is the
@@ -240,14 +242,55 @@ def wald_f(Y, X, m: int) -> list[WaldF | NumericalError]:
             ratios, squares[:, k].tolist(), squares[:, k - m:k].sum(axis=1).tolist(),
             squares.sum(axis=1).tolist())):
         if ratio < RANK_TOL:
-            _, s, vt = np.linalg.svd(X[i], full_matrices=False)
-            outcomes.append(RankDeficient(_dependent_columns(vt, s)))
+            outcomes.append(_rank_deficiency(X[i]))
         elif _exact_fit(rss, yy):
             outcomes.append(DegenerateResiduals("exact fit: the residuals are rounding error"))
         else:
             f = (num / m) / (rss / (n - k))
             outcomes.append(WaldF(f, tail_probability("f", f, (m, n - k))))
     return outcomes
+
+
+def t_last(A, floors) -> list[float | RankDeficient]:
+    """``ols``'s t-ratio of the last of X[r]'s k columns for every row
+    [X[r] | y[r]] of A (R, n, k + 1), with n > k, or the ``RankDeficient``
+    of an X[r] that fails the rank rule.
+
+    ``floors[r]`` is a lower bound on X[r]'s ``singular_value_ratio``, or
+    None: a row whose floor is at least RANK_TOL passes the rule, and any
+    other row is decided by the ratio of its own SVD, taken without U.  So
+    each row is decided alone.  R's y column from one Householder QR of
+    A[r] gives the t-ratio, the signed root of ``wald_f``'s F at m = 1:
+    sign(R[k-1, k-1]) R[k-1, k] / (|R[k, k]| / sqrt(n - k)).  An exact fit
+    (``_exact_fit``) gives +-inf by the sign of the coefficient, or NaN
+    where that is 0, as a zero standard error does in ``ols``.
+    """
+    n, k = A.shape[1], A.shape[2] - 1
+    h = np.linalg.qr(A, mode="raw")[0]
+    root_df = math.sqrt(n - k)
+    outcomes: list = []
+    for i, (floor, diagonal, column) in enumerate(zip(
+            floors, h[:, k - 1, k - 1].tolist(), h[:, k, :k + 1].tolist())):
+        if floor is None or not floor >= RANK_TOL:
+            X = A[i, :, :k]
+            if singular_value_ratio(np.linalg.svd(X, compute_uv=False)) < RANK_TOL:
+                outcomes.append(_rank_deficiency(X))
+                continue
+        top = column[k - 1] if diagonal > 0.0 else -column[k - 1]
+        norm = math.hypot(*column)  # ||y[r]||; the floor is taken on y / ||y||
+        scaled = column[k] / norm if norm else 0.0
+        if _exact_fit(scaled * scaled, 1.0):
+            outcomes.append(math.copysign(math.inf, top) if top else math.nan)
+        else:
+            outcomes.append(top / (abs(column[k]) / root_df))
+    return outcomes
+
+
+def _rank_deficiency(X) -> RankDeficient:
+    """The ``RankDeficient`` of one design X (n, k) that fails the rank
+    rule, naming its dependent columns from its own SVD."""
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    return RankDeficient(_dependent_columns(vt, s))
 
 
 def _exact_fit(rss, yy):
@@ -332,17 +375,25 @@ def search(Y, X, plan: SearchPlan, kind: str = "aic") -> list[int | None]:
     A tied row that the chain QR scored is re-scored by ``_settle_ties``
     and picked again; a row that ``ols`` scored is exact already.
     """
+    return search_extremes(Y, X, plan, kind)[0]
+
+
+def search_extremes(Y, X, plan: SearchPlan,
+                    kind: str = "aic") -> tuple[list[int | None], list[tuple[float, float] | None]]:
+    """``search``'s picks, and for each row the smallest and the largest
+    singular value of its X[r] from the search's one SVD: None for a row
+    that ``ols`` scored, and for every row of a plan that took no SVD."""
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
-    scores, by_qr = _scores(Y, X, plan, kind)
+    scores, extremes = _scores(Y, X, plan, kind)
     order = plan.order
     picks = []
-    for r, (row, qr) in enumerate(zip(scores.tolist(), by_qr)):
+    for r, (row, qr) in enumerate(zip(scores.tolist(), extremes)):
         pick, tied = _scan(row, order)
         if tied and qr:
             pick = _scan(_settle_ties(Y[r], X[r], plan.columns, row, kind), order)[0]
         picks.append(pick)
-    return picks
+    return picks, extremes
 
 
 def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
@@ -365,24 +416,27 @@ def search_criteria(Y, X, plan: SearchPlan, kind: str = "aic") -> np.ndarray:
 
 
 def _scores(Y: np.ndarray, X: np.ndarray, plan: SearchPlan,
-            kind: str) -> tuple[np.ndarray, list[bool]]:
-    """``search_criteria``'s array, and for each row whether the chain QR
-    scored it (True) or ``ols`` did (False)."""
+            kind: str) -> tuple[np.ndarray, list[tuple[float, float] | None]]:
+    """``search_criteria``'s array, and for each row that the chain QR
+    scored the (smallest, largest) singular value of its X; None for a row
+    that ``ols`` scored."""
     _check_criterion(kind)
     n, k = X.shape[1:]
-    by_qr = [False] * len(X)
+    extremes = [None] * len(X)
     if n >= k and plan.width < n:
         s = np.linalg.svd(X, compute_uv=False)
-        by_qr = [ratio >= RANK_TOL * RANK_MARGIN for ratio in singular_value_ratios(s)]
-    if plan.columns and any(by_qr):
+        extremes = [pair if ratio >= RANK_TOL * RANK_MARGIN else None
+                    for ratio, pair in zip(singular_value_ratios(s),
+                                           zip(s[:, -1].tolist(), s[:, 0].tolist()))]
+    if plan.columns and any(extremes):
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = n * np.log(_chain_rss(Y, X, plan) / n) + _penalty(n, kind) * plan.widths
     else:
         scores = np.empty((len(X), len(plan.columns)))
-    for r, qr in enumerate(by_qr):
+    for r, qr in enumerate(extremes):
         if not qr:
             scores[r] = [_exact_criterion(Y[r], X[r][:, s], kind) for s in plan.columns]
-    return scores, by_qr
+    return scores, extremes
 
 
 def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:

@@ -6,11 +6,15 @@ and the demeaned and no-deterministic DF-GLS cases) and the
 Elliott-Rothenberg-Stock (1996) table for the detrended DF-GLS case.
 Each test runs on a block of equal-length series through one kernel,
 ``unit_root_block``; ``adf``, ``pp`` and ``dfgls`` are its one-series case.
+ADF and DF-GLS read the Dickey-Fuller t-ratio off one QR of the chosen
+regression (``regression.t_last``); PP fits its regression by
+``regression.ols_stack``, whose residuals its long-run variance needs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -18,9 +22,9 @@ import numpy as np
 
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
-                     SeriesTooShort, TooFewObservations)
+                     RankDeficient, SeriesTooShort, TooFewObservations)
 from .regression import (STARS, long_run_covariance, ols_stack, prefix_plan, resolve_bandwidth,
-                         row_ranges, search)
+                         row_ranges, search_extremes, t_last)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -87,6 +91,48 @@ def _df_designs(Y: np.ndarray, dY: np.ndarray, deterministic: str, p: int):
     return dY[:, p:], X
 
 
+def _tau_designs(Y: np.ndarray, dY: np.ndarray, deterministic: str, p: int,
+                 max_lag: int) -> np.ndarray:
+    """The ADF regressions of ``_df_designs`` with p augmentation lags as
+    the (R, n-1-p, k+1) stack [X | lhs] that ``t_last`` factors, with
+    y_{t-1} moved last in X: the deterministic terms, the p lagged
+    differences, y_{t-1}, then Delta y_t.
+
+    The trend counts from 1 at the first row of the max-lag design, so on
+    that design's rows each column of X is bitwise one of its leading
+    columns; a trend's origin leaves the t-ratio as it is, in exact
+    arithmetic.
+    """
+    m = dY.shape[1]
+    terms = _deterministic_block(deterministic, m - p)
+    d = terms.shape[1]
+    if d == 2:
+        terms = terms - (0.0, max_lag - p)
+    A = np.empty((Y.shape[0], m - p, d + p + 2))
+    A[:, :, :d] = terms
+    for j in range(p):
+        A[:, :, d + j] = dY[:, p - j - 1:m - j - 1]
+    A[:, :, -2] = Y[:, p:-1]
+    A[:, :, -1] = dY[:, p:]
+    return A
+
+
+def minimum_length(test: str, max_lag: int | None = None) -> int:
+    """The shortest series ``test`` runs on: 15 for PP, and max_lag + 10
+    for ADF and DF-GLS, which is 12 at the default max lag
+    (``default_max_lag`` of the series' length).  Raises ``ValueError`` for
+    an unknown test or a negative max_lag."""
+    if test == "pp":
+        return 15
+    if test not in TESTS:
+        raise ValueError(f"unknown unit-root test {test!r}")
+    if max_lag is None:  # n - default_max_lag(n) never falls as n grows
+        return next(n for n in itertools.count(10) if n >= default_max_lag(n) + 10)
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    return max_lag + 10
+
+
 def default_max_lag(n: int) -> int:
     """Schwert's shorter rule floor(4 * (n/100)^(1/4)).
 
@@ -110,31 +156,28 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
     ``DegenerateSeries``, found by ``regression.row_ranges`` from one
     max/min pair over the block's one ``np.diff``.  That difference feeds
     every design at every lag (DF-GLS differences its detrended block
-    once).  The rows share every factorization they can: one batched QR
-    scores the lag search of all rows, the rows that choose the same lag
-    are fitted by one ``ols_stack``, and so are PP's ADF(0) regressions.
-    What depends only on the shape is built once and cached: the
-    deterministic columns, the critical values per (table, nobs) in
-    ``critical``, and the SVD of the GLS quasi-differenced design per
-    (deterministic, n).  Each row's numbers are bitwise those of its
+    once).  A block shorter than ``minimum_length`` gives every row
+    ``SeriesTooShort``.  The rows share every factorization they can: one
+    batched SVD without U and one batched QR score the lag search of all
+    rows, one batched QR of the rows that choose the same lag gives their
+    t-ratios, and one ``ols_stack`` fits PP's ADF(0) regressions, whose
+    residuals PP needs.  What depends only on the shape is built once and
+    cached: the deterministic columns, the critical values per (table,
+    nobs) in ``critical``, and the SVD of the GLS quasi-differenced design
+    per (deterministic, n).  Each row's numbers are bitwise those of its
     one-row block.
     """
     Y = np.asarray(block, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"block must be an (R, n) array, got shape {Y.shape}")
     n = Y.shape[1]
-    if test == "pp":
-        too_short = f"PP needs n >= 15, got {n}" if n < 15 else None
-    elif test in ("adf", "dfgls"):
-        max_lag = default_max_lag(n) if max_lag is None else max_lag
-        if max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-        name = "ADF" if test == "adf" else "DF-GLS"
-        too_short = (f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})"
-                     if n < max_lag + 10 else None)
-    else:
-        raise ValueError(f"unknown unit-root test {test!r}")
-    if too_short is not None:
+    if max_lag is None and test != "pp":
+        max_lag = default_max_lag(n)
+    shortest = minimum_length(test, max_lag)
+    if n < shortest:
+        name = {"adf": "ADF", "dfgls": "DF-GLS"}.get(test)
+        too_short = (f"{name} needs n >= max_lag + 10 (n={n}, max_lag={max_lag})" if name
+                     else f"PP needs n >= {shortest}, got {n}")
         return [SeriesTooShort(too_short) for _ in Y]
     dY = Y[:, 1:] - Y[:, :-1]
     outcomes: list = []
@@ -162,12 +205,18 @@ def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_l
     Each row's lag p minimizes the criterion over lags 0..max_lag, the
     nested column prefixes of the max-lag design on its common sample
     (one cached ``prefix_plan``), picked by ``regression.search``, lag 0
-    when every lag is NaN.  The statistic is
-    the Dickey-Fuller t-ratio of the ADF(p) regression on its own sample,
-    so the rows that choose the same p share one fit.  Without
-    deterministic terms the detrending is a no-op and DF-GLS is the
-    no-constant Dickey-Fuller regression, so only its trend case takes
-    the ERS table.
+    when every lag is NaN.  The statistic is the Dickey-Fuller t-ratio of
+    the ADF(p) regression on its own sample, read off one QR of that
+    regression by ``regression.t_last``; the rows that choose the same p
+    share one batched QR.  The rank rule needs no second SVD where the
+    search's bounds it: the ADF(p) design is the search design's leading
+    columns on the common sample plus E, the max_lag - p rows that sample
+    drops, so its singular-value ratio is at least
+    s_min / sqrt(s_max**2 + ||E||_F**2), with s_min and s_max from the
+    search's SVD.  Any row that bound does not clear is decided by its
+    own SVD.  Without deterministic terms the detrending is a no-op and
+    DF-GLS is the no-constant Dickey-Fuller regression, so only its trend
+    case takes the ERS table.
     """
     terms = deterministic
     if test == "dfgls":
@@ -175,19 +224,31 @@ def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_l
         dY = Y[:, 1:] - Y[:, :-1]
     lhs, X = _df_designs(Y, dY, terms, max_lag)
     plan = prefix_plan(tuple(range(X.shape[2] - max_lag, X.shape[2] + 1)))
-    lags = [p or 0 for p in search(lhs, X, plan, criterion)]
+    picks, extremes = search_extremes(lhs, X, plan, criterion)
     groups: dict[int, list[int]] = {}
-    for r, p in enumerate(lags):
-        groups.setdefault(p, []).append(r)
-    outcomes: list = [None] * len(lags)
+    for r, p in enumerate(picks):
+        groups.setdefault(p or 0, []).append(r)
+    outcomes: list = [None] * len(picks)
     for p in sorted(groups):
         rows = groups[p]
-        lhs, X = (_df_designs(Y, dY, terms, p) if len(rows) == len(lags)
-                  else _df_designs(Y[rows], dY[rows], terms, p))
-        fit = ols_stack(lhs, X)
-        nobs = lhs.shape[1]
-        for i, (r, tau) in enumerate(zip(rows, fit.tstats[:, 0].tolist())):
-            outcomes[r] = fit.singular.get(i) or _report(test, deterministic, p, tau, nobs)
+        A = (_tau_designs(Y, dY, terms, p, max_lag) if len(rows) == len(picks)
+             else _tau_designs(Y[rows], dY[rows], terms, p, max_lag))
+        # below its first max_lag - p rows, each design (A less its last
+        # column) is the search's leading columns on the common sample:
+        # its s_min is at least the search's, and those first rows add at
+        # most their squares to s_max**2
+        spill = np.square(A[:, :max_lag - p, :-1]).sum(axis=(1, 2)).tolist()
+        floors = [None if extremes[r] is None
+                  else extremes[r][0] / math.sqrt(extremes[r][1] * extremes[r][1] + e)
+                  for r, e in zip(rows, spill)]
+        nobs = A.shape[1]
+        for r, tau in zip(rows, t_last(A, floors)):
+            if isinstance(tau, RankDeficient):  # named in the search's column order
+                last = A.shape[2] - 2
+                outcomes[r] = RankDeficient(sorted(0 if c == last else c + 1
+                                                   for c in tau.columns))
+            else:
+                outcomes[r] = _report(test, deterministic, p, tau, nobs)
     return outcomes
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ardlkit
-from ardlkit import errors, unitroot
+from ardlkit import errors, synthetic, unitroot
 from ardlkit.ardl import ArdlSpec
 from ardlkit.cli import (
     EXIT_DATA,
@@ -376,11 +376,30 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_mc_failing_replications_are_numerical_errors(self, tmp_path, capsys):
-        # at T = 10 every ADF replication is too short for its default max lag
+        # a drift of 1e17 swallows every normal draw, so each walk is an exact
+        # multiple of the drift and its differences are all equal
         out = tmp_path / "o"
-        rc = main(["mc", "--test", "adf", "--T", "10", "--reps", "100", "--out", str(out)])
+        rc = main(["mc", "--test", "adf", "--drift", "1e17", "--T", "30", "--reps", "100",
+                   "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "more than 1% of replications failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test, T, shortest", [("adf", 10, 12), ("dfgls", 11, 12),
+                                                   ("pp", 14, 15)])
+    def test_mc_below_the_tests_minimum_length_is_a_usage_error(self, tmp_path, capsys,
+                                                                 monkeypatch, test, T, shortest):
+        # every replication would fail, so nothing is drawn
+        out = tmp_path / "o"
+        draws = []
+        real = synthetic._frames
+        monkeypatch.setattr(synthetic, "_frames", lambda *a: draws.append(a) or real(*a))
+        rc = main(["mc", "--test", test, "--T", str(T), "--reps", "100", "--out", str(out)])
+        assert rc == EXIT_USAGE and draws == []
+        assert capsys.readouterr().err == f"usage error: {test} needs --T >= {shortest}, got {T}\n"
+        assert not out.exists()
+        assert unitroot.minimum_length(test) == shortest
+        assert main(["mc", "--test", test, "--T", str(shortest), "--reps", "100",
+                     "--out", str(out)]) == 0
 
     def test_mc_overflowing_draw_is_a_numerical_error(self, tmp_path, capsys):
         # a finite drift whose walk overflows: one error line naming the seed
@@ -395,11 +414,12 @@ class TestExitCodes:
 
     def test_mc_abort_names_the_first_failure(self, tmp_path, capsys):
         out = tmp_path / "o"
-        rc = main(["mc", "--test", "pp", "--T", "12", "--reps", "100", "--out", str(out)])
+        rc = main(["mc", "--test", "pp", "--drift", "1e17", "--T", "30", "--reps", "100",
+                   "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "more than 1% of replications failed (2/2)" in err
-        assert "PP needs n >= 15, got 12" in err
+        assert "series has zero variance after differencing" in err
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -538,24 +558,25 @@ class TestSubcommands:
 
     # sha256 of mc.csv at --T 30 --reps 100 --seed 0, recorded before the DGP
     # parameters were bound to their generators' signatures; the Granger
-    # ones since each F comes from one QR, with every reject flag as before
+    # ones since each F comes from one QR, and the ADF and DF-GLS ones since
+    # each t-ratio does, with every reject flag as before
     MC_DIGESTS = {
-        ("adf", "random_walk"): "78efc679dc826eefbc0411558d474bc4b9e6419c9a3778dab32d640fe122437e",
-        ("adf", "ar1"): "bde68860d9e36b6ef18289262bb9ea441229440415fbd981abb33b49050720f4",
-        ("adf", "ecm_system"): "b4c409da17760a9b609f0330fd675bcfabb25427a49e661e3bb2463e34d856df",
+        ("adf", "random_walk"): "45e31bd43ecc9ad399fe3e202cacace01ff0d67551c4ac2a4b2b23c198271984",
+        ("adf", "ar1"): "a1b41e3cdc04c8c618d1425016539790c25896f53300c526f8ec130e596c4c4b",
+        ("adf", "ecm_system"): "9ba37a0595d055de520fd73766771f63ca74233569860f7587fa6f005ba312fe",
         ("pp", "random_walk"): "e2156af840c33de67d5bf7f7da929c2c4d02c212b5899dbb989635990b5d4473",
         ("pp", "ar1"): "38ea6a0e3077a34ea0565a0ae25ba3a2f208e3ba107209191e5eedbfacb7b1b8",
         ("pp", "ecm_system"): "47b7c4a6584da99432ac48b89e6393f6e0e23f83e70e792f34782ea12b4e890e",
-        ("dfgls", "random_walk"): "0889976790b81af27baaffc7f1cb2317d6c38c98700ccf4bc94f0828749c28f2",
-        ("dfgls", "ar1"): "63a9c7fc9a6f6b5ee57519f20875487d786cf7bc3ebbe170eec767e248c254a2",
-        ("dfgls", "ecm_system"): "47b450940b71a20fb688423e4540a41b8bc6013ce5085e48c032a03ea114ee90",
+        ("dfgls", "random_walk"): "e67a028401451908390cea3954061d281274003ed59d11e18d5a87f35f8fb827",
+        ("dfgls", "ar1"): "9c87d91b8dcb797897a216fc30a056dd5e468bc5e92e6664240cb321ab088cfd",
+        ("dfgls", "ecm_system"): "4e4656bc4561cb7c1856267babfce58355883c9ca090a459511e9057d1448a9d",
         ("granger", "random_walk"): "96701fbd8fb906cf338a677b84d8f1f3f3c371f0a09de4d32bb9bcaa3099b402",
         ("granger", "ar1"): "31590472bb612c7a6303a1f04d09b0f906d50ce66479b78b44a40353da65c584",
         ("granger", "ecm_system"): "cbb282515ef432c4df3f8076bccd1585858030462074c792da028fbb52af0c2b",
         ("adf", "ar1", "--rho", "0.9"):
-            "f9cd2cee69693885df079bbed7b1e01437c3c0b964bda7ac7802e8ac3ea6747a",
+            "453424fc250726b935df6bb04f206c231e9e1b4ec6bbeb66b210eab070eeb685",
         ("adf", "random_walk", "--drift", "0.1"):
-            "35a9e7dd32c01749ae06505eae5118de15dc0958c35a0c82b98dc03eb8151576",
+            "b1f23cf0d556a657507f8eb0c5f3c07e4ce4b6d1d22b54a1f1cf21c03457a5f1",
     }
 
     @pytest.mark.parametrize("case", MC_DIGESTS, ids=" ".join)

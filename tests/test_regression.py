@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -216,6 +217,46 @@ class TestWaldF:
         y = 1.0 + 0.5 * t + 1e-8 * normals(14, 30)
         [wald] = wald_f(y[None], X[None], 1)
         assert wald.f == pytest.approx(mp_wald_f(y, X, 1), rel=1e-4)
+
+
+class TestTLast:
+    @staticmethod
+    def stack(y, X):
+        return np.column_stack([X, y])[None]
+
+    def test_matches_ols_and_the_root_of_wald_f(self):
+        y = normals(4, 60)
+        X = np.column_stack([np.ones(60), normals(5, 60), normals(6, 60)])
+        [tau] = regression.t_last(self.stack(y, X), [None])
+        assert tau == pytest.approx(ols(y, X).tstats[-1], rel=1e-12)
+        assert tau**2 == pytest.approx(wald_f(y[None], X[None], 1)[0].f, rel=1e-12)
+
+    def test_a_floor_that_clears_the_rule_takes_no_svd(self, monkeypatch):
+        y = normals(7, 40)
+        X = np.column_stack([np.ones(40), normals(8, 40)])
+        svd = Counted(monkeypatch, "svd")
+        cleared, decided = regression.t_last(np.concatenate([self.stack(y, X)] * 2), [1.0, None])
+        assert svd.kwargs == [{"compute_uv": False}]  # the second row's alone
+        assert cleared == decided
+
+    def test_singular_row_fails_alone_with_its_columns(self):
+        y = normals(11, 30)
+        good = np.column_stack([np.ones(30), normals(12, 30), normals(13, 30)])
+        bad = good.copy()
+        bad[:, 2] = 2.0 * bad[:, 1]
+        tau, singular = regression.t_last(np.concatenate([self.stack(y, good),
+                                                          self.stack(y, bad)]), [None, None])
+        assert tau == pytest.approx(ols(y, good).tstats[-1], rel=1e-12)
+        assert isinstance(singular, errors.RankDeficient) and singular.columns == (1, 2)
+
+    @pytest.mark.parametrize("b, expected", [((2.0, 0.0), math.nan), ((2.0, 3.0), math.inf),
+                                             ((2.0, -3.0), -math.inf)])
+    def test_an_exact_fit_is_what_a_zero_standard_error_gives_ols(self, b, expected):
+        # the Householder steps of this design are exact, so R[k, k] is 0
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        y = X @ np.array(b)
+        [tau] = regression.t_last(self.stack(y, X), [1.0])
+        np.testing.assert_array_equal([tau, ols(y, X).tstats[-1]], [expected, expected])
 
 
 class TestWaldFOracle:
@@ -487,13 +528,19 @@ class TestSearchPlan:
 
     @pytest.mark.parametrize("search", ["adf", "dfgls", "granger"])
     def test_one_svd_and_one_qr_per_search(self, monkeypatch, search):
-        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
+        # ADF and DF-GLS take one more QR, which reads the t-ratio of the
+        # chosen lag, and no SVD with U; the first call builds what is
+        # cached per shape (DF-GLS's GLS factor)
         y = random_walk(100, 4)
         if search == "granger":
-            causality.select_granger_lag(ar1(100, 5, 0.5), y)
+            run = functools.partial(causality.select_granger_lag, ar1(100, 5, 0.5), y)
         else:
-            getattr(unitroot, search)(y)
-        assert svd.kwargs.count({"compute_uv": False}) == 1 and qr.calls == 1
+            run = functools.partial(getattr(unitroot, search), y)
+        run()
+        svd, qr = Counted(monkeypatch, "svd"), Counted(monkeypatch, "qr")
+        run()
+        assert svd.kwargs == [{"compute_uv": False}]
+        assert qr.calls == (1 if search == "granger" else 2)
 
     def test_near_tie_is_rescored_by_ols(self, monkeypatch):
         # column 4 repeats column 3 up to 1e-5 of a direction orthogonal to

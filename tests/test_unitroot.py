@@ -6,8 +6,8 @@ import pytest
 from ardlkit import errors, unitroot
 from ardlkit.critical import critical_values
 from ardlkit.frame import load_csv
-from ardlkit.regression import (CRITERIA, RANK_TOL, info_criterion, long_run_variance, ols,
-                                resolve_bandwidth, singular_value_ratios)
+from ardlkit.regression import (CRITERIA, RANK_MARGIN, RANK_TOL, info_criterion,
+                                long_run_variance, ols, resolve_bandwidth, singular_value_ratios)
 from ardlkit.synthetic import ar1, normals, random_walk
 from ardlkit.unitroot import (
     IntegrationDecision,
@@ -179,12 +179,16 @@ class TestPp:
 
     def test_bandwidth_zero_equals_df_t_stat(self):
         # PP runs the ADF regression without augmentation lags, so with no
-        # kernel correction the two statistics are the same number
+        # kernel correction the two statistics are the same number, to
+        # rounding: PP's t-ratio comes from ols, ADF's from one QR.  PP at
+        # bandwidth 0 is bitwise its own ols t-ratio, which
+        # test_one_autocovariance_pass_is_bitwise_the_two_pass_statistic pins
         for deterministic in ("constant", "constant_trend"):
             for seed in (11, 23, 57):
                 y = random_walk(100, seed)
-                assert (pp(y, deterministic, bandwidth=0).statistic
-                        == adf(y, deterministic, max_lag=0).statistic)
+                tau = adf(y, deterministic, max_lag=0).statistic
+                assert (abs(pp(y, deterministic, bandwidth=0).statistic - tau)
+                        <= 1e-13 * max(abs(tau), 1.0))
 
     @pytest.mark.parametrize("seed", [7_200_000, 7_200_325, 7_200_963])
     def test_bandwidth_zero_matches_mpmath_df_t_ratio(self, seed):
@@ -333,6 +337,121 @@ class TestErsCriticalValues:
 
     def test_large_sample_near_asymptote(self):
         assert self.ers(10**8)["5%"] == pytest.approx(-2.89, abs=1e-4)
+
+
+def mp_df_tau(mpmath, y, deterministic, p, gls):
+    """The Dickey-Fuller t-ratio of the ADF(p) regression of ``y`` (GLS
+    detrended first when ``gls``) in mpmath's working precision."""
+    n = len(y)
+    ys = [mpmath.mpf(float(v)) for v in y]
+    if gls and deterministic != "none":
+        cbar = -7 if deterministic == "constant" else mpmath.mpf("-13.5")
+        a = 1 + cbar / n
+        z = [[mpmath.mpf(1)] if deterministic == "constant" else [mpmath.mpf(1), mpmath.mpf(t)]
+             for t in range(1, n + 1)]
+        zq = mpmath.matrix([z[0]] + [[c - a * d for c, d in zip(z[t], z[t - 1])]
+                                     for t in range(1, n)])
+        yq = mpmath.matrix([ys[0]] + [ys[t] - a * ys[t - 1] for t in range(1, n)])
+        coef = mpmath.lu_solve(zq.T * zq, zq.T * yq)
+        ys = [ys[t] - (mpmath.matrix([z[t]]) * coef)[0] for t in range(n)]
+    terms = "none" if gls else deterministic
+    dy = [b - a for a, b in zip(ys, ys[1:])]
+    rows = [[ys[i]] + {"none": [], "constant": [1], "constant_trend": [1, i - p + 1]}[terms]
+            + [dy[i - j - 1] for j in range(p)] for i in range(p, n - 1)]
+    X = mpmath.matrix(rows)
+    lhs = mpmath.matrix(dy[p:])
+    inverse = (X.T * X) ** -1
+    coef = inverse * (X.T * lhs)
+    resid = lhs - X * coef
+    s2 = sum(r**2 for r in resid) / (X.rows - X.cols)
+    return float(coef[0] / mpmath.sqrt(s2 * inverse[0, 0]))
+
+
+class TestTRatio:
+    """ADF and DF-GLS read the Dickey-Fuller t-ratio off one QR of the
+    chosen regression."""
+
+    @pytest.mark.parametrize("T", [30, 100])
+    @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
+    @pytest.mark.parametrize("test", ["adf", "dfgls"])
+    def test_matches_a_50_digit_oracle(self, test, deterministic, T):
+        mpmath = pytest.importorskip("mpmath")
+        series = [random_walk(T, seed) for seed in (7, 8)]
+        series.append(np.cumsum(ar1(T, 9, 0.6)))  # serially correlated: a longer lag
+        for y in series:
+            rep = getattr(unitroot, test)(y, deterministic)
+            with mpmath.workdps(50):
+                tau = mp_df_tau(mpmath, y, deterministic, rep.lag_or_bandwidth, test == "dfgls")
+            assert abs(rep.statistic - tau) <= 1e-13 * max(abs(tau), 1.0)
+
+    @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
+    def test_designs_on_the_common_sample_are_the_searchs_leading_columns(self, deterministic):
+        # the rank bound rests on this: below its first max_lag - p rows, the
+        # ADF(p) design is bitwise the max-lag design's first columns, with
+        # y_{t-1} moved last
+        Y = np.stack([random_walk(60, 1), np.cumsum(ar1(60, 2, 0.6))])
+        dY = np.diff(Y)
+        _, X = _df_designs(Y, dY, deterministic, 4)
+        for p in range(5):
+            A = unitroot._tau_designs(Y, dY, deterministic, p, 4)
+            k = A.shape[2] - 1
+            np.testing.assert_array_equal(A[:, 4 - p:, [k - 1, *range(k - 1)]], X[:, :, :k])
+            np.testing.assert_array_equal(A[:, :, -1], dY[:, p:])
+
+    def test_rows_the_bound_cannot_clear_take_their_own_svd(self, monkeypatch):
+        # 110 values of 1.95e9, then a walk: at max lag 110 the search's
+        # design is sound enough to be scored by its QR, and lag 0 wins,
+        # but the 110 rows of that lag's design that the search drops are
+        # so large that the bound on its singular-value ratio falls below
+        # RANK_TOL; the design's own SVD finds it regular
+        T, max_lag = 260, 110
+        y = np.full(T, 1.95e9)
+        y[max_lag:] = random_walk(T - max_lag, 5)
+        lhs, X = _df_designs(y[None], np.diff(y)[None], "constant", max_lag)
+        s = np.linalg.svd(X[0], compute_uv=False)
+        assert s[-1] / s[0] >= RANK_TOL * RANK_MARGIN
+        own = unitroot._tau_designs(y[None], np.diff(y)[None], "constant", 0, max_lag)[0]
+        assert s[-1] / math.sqrt(s[0] ** 2 + (own[:max_lag, :-1] ** 2).sum()) < RANK_TOL
+        assert singular_value_ratios(np.linalg.svd(own[None, :, :-1],
+                                                    compute_uv=False))[0] >= RANK_TOL
+        svd = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd.append(kw) or real(*a, **kw))
+        rep = adf(y, max_lag=max_lag)
+        assert rep.lag_or_bandwidth == 0
+        assert svd == [{"compute_uv": False}] * 2  # the search's, then the design's own
+        lhs, X = _df_designs(y[None], np.diff(y)[None], "constant", 0)
+        tau = ols(lhs[0], X[0]).tstats[0]
+        assert abs(rep.statistic - tau) <= 1e-13 * max(abs(tau), 1.0)
+        assert_same_outcomes(unit_root_block("adf", np.array([y, random_walk(T, 6)]),
+                                             max_lag=max_lag),
+                             [one_row("adf", row, "constant", max_lag=max_lag)
+                              for row in (y, random_walk(T, 6))])
+
+    @pytest.mark.parametrize("T", [33, 50, 100])
+    def test_a_constant_but_for_its_last_value_names_its_columns(self, T):
+        # y_{t-1} repeats the constant: columns 0 and 1 of the search's order
+        y = np.full(T, 2.0)
+        y[-1] = 3.0
+        for deterministic in ("constant", "constant_trend"):
+            with pytest.raises(errors.RankDeficient) as info:
+                adf(y, deterministic)
+            assert str(info.value) == "design matrix is rank deficient; dependent columns: [0, 1]"
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_the_t_ratio_keeps_the_scale(self, scale):
+        # DF-GLS has no deterministic column, so its design scales with the
+        # series; ||y||**2 overflows at 1e160 but the floor is taken on y / ||y||
+        y = random_walk(100, 3)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scaled = dfgls(scale * y).statistic
+        assert scaled == pytest.approx(dfgls(y).statistic, rel=1e-13)
+
+    def test_an_exact_fit_is_infinite(self):
+        # Delta y_t = 0.5 - 0.5 y_{t-1} exactly, so the t-ratio of the
+        # coefficient -0.5 has a zero standard error
+        rep = adf(1.0 + 0.5 ** np.arange(30), max_lag=0)
+        assert rep.statistic == -math.inf and all(rep.reject.values())
 
 
 def block_rows(T):
