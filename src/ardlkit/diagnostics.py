@@ -16,8 +16,8 @@ import numpy as np
 
 from .critical import critical_values
 from .errors import AllZeroResiduals, DegenerateResiduals, RankDeficient
-from .regression import (RANK_TOL, STARS, RegressionResult, ols, singular_value_ratio,
-                         tail_probability)
+from .regression import (RANK_TOL, STARS, RegressionResult, exact_fit, ols,
+                         singular_value_ratio, tail_probability)
 
 
 class DiagnosticsReport(NamedTuple):
@@ -95,6 +95,13 @@ def verdict(p: float, level: float = 0.05) -> str:
 
 def diagnostics_report(fit: RegressionResult, design, bg_order: int = 2,
                        level: float = 0.05) -> DiagnosticsReport:
+    """JB, BG and BPG on ``fit`` of y on ``design``, with their verdicts.
+    An exact fit, whose RSS is at the exact-fit floor of y
+    (``regression.exact_fit``), raises ``DegenerateResiduals`` before any
+    test runs: its residuals are rounding error."""
+    y = np.asarray(design, dtype=float) @ fit.coef + fit.residuals
+    if exact_fit(fit.rss, y @ y):
+        raise DegenerateResiduals("exact fit: the residuals are rounding error")
     jb = jarque_bera(fit.residuals)
     lm_stat, lm_p = breusch_godfrey(fit, design, bg_order)
     bpg = breusch_pagan_godfrey(fit, design)

@@ -1,16 +1,15 @@
 """Least squares, hypothesis-test plumbing, information criteria, and
 kernel long-run variance estimation.
 
-This is the shared numerical engine.  Every fit goes through one
-function, ``ols_stack``, which fits a stack of designs by one batched
-SVD; ``ols`` is its one-row case, and a row fitted in a stack gets the
-bits it gets alone.  Rank detection, the solution, and (X'X)^-1 all come
-from that one rank-revealing factorization.  Severe collinearity among
-lagged logs is the expected failure mode and is reported with the
-offending columns.  Every Wald F comes from one function, ``wald_f``,
-which reads the RSS and the F's numerator off one QR as sums of squares,
-and the ADF and DF-GLS t-ratio, the signed root of such an F, from
-``t_last``, which reads it off the same R.
+This is the shared numerical engine.  A fit with its full diagnostics
+is ``ols``: one SVD of the design gives rank detection, the solution,
+and (X'X)^-1.  Severe collinearity among lagged logs is the expected
+failure mode and is reported with the offending columns.  Every test
+statistic comes from one Householder QR of [X | y] (``_raw_r``): every
+Wald F from ``wald_f``, which reads the RSS and the F's numerator off R
+as sums of squares, and every unit-root t-ratio, the signed root of such
+an F, from ``_tau`` on the same R (``t_last`` for ADF and DF-GLS; PP
+also solves R for its residuals).
 Every lag search (ARDL, unit-root, Granger) picks its lag by one function,
 ``search``: it scores every row as ``search_criteria`` does, as one (R, C)
 array, and makes one Python pass per row in the plan's rank, which is the
@@ -115,69 +114,30 @@ def _dependent_columns(vt: np.ndarray, s: np.ndarray) -> list[int]:
     return [int(i) for i in np.flatnonzero(weights > 1e-8 * weights.max())]
 
 
-class StackedFit(NamedTuple):
-    """Least-squares fits of R rows on their designs, row r of every array
-    for fit r.  ``singular`` maps each row whose design is singular to its
-    ``RankDeficient``; that row's numbers are meaningless."""
-
-    coef: np.ndarray         # (R, k)
-    residuals: np.ndarray    # (R, n)
-    rss: np.ndarray          # (R,)
-    xtx_inverse: np.ndarray  # (R, k, k)
-    stderr: np.ndarray       # (R, k)
-    tstats: np.ndarray       # (R, k)
-    df_resid: int
-    singular: dict[int, RankDeficient]
-
-
-def ols_stack(Y, X) -> StackedFit:
-    """Minimize ||Y[r] - X[r] b||^2 for every row r of Y (R, n) on its
-    design X[r] of X (R, n, k), through one batched SVD.
-
-    Each design whose ``singular_value_ratio`` is below RANK_TOL is flagged
-    with its ``RankDeficient`` and solved with unit singular values, which
-    keeps its arithmetic finite.  Every product is a stacked matmul, which
-    makes the same BLAS call for each row as for a lone one, so a row's
-    numbers are bitwise those of fitting it alone.  Raises
-    ``TooFewObservations`` when n <= k.
-    """
-    n, k = X.shape[1:]
-    if n <= k:
-        raise TooFewObservations(n, k)
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    singular = {i: RankDeficient(_dependent_columns(vt[i], s[i]))
-                for i, ratio in enumerate(singular_value_ratios(s)) if ratio < RANK_TOL}
-    if singular:
-        s = s.copy()
-        s[list(singular)] = 1.0
-    v = vt.transpose(0, 2, 1)
-    coef = (v @ ((u.transpose(0, 2, 1) @ Y[..., None]) / s[..., None]))[..., 0]
-    residuals = Y - (X @ coef[..., None])[..., 0]
-    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
-    xtx_inverse = (v / s[:, None, :] ** 2) @ vt
-    s2 = rss / (n - k)
-    stderr = np.sqrt(np.maximum(s2[:, None] * xtx_inverse.diagonal(axis1=1, axis2=2), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
-    return StackedFit(coef, residuals, rss, xtx_inverse, stderr, tstats, n - k, singular)
-
-
 def ols(y, X) -> RegressionResult:
-    """Minimize ||y - Xb||^2 via SVD; full diagnostics retained.  This is
-    the one-row case of ``ols_stack``.
+    """Minimize ||y - Xb||^2 via one SVD of X; full diagnostics retained.
+    Rank detection, the solution, and (X'X)^-1 all come from that one
+    rank-revealing factorization.
 
-    Raises ``RankDeficient`` naming the dependent columns when the
-    design is numerically singular, and ``TooFewObservations`` when
-    n <= k.
+    Raises ``RankDeficient`` naming the dependent columns when X fails the
+    rank rule (``singular_value_ratio`` below RANK_TOL), and
+    ``TooFewObservations`` when n <= k.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    fit = ols_stack(y[None], X[None])
-    if fit.singular:
-        raise fit.singular[0]
-    n = X.shape[0]
-    residuals = fit.residuals[0]
-    rss = float(fit.rss[0])
+    n, k = X.shape
+    if n <= k:
+        raise TooFewObservations(n, k)
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    if singular_value_ratio(s) < RANK_TOL:
+        raise RankDeficient(_dependent_columns(vt, s))
+    coef = vt.T @ ((u.T @ y) / s)
+    residuals = y - X @ coef
+    rss = float(residuals @ residuals)
+    xtx_inverse = (vt.T / s**2) @ vt
+    stderr = np.sqrt(np.maximum(rss / (n - k) * xtx_inverse.diagonal(), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = coef / stderr  # a zero stderr gives +-inf, or nan for a zero coef
 
     has_const = np.any(np.ptp(X, axis=0) == 0)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)
@@ -186,19 +146,8 @@ def ols(y, X) -> RegressionResult:
     sigma2 = rss / n
     loglik = (-n / 2.0 * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0) if sigma2 > 0
               else math.inf)
-    return RegressionResult(
-        coef=fit.coef[0],
-        stderr=fit.stderr[0],
-        tstats=fit.tstats[0],
-        residuals=residuals,
-        rss=rss,
-        tss=tss,
-        r2=r2,
-        df_resid=fit.df_resid,
-        loglik=loglik,
-        xtx_inverse=fit.xtx_inverse[0],
-        degenerate_r2=degenerate,
-    )
+    return RegressionResult(coef, stderr, tstats, residuals, rss, tss, r2, n - k, loglik,
+                            xtx_inverse, degenerate)
 
 
 def stars(p: float) -> str:
@@ -236,14 +185,15 @@ def wald_f(Y, X, m: int) -> list[WaldF | NumericalError]:
     if n <= k:
         raise TooFewObservations(n, k)
     ratios = singular_value_ratios(np.linalg.svd(X, compute_uv=False))
-    squares = _raw_r(X, Y)[:, k, :k + 1] ** 2  # R's y column, squared
+    A = np.concatenate([X, Y[..., None]], axis=2)
+    squares = _raw_r(A)[:, k, :k + 1] ** 2  # R's y column, squared
     outcomes: list = []
     for i, (ratio, rss, num, yy) in enumerate(zip(
             ratios, squares[:, k].tolist(), squares[:, k - m:k].sum(axis=1).tolist(),
             squares.sum(axis=1).tolist())):
         if ratio < RANK_TOL:
             outcomes.append(_rank_deficiency(X[i]))
-        elif _exact_fit(rss, yy):
+        elif exact_fit(rss, yy):
             outcomes.append(DegenerateResiduals("exact fit: the residuals are rounding error"))
         else:
             f = (num / m) / (rss / (n - k))
@@ -259,14 +209,11 @@ def t_last(A, floors) -> list[float | RankDeficient]:
     ``floors[r]`` is a lower bound on X[r]'s ``singular_value_ratio``, or
     None: a row whose floor is at least RANK_TOL passes the rule, and any
     other row is decided by the ratio of its own SVD, taken without U.  So
-    each row is decided alone.  R's y column from one Householder QR of
-    A[r] gives the t-ratio, the signed root of ``wald_f``'s F at m = 1:
-    sign(R[k-1, k-1]) R[k-1, k] / (|R[k, k]| / sqrt(n - k)).  An exact fit
-    (``_exact_fit``) gives +-inf by the sign of the coefficient, or NaN
-    where that is 0, as a zero standard error does in ``ols``.
+    each row is decided alone.  One raw QR of A (``_raw_r``) gives each
+    row's t-ratio by ``_tau``.
     """
     n, k = A.shape[1], A.shape[2] - 1
-    h = np.linalg.qr(A, mode="raw")[0]
+    h = _raw_r(A)
     root_df = math.sqrt(n - k)
     outcomes: list = []
     for i, (floor, diagonal, column) in enumerate(zip(
@@ -276,14 +223,25 @@ def t_last(A, floors) -> list[float | RankDeficient]:
             if singular_value_ratio(np.linalg.svd(X, compute_uv=False)) < RANK_TOL:
                 outcomes.append(_rank_deficiency(X))
                 continue
-        top = column[k - 1] if diagonal > 0.0 else -column[k - 1]
-        norm = math.hypot(*column)  # ||y[r]||; the floor is taken on y / ||y||
-        scaled = column[k] / norm if norm else 0.0
-        if _exact_fit(scaled * scaled, 1.0):
-            outcomes.append(math.copysign(math.inf, top) if top else math.nan)
-        else:
-            outcomes.append(top / (abs(column[k]) / root_df))
+        outcomes.append(_tau(diagonal, column, root_df)[0])
     return outcomes
+
+
+def _tau(diagonal: float, column: list[float], root_df: float) -> tuple[float, bool]:
+    """The t-ratio of the last of X's k columns from one QR of [X | y], the
+    signed root of ``wald_f``'s F at m = 1, and whether the fit is exact:
+    sign(R[k-1, k-1]) R[k-1, k] / (|R[k, k]| / root_df), from R[k-1, k-1]
+    (``diagonal``), R's y column R[0..k, k] (``column``) and
+    root_df = sqrt(n - k).  An exact fit (``exact_fit`` of R[k, k] / ||y||)
+    gives +-inf by the sign of the coefficient, or NaN where that is 0, as
+    a zero standard error does in ``ols``.
+    """
+    top = column[-2] if diagonal > 0.0 else -column[-2]
+    norm = math.hypot(*column)  # ||y||; the floor is taken on y / ||y||
+    scaled = column[-1] / norm if norm else 0.0
+    if exact_fit(scaled * scaled, 1.0):
+        return (math.copysign(math.inf, top) if top else math.nan), True
+    return top / (abs(column[-1]) / root_df), False
 
 
 def _rank_deficiency(X) -> RankDeficient:
@@ -293,10 +251,11 @@ def _rank_deficiency(X) -> RankDeficient:
     return RankDeficient(_dependent_columns(vt, s))
 
 
-def _exact_fit(rss, yy):
+def exact_fit(rss, yy):
     """Whether an RSS is rounding error, at most (RANK_TOL * ||y||)**2 for
-    a y with y'y = yy: the exact-fit floor of ``wald_f`` and of every lag
-    search, which scores such a fit -inf.  Elementwise on arrays."""
+    a y with y'y = yy: the one exact-fit floor, of ``wald_f``, ``_tau``
+    (every unit-root statistic), ``diagnostics.diagnostics_report`` and
+    every lag search, which scores such a fit -inf.  Elementwise on arrays."""
     return rss <= RANK_TOL**2 * yy
 
 
@@ -441,7 +400,7 @@ def _scores(Y: np.ndarray, X: np.ndarray, plan: SearchPlan,
 
 def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     """The (R, C) RSS of every row on every list of ``plan``; 0 where it is
-    at most the exact-fit floor (``_exact_fit``) of ||Y[r]||**2.
+    at most the exact-fit floor (``exact_fit``) of ||Y[r]||**2.
 
     One Householder QR factors [X[r] | Y[r]] on its n rows, for every row:
     the RSS of a chain's first m columns is the sum of R[i, w]**2 over
@@ -456,7 +415,7 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     1974), with the same bits.
     """
     width, span, shared = plan.width, plan.span, plan.shared
-    h = _raw_r(X[:, :, :span], Y)
+    h = _raw_r(np.concatenate([X[:, :, :span], Y[..., None]], axis=2))
     yy = None  # ||Y[r]||**2, the last tail sum of one chain of leading columns
     if plan.gather is not None:
         yy = (h[:, span, :span + 1] ** 2).sum(axis=1, keepdims=True)
@@ -470,13 +429,13 @@ def _chain_rss(Y, X, plan: SearchPlan) -> np.ndarray:
     # tail[r, c, j] = sum of R[i, width]**2 over i >= width - j
     tail = (h[..., width, width::-1] ** 2).cumsum(axis=-1).reshape(len(X), -1)
     rss = tail[:, plan.pick]
-    rss[_exact_fit(rss, tail[:, -1:] if yy is None else yy)] = 0.0
+    rss[exact_fit(rss, tail[:, -1:] if yy is None else yy)] = 0.0
     return rss
 
 
-def _raw_r(X, Y) -> np.ndarray:
-    """h of one raw-mode QR of [X[r] | Y[r]] per row r: R[i, j] = h[r, j, i], i <= j."""
-    return np.linalg.qr(np.concatenate([X, Y[..., None]], axis=2), mode="raw")[0]
+def _raw_r(A) -> np.ndarray:
+    """h of one raw-mode QR of each A[r] of A (R, n, m): R[i, j] = h[r, j, i], i <= j."""
+    return np.linalg.qr(A, mode="raw")[0]
 
 
 def _settle_ties(y, X, columns, scores: list, kind: str) -> list:
@@ -513,7 +472,7 @@ def _exact_criterion(y, X, kind: str) -> float:
         fit = ols(y, X)
     except (ArdlkitError, np.linalg.LinAlgError):
         return math.nan
-    return -math.inf if _exact_fit(fit.rss, y @ y) else info_criterion(fit, kind)
+    return -math.inf if exact_fit(fit.rss, y @ y) else info_criterion(fit, kind)
 
 
 def _scan(scores: list, order) -> tuple[int | None, bool]:

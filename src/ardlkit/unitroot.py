@@ -6,9 +6,10 @@ and the demeaned and no-deterministic DF-GLS cases) and the
 Elliott-Rothenberg-Stock (1996) table for the detrended DF-GLS case.
 Each test runs on a block of equal-length series through one kernel,
 ``unit_root_block``; ``adf``, ``pp`` and ``dfgls`` are its one-series case.
-ADF and DF-GLS read the Dickey-Fuller t-ratio off one QR of the chosen
-regression (``regression.t_last``); PP fits its regression by
-``regression.ols_stack``, whose residuals its long-run variance needs.
+Every statistic comes from one QR of its own regression: ADF and DF-GLS
+read the Dickey-Fuller t-ratio off the chosen one (``regression.t_last``),
+and PP reads it, and the residuals its long-run variance needs, off
+ADF(0)'s.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 from .critical import LEVEL_KEYS, critical_values
 from .errors import (ArdlkitError, DegenerateResiduals, DegenerateSeries, PossibleI2,
                      RankDeficient, SeriesTooShort, TooFewObservations)
-from .regression import (STARS, long_run_covariance, ols_stack, prefix_plan, resolve_bandwidth,
-                         row_ranges, search_extremes, t_last)
+from .regression import (RANK_TOL, STARS, _rank_deficiency, _raw_r, _tau, long_run_covariance,
+                         prefix_plan, resolve_bandwidth, row_ranges, search_extremes,
+                         singular_value_ratios, t_last)
 
 TESTS = ("adf", "pp", "dfgls")
 
@@ -75,7 +77,9 @@ def _deterministic_block(deterministic: str, n: int) -> np.ndarray:
 def _df_designs(Y: np.ndarray, dY: np.ndarray, deterministic: str, p: int):
     """Designs of the ADF regression with p augmentation lags, one per row
     of Y (R, n), from its differences dY (R, n-1): the (R, n-1-p)
-    left-hand sides and the stacked designs.
+    left-hand sides and the stacked designs.  The lag search scores its
+    nested prefixes at p = max_lag; every statistic is read off
+    ``_tau_designs``.
 
     Rows are aligned to t = p+1 .. n-1 (0-based).  Columns: y_{t-1},
     deterministic terms, then the p lagged differences.
@@ -160,8 +164,8 @@ def unit_root_block(test: str, block, deterministic: str = "constant", *,
     ``SeriesTooShort``.  The rows share every factorization they can: one
     batched SVD without U and one batched QR score the lag search of all
     rows, one batched QR of the rows that choose the same lag gives their
-    t-ratios, and one ``ols_stack`` fits PP's ADF(0) regressions, whose
-    residuals PP needs.  What depends only on the shape is built once and
+    t-ratios, and one batched QR of PP's ADF(0) regressions gives their
+    t-ratios and residuals.  What depends only on the shape is built once and
     cached: the deterministic columns, the critical values per (table,
     nobs) in ``critical``, and the SVD of the GLS quasi-differenced design
     per (deterministic, n).  Each row's numbers are bitwise those of its
@@ -243,13 +247,25 @@ def _df_rows(test: str, Y: np.ndarray, dY: np.ndarray, deterministic: str, max_l
                   for r, e in zip(rows, spill)]
         nobs = A.shape[1]
         for r, tau in zip(rows, t_last(A, floors)):
-            if isinstance(tau, RankDeficient):  # named in the search's column order
-                last = A.shape[2] - 2
-                outcomes[r] = RankDeficient(sorted(0 if c == last else c + 1
-                                                   for c in tau.columns))
+            if isinstance(tau, RankDeficient):
+                outcomes[r] = _in_search_order(tau, A.shape[2] - 1)
             else:
                 outcomes[r] = _report(test, deterministic, p, tau, nobs)
     return outcomes
+
+
+def _in_search_order(exc: RankDeficient, k: int) -> RankDeficient:
+    """``exc`` of a k-column ``_tau_designs`` X, its columns named in the
+    order of ``_df_designs``, where y_{t-1} comes first."""
+    return RankDeficient(sorted(0 if c == k - 1 else c + 1 for c in exc.columns))
+
+
+@functools.lru_cache(maxsize=None)
+def _lower(k: int) -> np.ndarray:
+    """The (k, k) lower-triangle mask, built once per k and read-only."""
+    mask = np.tri(k)
+    mask.flags.writeable = False
+    return mask
 
 
 def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int | str) -> list:
@@ -257,30 +273,43 @@ def _pp_rows(Y: np.ndarray, dY: np.ndarray, deterministic: str, bandwidth: int |
 
     The Dickey-Fuller regression is run without augmentation lags and
     serial correlation is absorbed through the Bartlett long-run
-    variance of the residuals.
+    variance of the residuals.  That regression is ADF(0)'s
+    [deterministic terms, y_{t-1} | Delta y_t] (``_tau_designs``), and one
+    raw QR factors it as ``t_last`` does: R's y column gives tau and the
+    exact-fit test (``regression._tau``), se / s is 1 / |R[k-1, k-1]|,
+    and the triangular solve of R against its y column gives the
+    coefficients, hence the residuals.  One SVD without U decides the rank
+    rule, and a singular row fails alone.
     """
-    lhs, X = _df_designs(Y, dY, deterministic, 0)
-    fit = ols_stack(lhs, X)
-    nobs = lhs.shape[1]
+    A = _tau_designs(Y, dY, deterministic, 0, 0)
+    nobs, k = A.shape[1], A.shape[2] - 1
     bw = resolve_bandwidth(bandwidth, nobs)
-    outcomes: list = []
-    for i, (u, rss, tau, se) in enumerate(zip(fit.residuals, fit.rss.tolist(),
-                                              fit.tstats[:, 0].tolist(),
-                                              fit.stderr[:, 0].tolist())):
+    ratios = singular_value_ratios(np.linalg.svd(A[:, :, :k], compute_uv=False))
+    outcomes: list = [None if ratio >= RANK_TOL
+                      else _in_search_order(_rank_deficiency(A[i, :, :k]), k)
+                      for i, ratio in enumerate(ratios)]
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if len(live) < len(A):
+        A = A[live]
+    h = _raw_r(A)
+    # R b = R's y column, R' being h's lower triangle
+    coef = np.linalg.solve((h[:, :k, :k] * _lower(k)).transpose(0, 2, 1), h[:, k, :k, None])
+    residuals = A[:, :, k] - (A[:, :, :k] @ coef)[..., 0]
+    root_df = math.sqrt(nobs - k)
+    for i, u, diagonal, column in zip(live, residuals, h[:, k - 1, k - 1].tolist(),
+                                      h[:, k, :k + 1].tolist()):
+        tau, exact = _tau(diagonal, column, root_df)
         try:
-            if i in fit.singular:
-                raise fit.singular[i]
             lam2, _, gamma0 = map(float, long_run_covariance(u, bw))
-            s2 = rss / fit.df_resid
-            if min(gamma0, lam2, s2) <= 0.0:  # an exact fit, or a zero long-run variance
+            if exact or min(gamma0, lam2) <= 0.0:  # an exact fit, or a zero long-run variance
                 raise DegenerateResiduals()
         except ArdlkitError as exc:
-            outcomes.append(exc)
+            outcomes[i] = exc
             continue
         z_tau = math.sqrt(gamma0 / lam2) * tau - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (
-            nobs * se / math.sqrt(s2)
+            nobs / abs(diagonal)
         )
-        outcomes.append(_report("pp", deterministic, bw, z_tau, nobs))
+        outcomes[i] = _report("pp", deterministic, bw, z_tau, nobs)
     return outcomes
 
 

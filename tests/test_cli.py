@@ -290,6 +290,14 @@ class TestExitCodes:
         assert err == ("error in ardl: exact fit: the residuals are rounding error\n"
                        if code else "")
 
+    def test_exact_fit_fails_the_diagnostics(self, tmp_path, capsys):
+        # not with the rank deficiency of BG's residual lags
+        data = tmp_path / "exact.csv"
+        data.write_text(csv_text(exact_ecm_frame()))
+        assert main(command_argv("diag", data, tmp_path / "o")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("error in diagnostics: exact fit: the residuals "
+                                           "are rounding error\n")
+
     def test_singular_omega22_fails_robustness(self, tmp_path, capsys):
         data = tmp_path / "linked.csv"
         data.write_text(csv_text(trend_linked_frame()))
@@ -558,15 +566,16 @@ class TestSubcommands:
 
     # sha256 of mc.csv at --T 30 --reps 100 --seed 0, recorded before the DGP
     # parameters were bound to their generators' signatures; the Granger
-    # ones since each F comes from one QR, and the ADF and DF-GLS ones since
-    # each t-ratio does, with every reject flag as before
+    # ones since each F comes from one QR, the ADF and DF-GLS ones since
+    # each t-ratio does, and the PP ones since PP reads Z_t off ADF(0)'s
+    # QR, with every reject flag as before
     MC_DIGESTS = {
         ("adf", "random_walk"): "45e31bd43ecc9ad399fe3e202cacace01ff0d67551c4ac2a4b2b23c198271984",
         ("adf", "ar1"): "a1b41e3cdc04c8c618d1425016539790c25896f53300c526f8ec130e596c4c4b",
         ("adf", "ecm_system"): "9ba37a0595d055de520fd73766771f63ca74233569860f7587fa6f005ba312fe",
-        ("pp", "random_walk"): "e2156af840c33de67d5bf7f7da929c2c4d02c212b5899dbb989635990b5d4473",
-        ("pp", "ar1"): "38ea6a0e3077a34ea0565a0ae25ba3a2f208e3ba107209191e5eedbfacb7b1b8",
-        ("pp", "ecm_system"): "47b7c4a6584da99432ac48b89e6393f6e0e23f83e70e792f34782ea12b4e890e",
+        ("pp", "random_walk"): "19f6aa81bb779db18f7ea8400e870e2fabaa84117c67a5aa2efac66c298e3811",
+        ("pp", "ar1"): "472b201926109bb209b0de5ba7311ae8e8797c61785d31ca4feb5d995455cea6",
+        ("pp", "ecm_system"): "46063d1da1d1ace2c7182ae6b16c91d7bdfe59760901e7913d6bb359c8efcc2a",
         ("dfgls", "random_walk"): "e67a028401451908390cea3954061d281274003ed59d11e18d5a87f35f8fb827",
         ("dfgls", "ar1"): "9c87d91b8dcb797897a216fc30a056dd5e468bc5e92e6664240cb321ab088cfd",
         ("dfgls", "ecm_system"): "4e4656bc4561cb7c1856267babfce58355883c9ca090a459511e9057d1448a9d",

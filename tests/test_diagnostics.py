@@ -21,7 +21,7 @@ from ardlkit.frame import ModelSpec, load_csv
 from ardlkit.regression import ols
 from ardlkit.synthetic import ar1, normals
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, exact_ecm_frame
 
 # Frozen from independent implementations of the three residual tests
 # on the same seeded inputs.
@@ -163,6 +163,15 @@ class TestVerdict:
         assert report.verdicts["serial_correlation"] == verdict(report.lm[1])
         assert report.verdicts["heteroscedasticity"] == verdict(report.bpg[1])
         assert report.lm[2] == 2  # order echoed back
+
+    def test_an_exact_fit_is_degenerate(self):
+        # an exact fit's residuals are rounding error: BG's design of their
+        # lags would be singular, and JB and BPG would test noise
+        frame, spec = exact_ecm_frame(), ModelSpec("Y", ("X1",))
+        fit = fit_conditional_ecm(frame, spec, select_ardl_lags(frame, spec, "aic"))
+        with pytest.raises(errors.DegenerateResiduals,
+                           match="^exact fit: the residuals are rounding error$"):
+            diagnostics_report(fit.regression, fit.design)
 
 
 class TestRecursiveResiduals:

@@ -178,17 +178,14 @@ class TestPp:
         assert rep.statistic == pytest.approx(PP_RW_AUTO_STAT, abs=1e-10)
 
     def test_bandwidth_zero_equals_df_t_stat(self):
-        # PP runs the ADF regression without augmentation lags, so with no
-        # kernel correction the two statistics are the same number, to
-        # rounding: PP's t-ratio comes from ols, ADF's from one QR.  PP at
-        # bandwidth 0 is bitwise its own ols t-ratio, which
-        # test_one_autocovariance_pass_is_bitwise_the_two_pass_statistic pins
-        for deterministic in ("constant", "constant_trend"):
+        # PP runs the ADF regression without augmentation lags, and reads its
+        # t-ratio off the same QR as adf, so with no kernel correction the
+        # two statistics are the same number, bit for bit
+        for deterministic in ("none", "constant", "constant_trend"):
             for seed in (11, 23, 57):
                 y = random_walk(100, seed)
                 tau = adf(y, deterministic, max_lag=0).statistic
-                assert (abs(pp(y, deterministic, bandwidth=0).statistic - tau)
-                        <= 1e-13 * max(abs(tau), 1.0))
+                assert pp(y, deterministic, bandwidth=0).statistic == tau
 
     @pytest.mark.parametrize("seed", [7_200_000, 7_200_325, 7_200_963])
     def test_bandwidth_zero_matches_mpmath_df_t_ratio(self, seed):
@@ -216,20 +213,39 @@ class TestPp:
     def test_one_autocovariance_pass_is_bitwise_the_two_pass_statistic(self, deterministic,
                                                                        bandwidth):
         # gamma_0 and lambda^2 as two separate long_run_variance calls, the
-        # way pp computed them before they shared one autocovariance pass
+        # way pp computed them before they shared one autocovariance pass,
+        # on the residuals of ADF(0)'s QR: R b = R's y column
         frame = load_csv(FIXTURE_CSV.read_text())
         for name in frame.names:
             for y in (frame.column(name), np.diff(frame.column(name))):
-                lhs, X = _df_designs(y[None], np.diff(y)[None], deterministic, 0)
-                fit = ols(lhs[0], X[0])
-                nobs = fit.residuals.shape[0]
+                A = unitroot._tau_designs(y[None], np.diff(y)[None], deterministic, 0, 0)
+                nobs, k = A.shape[1], A.shape[2] - 1
+                h = np.linalg.qr(A, mode="raw")[0]
+                R = np.triu(h.transpose(0, 2, 1)[:, :k, :k])
+                coef = np.linalg.solve(R, h[:, k, :k, None])
+                residuals = (A[:, :, k] - (A[:, :, :k] @ coef)[..., 0])[0]
+                diagonal, top, last = h[0, k - 1, k - 1], h[0, k, k - 1], h[0, k, k]
+                tau = (top if diagonal > 0 else -top) / (abs(last) / math.sqrt(nobs - k))
                 bw = resolve_bandwidth(bandwidth, nobs)
-                lam2 = long_run_variance(fit.residuals, bw)
-                gamma0 = long_run_variance(fit.residuals, 0)
-                z_tau = (math.sqrt(gamma0 / lam2) * fit.tstats[0]
-                         - 0.5 * (lam2 - gamma0) / math.sqrt(lam2)
-                         * (nobs * fit.stderr[0] / math.sqrt(fit.s2)))
+                lam2 = long_run_variance(residuals, bw)
+                gamma0 = long_run_variance(residuals, 0)
+                z_tau = (math.sqrt(gamma0 / lam2) * tau
+                         - 0.5 * (lam2 - gamma0) / math.sqrt(lam2) * (nobs / abs(diagonal)))
                 assert pp(y, deterministic, bandwidth).statistic == z_tau
+
+    @pytest.mark.parametrize("deterministic", ["none", "constant", "constant_trend"])
+    @pytest.mark.parametrize("bandwidth", [3, "auto"])
+    def test_matches_a_50_digit_oracle(self, deterministic, bandwidth):
+        # Z_t at a nonzero bandwidth reads the residuals, which the QR gives
+        # by its triangular solve
+        mpmath = pytest.importorskip("mpmath")
+        series = [random_walk(T, seed) for T, seed in ((30, 7), (100, 8))]
+        series.append(np.cumsum(ar1(100, 9, 0.6)))  # serially correlated differences
+        for y in series:
+            rep = pp(y, deterministic, bandwidth)
+            with mpmath.workdps(50):
+                z_tau = mp_pp_z_tau(mpmath, y, deterministic, rep.lag_or_bandwidth)
+            assert abs(rep.statistic - z_tau) <= 1e-13 * max(abs(z_tau), 1.0)
 
     def test_bandwidth_too_large(self):
         with pytest.raises(errors.BandwidthTooLarge):
@@ -245,6 +261,18 @@ class TestPp:
         rows = unit_root_block("pp", np.array([exact, walk]))
         assert isinstance(rows[0], errors.DegenerateResiduals)
         assert rows[1] == pp(walk)
+
+    @pytest.mark.parametrize("deterministic", ["constant", "constant_trend"])
+    def test_an_exact_ar1_is_degenerate(self, deterministic):
+        # y_t = 0.5 y_{t-1} + 1 exactly: the ADF(0) regression's residuals are
+        # rounding noise, at the exact-fit floor adf reads as tau = -inf
+        y = np.empty(60)
+        y[0] = 10.0
+        for t in range(1, 60):
+            y[t] = 0.5 * y[t - 1] + 1.0
+        assert adf(y, deterministic, max_lag=0).statistic == -math.inf
+        with pytest.raises(errors.DegenerateResiduals):
+            pp(y, deterministic)
 
 
 class TestDfgls:
@@ -365,6 +393,29 @@ def mp_df_tau(mpmath, y, deterministic, p, gls):
     resid = lhs - X * coef
     s2 = sum(r**2 for r in resid) / (X.rows - X.cols)
     return float(coef[0] / mpmath.sqrt(s2 * inverse[0, 0]))
+
+
+def mp_pp_z_tau(mpmath, y, deterministic, bw):
+    """Phillips-Perron Z_t of y at bandwidth bw in mpmath's precision: the
+    ADF(0) fit by the normal equations, and the Bartlett long-run variance
+    of its demeaned residuals with divisor n."""
+    ys = [mpmath.mpf(float(v)) for v in y]
+    n = len(ys) - 1
+    det = {"none": lambda t: [], "constant": lambda t: [1],
+           "constant_trend": lambda t: [1, t + 1]}[deterministic]
+    X = mpmath.matrix([[ys[t], *det(t)] for t in range(n)])
+    dy = mpmath.matrix([ys[t + 1] - ys[t] for t in range(n)])
+    inverse = (X.T * X) ** -1
+    coef = inverse * (X.T * dy)
+    resid = dy - X * coef
+    s2 = sum(r**2 for r in resid) / (X.rows - X.cols)
+    se = mpmath.sqrt(s2 * inverse[0, 0])
+    mean = sum(resid) / n
+    v = [r - mean for r in resid]
+    gamma = [sum(v[t] * v[t - j] for t in range(j, n)) / n for j in range(bw + 1)]
+    lam2 = gamma[0] + 2 * sum((1 - mpmath.mpf(j) / (bw + 1)) * gamma[j] for j in range(1, bw + 1))
+    return float(mpmath.sqrt(gamma[0] / lam2) * coef[0] / se
+                 - (lam2 - gamma[0]) / (2 * mpmath.sqrt(lam2)) * n * se / mpmath.sqrt(s2))
 
 
 class TestTRatio:
